@@ -205,7 +205,8 @@ def cmd_adapt(args) -> int:
             "config_hash": _config_hash(cfg_dict)}
     save_checkpoint(out / "final.ckpt", result.final, {**meta, "which": "final"})
     save_checkpoint(out / "best.ckpt", result.best, {**meta, "which": "best"})
-    write_trace_csv(result.trace, out / "trace.csv")
+    num_classes = source.arch.num_classes
+    write_trace_csv(result.trace, out / "trace.csv", num_classes)
 
     final_eval = evaluate_model(result.final, target_test)
     best_eval = evaluate_model(result.best, target_test)
@@ -215,9 +216,9 @@ def cmd_adapt(args) -> int:
         "config": cfg_dict,
         "config_hash": meta["config_hash"],
         "final": {"map": final_eval.map,
-                  **{f"ap_class{i}": final_eval.ap(i, 0.0) for i in range(3)}},
+                  **{f"ap_class{i}": final_eval.ap(i, 0.0) for i in range(num_classes)}},
         "best": {"map": best_eval.map,
-                 **{f"ap_class{i}": best_eval.ap(i, 0.0) for i in range(3)}},
+                 **{f"ap_class{i}": best_eval.ap(i, 0.0) for i in range(num_classes)}},
         "trace": {"final_map": result.trace.final_map(),
                   "peak_map": result.trace.peak_map(),
                   "rows": len(result.trace.rows)},

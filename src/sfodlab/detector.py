@@ -270,6 +270,8 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
 
 
 def _backbone_backward(model: ModelState, caches, dfeats, grads):
+    """Fill grads with the backbone's parameter gradients. The gradient with
+    respect to the image is never needed, so block 0 skips it."""
     p = model.params
     d = dfeats
     for i in reversed(range(len(model.arch.channels))):
@@ -282,10 +284,9 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
         grads[f"{pre}.bn.gamma"] = dgamma
         grads[f"{pre}.bn.beta"] = dbeta
         d, dw, db = conv2d_backward(d, c["conv_in"], p[f"{pre}.conv.w"], 1, 1,
-                                    cols=c["cols"])
+                                    cols=c["cols"], need_dx=i > 0)
         grads[f"{pre}.conv.w"] = dw
         grads[f"{pre}.conv.b"] = db
-    return d
 
 
 def backbone_batch_statistics(model: ModelState, x: np.ndarray):
@@ -364,10 +365,16 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
     """Max-pool all proposals of one image at once.
 
     feats_img: (C, F, F); boxes_feat: (P, 4) in feature coordinates.
-    Returns pooled (P, C, out, out) and, when need_indices, the absolute
-    (row, col) index of each pooled maximum, shaped (C, P, out, out), for
-    the backward scatter. Windows are padded by repeating the last cell,
-    which cannot change the max or its first-occurrence index.
+    Whole channel vectors are gathered from a channels-last (F*F, C) copy
+    of the map into windows shaped (K, P, out, out, C), where K = ky*kx
+    spans the largest bin. Smaller bins are padded by repeating their last
+    cell, which cannot change the max or its first occurrence.
+
+    Returns pooled (P, C, out, out) and, when need_indices, the flat
+    feature-cell index row*F + col (int64) of each pooled maximum, shaped
+    (P, out, out, C), for the backward scatter; otherwise None. Ties go to
+    the first maximum in row-major bin order. A bin holding a NaN pools to
+    NaN and its index names the first NaN.
     """
     c, fh, fw = feats_img.shape
     y0, y1 = _roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
@@ -376,28 +383,34 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
     kx = int((x1 - x0).max())
     yidx = np.minimum(y0[:, :, None] + np.arange(ky), y1[:, :, None] - 1)  # (P,out,ky)
     xidx = np.minimum(x0[:, :, None] + np.arange(kx), x1[:, :, None] - 1)  # (P,out,kx)
-    window = feats_img[:, yidx[:, :, None, :, None], xidx[:, None, :, None, :]]
-    # window: (C, P, out, out, ky, kx)
-    p = len(boxes_feat)
-    flat = window.reshape(c, p, out, out, ky * kx)
+    cells = (yidx.transpose(2, 0, 1)[:, None, :, :, None] * fw
+             + xidx.transpose(2, 0, 1)[None, :, :, None, :])  # (ky,kx,P,out,out)
+    cells = cells.reshape(ky * kx, len(boxes_feat), out, out)
+    table = np.ascontiguousarray(feats_img.reshape(c, fh * fw).T)
+    window = table[cells]
     if not need_indices:
-        return flat.max(axis=4).transpose(1, 0, 2, 3), None, None
-    amax = flat.argmax(axis=4)
-    pooled = np.take_along_axis(flat, amax[..., None], axis=4)[..., 0]
-    ay, ax = np.divmod(amax, kx)
-    parange = np.arange(p)[None, :, None, None]
-    grid = np.arange(out)
-    yy = yidx[parange, grid[None, None, :, None], ay]
-    xx = xidx[parange, grid[None, None, None, :], ax]
-    return pooled.transpose(1, 0, 2, 3), yy, xx
+        return window.max(axis=0).transpose(0, 3, 1, 2), None
+    best = window[0].copy()
+    arg = np.repeat(cells[0][..., None], c, axis=3)
+    has_nan = np.isnan(table).any()
+    for k in range(1, len(window)):
+        # strict > keeps the first maximum; NaN must be forced in explicitly
+        hit = window[k] > best
+        if has_nan:
+            hit |= np.isnan(window[k]) & ~np.isnan(best)
+        np.copyto(best, window[k], where=hit)
+        np.copyto(arg, cells[k][..., None], where=hit)
+    return best.transpose(0, 3, 1, 2), arg
 
 
-def _roi_scatter_batch(dpooled: np.ndarray, yy: np.ndarray, xx: np.ndarray,
+def _roi_scatter_batch(dpooled: np.ndarray, cells: np.ndarray,
                        c: int, fh: int, fw: int) -> np.ndarray:
-    """Accumulate pooled-cell gradients back onto one image's feature map."""
-    vals = dpooled.transpose(1, 0, 2, 3)
-    chan = np.arange(c)[:, None, None, None]
-    lin = (chan * fh + yy) * fw + xx
+    """Accumulate pooled-cell gradients back onto one image's feature map.
+
+    cells are the (P, out, out, C) maximum indices from _roi_pool_batch.
+    """
+    vals = dpooled.transpose(0, 2, 3, 1)
+    lin = np.arange(c) * (fh * fw) + cells
     acc = np.bincount(lin.ravel(), weights=vals.ravel().astype(np.float64),
                       minlength=c * fh * fw)
     return acc.reshape(c, fh, fw).astype(dpooled.dtype)
@@ -408,7 +421,7 @@ def roi_pool(features: np.ndarray, box, out_size: int) -> np.ndarray:
     grid spanning the box (feature-map coordinates). A proposal smaller than
     one feature cell pools from its single covering cell."""
     boxes = np.asarray(box, np.float64).reshape(1, 4)
-    pooled, _, _ = _roi_pool_batch(features, boxes, out_size)
+    pooled, _ = _roi_pool_batch(features, boxes, out_size)
     return pooled[0]
 
 
@@ -416,9 +429,9 @@ def roi_pool_backward(dout: np.ndarray, features: np.ndarray, box,
                       out_size: int) -> np.ndarray:
     """Scatter each pooled cell's gradient to the first maximum in its window."""
     boxes = np.asarray(box, np.float64).reshape(1, 4)
-    _, yy, xx = _roi_pool_batch(features, boxes, out_size)
+    _, cells = _roi_pool_batch(features, boxes, out_size)
     c, fh, fw = features.shape
-    return _roi_scatter_batch(dout[None], yy, xx, c, fh, fw)
+    return _roi_scatter_batch(dout[None], cells, c, fh, fw)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +544,10 @@ def _roi_head_forward(model: ModelState, feats: np.ndarray, proposals,
         if len(boxes) == 0:
             scatter.append(None)
             continue
-        pooled, yy, xx = _roi_pool_batch(feats[i], boxes, arch.roi_pool_size,
-                                         need_indices)
+        pooled, cells = _roi_pool_batch(feats[i], boxes, arch.roi_pool_size,
+                                        need_indices)
         pooled_parts.append(pooled)
-        scatter.append((yy, xx, len(boxes)))
+        scatter.append((cells, len(boxes)))
     pooled = np.concatenate(pooled_parts) if pooled_parts else np.zeros(
         (0, arch.channels[-1], arch.roi_pool_size, arch.roi_pool_size), feats.dtype)
     flat = pooled.reshape(len(pooled), -1)
@@ -643,8 +656,8 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     for i, info in enumerate(roi_cache["scatter"]):
         if info is None:
             continue
-        yy, xx, count = info
-        dfeats[i] += _roi_scatter_batch(dpooled[row:row + count], yy, xx, c, fh, fw_)
+        cells, count = info
+        dfeats[i] += _roi_scatter_batch(dpooled[row:row + count], cells, c, fh, fw_)
         row += count
 
     # RPN backward

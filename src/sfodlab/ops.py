@@ -21,13 +21,6 @@ class NumericsError(FloatingPointError):
     """Raised when a computation produces non-finite values."""
 
 
-def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """Raise NumericsError if arr contains NaN or Inf."""
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite values in {what}")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -83,11 +76,15 @@ def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias, stride: int = 1
 
 
 def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
-                    stride: int = 1, pad: int = 0, cols: np.ndarray = None):
+                    stride: int = 1, pad: int = 0, cols: np.ndarray = None,
+                    need_dx: bool = True):
     """Gradients of conv2d_forward w.r.t. (input, kernel, bias).
 
-    cols, when given, must be the patch matrix from conv2d_forward_cols for
-    the same (x, kernel, stride, pad).
+    Returns (dx, dw, db); dx is None when need_dx is False, which skips the
+    full correlation that dominates the cost of a layer with few input
+    channels (the first conv sees the image). dw and db do not depend on
+    need_dx. cols, when given, must be the patch matrix from
+    conv2d_forward_cols for the same (x, kernel, stride, pad).
     """
     n, c, h, w = x.shape
     o, _, kh, kw = kernel.shape
@@ -102,6 +99,8 @@ def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
         cols, _, _ = _im2col(x, kh, kw, stride, pad)
     dmat = dout.reshape(n, o, oh * ow)
     dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    if not need_dx:
+        return None, dw, db
 
     # dL/dx is a full correlation of the (stride-dilated) upstream gradient
     # with the channel-swapped, spatially flipped kernel.
@@ -130,52 +129,56 @@ def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dout * (x > 0)
 
 
-def _pool_windows(x):
+# Offsets (row, col) of the four elements of a 2x2 window, in the flat
+# window order 0..3 used by the pooling indices.
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _pool_slices(x):
+    """The four stride-2 views x[:, :, r::2, c::2] in window order."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial dims, got {h}x{w}")
-    return (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
+    return [x[:, :, r::2, c::2] for r, c in _WINDOW]
 
 
 def maxpool2_forward(x: np.ndarray) -> np.ndarray:
-    """2x2 max pooling with stride 2."""
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2 requires even spatial dims, got {h}x{w}")
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+    """2x2 max pooling with stride 2. A NaN in a window pools to NaN."""
+    s = _pool_slices(x)
+    return np.maximum(np.maximum(s[0], s[1]), np.maximum(s[2], s[3]))
 
 
 def maxpool2_with_indices(x: np.ndarray):
-    """maxpool2_forward plus the flat window index (0..3) of each maximum."""
-    win = _pool_windows(x)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    """maxpool2_forward plus the window index of each maximum.
+
+    The index is int8 in 0..3, numbering the 2x2 window row-major. On ties
+    it names the first maximum in that order; a window holding a NaN pools
+    to NaN and its index names the first NaN.
+    """
+    s = _pool_slices(x)
+    out = maxpool2_forward(x)
+    has_nan = np.isnan(out).any()
+    # Masks are applied last-to-first so the lowest matching index wins.
+    idx = np.int8(3)
+    for j in (2, 1, 0):
+        hit = s[j] == out
+        if has_nan:
+            hit |= np.isnan(s[j])
+        idx = np.where(hit, np.int8(j), idx)
     return out, idx
 
 
 def maxpool2_scatter(dout: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
-    """Scatter the pooled gradient back through saved maxpool2 indices."""
+    """Route the pooled gradient to the window element named by idx (from
+    maxpool2_with_indices); every other input element gets zero."""
     n, c, h, w = shape
-    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    return (
-        dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
-
-
-def maxpool2_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Routes the gradient to the first maximum of each 2x2 window."""
-    win = _pool_windows(x)
-    if dout.shape != win.shape[:4]:
-        raise ShapeError(f"maxpool2 upstream shape {dout.shape} != {win.shape[:4]}")
-    idx = win.argmax(axis=-1)
-    return maxpool2_scatter(dout, idx, x.shape)
+    if dout.shape != (n, c, h // 2, w // 2) or idx.shape != dout.shape:
+        raise ShapeError(f"maxpool2 upstream {dout.shape} / indices {idx.shape} "
+                         f"do not pool {tuple(shape)}")
+    dx = np.empty(shape, dtype=dout.dtype)
+    for j, (r, col) in enumerate(_WINDOW):
+        dx[:, :, r::2, col::2] = np.where(idx == j, dout, 0)
+    return dx
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,28 +9,43 @@ from pathlib import Path
 from .adapt import AdaptTrace, TraceRow
 
 TRACE_COLUMNS = ["step", "total_loss", "rpn_cls", "rpn_reg", "roi_cls", "roi_reg",
-                 "num_pls", "map", "ap_class0", "ap_class1", "ap_class2"]
+                 "num_pls", "map"]
 
 
-def write_trace_csv(trace: AdaptTrace, path):
+def _ap_columns(num_classes: int, prefix: str = "") -> list:
+    return [f"{prefix}ap_class{i}" for i in range(num_classes)]
+
+
+def _num_ap_columns(names, prefix: str = "") -> int:
+    """Count of leading ap_class0, ap_class1, ... among names."""
+    k = 0
+    while f"{prefix}ap_class{k}" in names:
+        k += 1
+    return k
+
+
+def write_trace_csv(trace: AdaptTrace, path, num_classes: int):
+    """One row per trace step, with one AP column per class (0.0 where a
+    class had no ground truth)."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(TRACE_COLUMNS)
+        w.writerow(TRACE_COLUMNS + _ap_columns(num_classes))
         for r in trace.rows:
             w.writerow([
                 r.step, f"{r.total_loss:.6f}", f"{r.rpn_cls:.6f}", f"{r.rpn_reg:.6f}",
                 f"{r.roi_cls:.6f}", f"{r.roi_reg:.6f}", r.num_pls, f"{r.map:.6f}",
-                f"{r.per_class_ap.get(0, 0.0):.6f}",
-                f"{r.per_class_ap.get(1, 0.0):.6f}",
-                f"{r.per_class_ap.get(2, 0.0):.6f}",
+                *(f"{r.per_class_ap.get(i, 0.0):.6f}" for i in range(num_classes)),
             ])
 
 
 def read_trace_csv(path) -> AdaptTrace:
+    """Inverse of write_trace_csv; the class count comes from the header."""
     trace = AdaptTrace()
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames != TRACE_COLUMNS:
+        names = reader.fieldnames or []
+        k = _num_ap_columns(names)
+        if names != TRACE_COLUMNS + _ap_columns(k):
             raise ValueError(f"{path}: unexpected trace columns {reader.fieldnames}")
         for row in reader:
             trace.rows.append(TraceRow(
@@ -42,7 +57,7 @@ def read_trace_csv(path) -> AdaptTrace:
                 roi_reg=float(row["roi_reg"]),
                 num_pls=int(row["num_pls"]),
                 map=float(row["map"]),
-                per_class_ap={i: float(row[f"ap_class{i}"]) for i in range(3)},
+                per_class_ap={i: float(row[f"ap_class{i}"]) for i in range(k)},
             ))
     return trace
 
@@ -67,17 +82,17 @@ def comparison_table(reports: list) -> list:
             "final_map": rep["final"]["map"],
             "best_map": rep["best"]["map"],
         }
-        for i in range(3):
-            row[f"final_ap_class{i}"] = rep["final"].get(f"ap_class{i}", 0.0)
-            row[f"best_ap_class{i}"] = rep["best"].get(f"ap_class{i}", 0.0)
+        for which in ("final", "best"):
+            for col in _ap_columns(_num_ap_columns(rep[which])):
+                row[f"{which}_{col}"] = rep[which][col]
         rows.append(row)
     return rows
 
 
 def write_comparison_csv(rows: list, path):
-    cols = ["strategy", "seed",
-            "final_ap_class0", "final_ap_class1", "final_ap_class2", "final_map",
-            "best_ap_class0", "best_ap_class1", "best_ap_class2", "best_map"]
+    k = max((_num_ap_columns(row, "final_") for row in rows), default=0)
+    cols = (["strategy", "seed"] + _ap_columns(k, "final_") + ["final_map"]
+            + _ap_columns(k, "best_") + ["best_map"])
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(cols)

@@ -95,6 +95,45 @@ def roi_pool_naive(feats, box, out):
     return res
 
 
+def roi_pool_batch_reference(feats_img, boxes_feat, out):
+    """Gather + argmax ROI pool: pooled (P, C, out, out) and the (row, col)
+    of each first-occurrence maximum, shaped (C, P, out, out)."""
+    c, fh, fw = feats_img.shape
+    y0, y1 = D._roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
+    x0, x1 = D._roi_cell_edges(boxes_feat[:, 0], boxes_feat[:, 2], out, fw)
+    ky = int((y1 - y0).max())
+    kx = int((x1 - x0).max())
+    yidx = np.minimum(y0[:, :, None] + np.arange(ky), y1[:, :, None] - 1)
+    xidx = np.minimum(x0[:, :, None] + np.arange(kx), x1[:, :, None] - 1)
+    window = feats_img[:, yidx[:, :, None, :, None], xidx[:, None, :, None, :]]
+    p = len(boxes_feat)
+    flat = window.reshape(c, p, out, out, ky * kx)
+    amax = flat.argmax(axis=4)
+    pooled = np.take_along_axis(flat, amax[..., None], axis=4)[..., 0]
+    ay, ax = np.divmod(amax, kx)
+    parange = np.arange(p)[None, :, None, None]
+    grid = np.arange(out)
+    yy = yidx[parange, grid[None, None, :, None], ay]
+    xx = xidx[parange, grid[None, None, None, :], ax]
+    return pooled.transpose(1, 0, 2, 3), yy, xx
+
+
+def roi_scatter_reference(dpooled, yy, xx, c, fh, fw):
+    vals = dpooled.transpose(1, 0, 2, 3)
+    lin = (np.arange(c)[:, None, None, None] * fh + yy) * fw + xx
+    acc = np.bincount(lin.ravel(), weights=vals.ravel().astype(np.float64),
+                      minlength=c * fh * fw)
+    return acc.reshape(c, fh, fw).astype(dpooled.dtype)
+
+
+def mixed_boxes(rng, n, size):
+    """Boxes from sub-cell to full-map extent, so bin sizes (and the
+    window padding) differ between proposals."""
+    x1, y1 = rng.uniform(0, size - 0.5, (2, n))
+    w, h = rng.uniform(0.1, size, (2, n))
+    return np.stack([x1, y1, np.minimum(x1 + w, size), np.minimum(y1 + h, size)], 1)
+
+
 def test_roi_pool_identity(rng):
     feats = rng.normal(size=(3, 5, 5))
     out = D.roi_pool(feats, (0.0, 0.0, 5.0, 5.0), 5)
@@ -136,6 +175,51 @@ def test_roi_pool_backward_gradient(rng):
     nz = np.nonzero(dfeat)
     for c, y, x in zip(*nz):
         assert feats[c, y, x] in pooled[c]
+
+
+def test_roi_pool_batch_ties_match_reference(rng):
+    """Bit-identical values and maximum positions on tie-heavy maps."""
+    maps = [
+        rng.integers(0, 3, (4, 8, 8)).astype(np.float32),
+        np.full((3, 6, 6), 0.5, np.float32),
+        np.maximum(rng.normal(size=(5, 9, 9)), 0).astype(np.float32),
+        np.maximum(rng.integers(-3, 2, (2, 7, 7)), 0).astype(np.float64),
+    ]
+    for feats in maps:
+        c, f, _ = feats.shape
+        for out in (2, 3, 5):
+            boxes = mixed_boxes(rng, 12, f)
+            want, yy, xx = roi_pool_batch_reference(feats, boxes, out)
+            pooled, cells = D._roi_pool_batch(feats, boxes, out)
+            assert pooled.dtype == feats.dtype and cells.dtype == np.int64
+            assert np.array_equal(pooled, want)
+            assert np.array_equal(cells, (yy * f + xx).transpose(1, 2, 3, 0))
+            plain, none = D._roi_pool_batch(feats, boxes, out, need_indices=False)
+            assert none is None and np.array_equal(plain, want)
+            dpooled = rng.normal(size=want.shape).astype(feats.dtype)
+            got = D._roi_scatter_batch(dpooled, cells, c, f, f)
+            assert np.array_equal(got, roi_scatter_reference(dpooled, yy, xx, c, f, f))
+
+
+def test_roi_pool_batch_nan_propagates(rng):
+    feats = np.maximum(rng.normal(size=(2, 6, 6)), 0)
+    feats[0, 2, 3] = np.nan
+    feats[1, 2, 4] = np.nan
+    feats[1, 4, 1] = np.nan
+    boxes = np.array([[0.0, 0.0, 6.0, 6.0], [3.0, 2.0, 5.0, 3.0], [0.0, 0.0, 1.5, 1.5]])
+    want, yy, xx = roi_pool_batch_reference(feats, boxes, 3)
+    pooled, cells = D._roi_pool_batch(feats, boxes, 3)
+    plain, _ = D._roi_pool_batch(feats, boxes, 3, need_indices=False)
+    for got in (pooled, plain):
+        assert np.array_equal(got, want, equal_nan=True)
+        # full-map box: only the three bins holding a NaN pool to NaN
+        assert np.isnan(got[0, 0, 1, 1]) and np.isnan(got[0, 1, 1, 2])
+        assert np.isnan(got[0, 1, 2, 0]) and np.isnan(got[0]).sum() == 3
+        # one-row box: each NaN column lies in two of its three column bins
+        assert np.isnan(got[1]).sum() == 12
+        assert not np.isnan(got[2]).any()
+    assert cells[0, 1, 1, 0] == 2 * 6 + 3 and cells[0, 1, 2, 1] == 2 * 6 + 4
+    assert np.array_equal(cells, (yy * 6 + xx).transpose(1, 2, 3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +274,16 @@ def test_forward_train_nan_aborts(rng):
     arch = small_arch()
     model = D.init_model(arch, 0)
     model.params["backbone.b0.conv.w"][:] = np.inf
+    imgs, targets = random_batch(rng, arch)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
+        D.forward_train(model, imgs, targets, np.random.default_rng(0))
+
+
+def test_forward_train_nan_features_abort(rng):
+    arch = small_arch()
+    model = D.init_model(arch, 0)
+    last = len(arch.channels) - 1
+    model.params[f"backbone.b{last}.bn.beta"][0] = np.nan
     imgs, targets = random_batch(rng, arch)
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
         D.forward_train(model, imgs, targets, np.random.default_rng(0))

@@ -105,6 +105,20 @@ def test_conv_backward_matches_finite_differences():
         assert_grads_close(db, numerical_grad(loss, b), what=f"conv db seed {seed}")
 
 
+def test_conv_backward_without_dx_identical(rng):
+    x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+    k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    for stride, pad in [(1, 1), (2, 0)]:
+        out, cols = ops.conv2d_forward_cols(x, k, None, stride, pad)
+        dout = rng.normal(size=out.shape).astype(np.float32)
+        _, dw, db = ops.conv2d_backward(dout, x, k, stride, pad, cols=cols)
+        dx, dw_only, db_only = ops.conv2d_backward(dout, x, k, stride, pad,
+                                                   cols=cols, need_dx=False)
+        assert dx is None
+        assert dw_only.tobytes() == dw.tobytes()
+        assert db_only.tobytes() == db.tobytes()
+
+
 def test_conv_backward_cached_cols_identical(rng):
     x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
     k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
@@ -140,12 +154,40 @@ def test_relu_matches_finite_differences():
                            what=f"relu seed {seed}")
 
 
+def maxpool2_reference(x):
+    """Reshape + argmax 2x2 max pool: values and first-occurrence window
+    indices (0..3, row-major). argmax picks the first NaN in a window."""
+    n, c, h, w = x.shape
+    win = (x.reshape(n, c, h // 2, 2, w // 2, 2)
+           .transpose(0, 1, 2, 4, 3, 5)
+           .reshape(n, c, h // 2, w // 2, 4))
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def maxpool2_scatter_reference(dout, idx, shape):
+    n, c, h, w = shape
+    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+    return (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h, w))
+
+
 def test_maxpool_forward(rng):
     x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
     out = ops.maxpool2_forward(x)
     assert np.array_equal(out[0, 0], [[5, 7], [13, 15]])
+    for odd in [(1, 1, 5, 4), (1, 1, 4, 3)]:
+        with pytest.raises(ops.ShapeError):
+            ops.maxpool2_forward(np.zeros(odd))
+        with pytest.raises(ops.ShapeError):
+            ops.maxpool2_with_indices(np.zeros(odd))
+    idx = np.zeros((1, 1, 2, 2), np.int8)
     with pytest.raises(ops.ShapeError):
-        ops.maxpool2_forward(np.zeros((1, 1, 5, 4)))
+        ops.maxpool2_scatter(np.zeros((1, 1, 2, 3)), idx, (1, 1, 4, 4))
+    with pytest.raises(ops.ShapeError):
+        ops.maxpool2_scatter(np.zeros((1, 1, 2, 2)), idx[..., :1], (1, 1, 4, 4))
 
 
 def test_maxpool_matches_finite_differences():
@@ -157,17 +199,54 @@ def test_maxpool_matches_finite_differences():
         def loss():
             return float((ops.maxpool2_forward(x) * dout).sum())
 
-        assert_grads_close(ops.maxpool2_backward(dout, x), numerical_grad(loss, x),
-                           what=f"maxpool seed {seed}")
+        _, idx = ops.maxpool2_with_indices(x)
+        assert_grads_close(ops.maxpool2_scatter(dout, idx, x.shape),
+                           numerical_grad(loss, x), what=f"maxpool seed {seed}")
 
 
 def test_maxpool_with_indices_consistent(rng):
     x = well_separated(rng, (2, 2, 8, 8))
     out, idx = ops.maxpool2_with_indices(x)
     assert np.array_equal(out, ops.maxpool2_forward(x))
+    assert idx.dtype == np.int8
     dout = rng.normal(size=out.shape)
     assert np.array_equal(ops.maxpool2_scatter(dout, idx, x.shape),
-                          ops.maxpool2_backward(dout, x))
+                          maxpool2_scatter_reference(dout, idx, x.shape))
+
+
+def test_maxpool_ties_match_reference(rng):
+    """Bit-identical values, indices and scatter on tie-heavy inputs."""
+    inputs = [
+        rng.integers(0, 3, (2, 3, 8, 6)).astype(np.float32),
+        np.full((1, 2, 4, 4), 0.25, np.float32),
+        ops.relu_forward(rng.normal(size=(2, 4, 6, 6)).astype(np.float32)),
+        ops.relu_forward(rng.integers(-2, 2, (3, 2, 4, 8)).astype(np.float64)),
+    ]
+    for x in inputs:
+        want, want_idx = maxpool2_reference(x)
+        out, idx = ops.maxpool2_with_indices(x)
+        assert out.dtype == x.dtype
+        assert np.array_equal(out, want) and np.array_equal(idx, want_idx)
+        assert np.array_equal(ops.maxpool2_forward(x), want)
+        dout = rng.normal(size=out.shape).astype(x.dtype)
+        got = ops.maxpool2_scatter(dout, idx, x.shape)
+        assert got.dtype == x.dtype
+        assert np.array_equal(got, maxpool2_scatter_reference(dout, want_idx, x.shape))
+
+
+def test_maxpool_nan_propagates(rng):
+    x = ops.relu_forward(rng.normal(size=(1, 2, 4, 4)))
+    x[0, 0, 1, 0] = np.nan          # window (0, 0), flat index 2
+    x[0, 1, 2, 3] = np.nan          # window (1, 1), flat index 1
+    x[0, 1, 3, 2] = np.nan          # same window, flat index 2
+    want, want_idx = maxpool2_reference(x)
+    out, idx = ops.maxpool2_with_indices(x)
+    for pooled in (out, ops.maxpool2_forward(x)):
+        assert np.isnan(pooled[0, 0, 0, 0]) and np.isnan(pooled[0, 1, 1, 1])
+        assert np.isnan(pooled).sum() == 2
+        assert np.array_equal(pooled, want, equal_nan=True)
+    assert idx[0, 0, 0, 0] == 2 and idx[0, 1, 1, 1] == 1
+    assert np.array_equal(idx, want_idx)
 
 
 def test_linear_matches_finite_differences():
