@@ -15,7 +15,7 @@ from .adapt import (
     generate_pseudo_labels,
     strategy_presets,
 )
-from .batchnorm import BNState, bn_backward, bn_forward, collect_target_statistics
+from .batchnorm import collect_target_statistics
 from .boxes import Detections, EvalResult, evaluate_ap50, iou_matrix, nms
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DomainSpec, Scene, apply_fog, generate_scene, read_dataset, write_dataset
@@ -34,7 +34,6 @@ __all__ = [
     "AdaptConfig",
     "AdaptTrace",
     "ArchDescriptor",
-    "BNState",
     "Detections",
     "DomainSpec",
     "EvalResult",
@@ -43,8 +42,6 @@ __all__ = [
     "Scene",
     "adapt",
     "apply_fog",
-    "bn_backward",
-    "bn_forward",
     "collect_target_statistics",
     "ema_update",
     "evaluate_ap50",

@@ -7,10 +7,13 @@ strongly-augmented views of weakly-augmented inputs, and whether batch
 statistics are adapted (AdaBN) before anything else. Mosaic composition of
 fixed-pseudo-label scenes is an optional fifth axis.
 
-Setting ``fixed_pls`` is semantically identical to alpha = 1: the teacher
-never changes, so the label set it would regenerate each step is the
+With ``teacher_batch_stats=False`` (the default), setting ``fixed_pls`` is
+semantically identical to alpha = 1: the teacher never changes and labels
+in eval mode, so the label set it would regenerate each step is the
 initial one. The loop exploits neither; the equivalence is asserted by
-tests on byte-identical traces.
+tests on byte-identical traces. With ``teacher_batch_stats=True`` it does
+not hold: the fixed set is labeled under the statistics of 16-scene chunks
+of the target set, each step's labels under those of its mini-batch.
 
 The teacher labels raw (unaugmented) target images in eval mode; the flip
 of the weak view is applied jointly to the image and its pseudo-boxes

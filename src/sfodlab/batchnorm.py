@@ -1,51 +1,24 @@
-"""Batch normalization with train/eval modes and target-statistics adaptation.
+"""Batch normalization: the detector's only BN code.
 
-The train path normalizes each channel by the biased batch statistics and
-folds them into the running estimates with ``running <- m*running +
-(1-m)*batch``. The eval path is a pure function of the stored running
-estimates. ``collect_target_statistics`` re-estimates every BN layer's
-running statistics as the equal-weight average of per-batch statistics over
-one pass of an unlabeled image set, leaving all weights untouched.
+``bn_apply`` normalizes an NCHW batch per channel by the statistics it is
+given: the biased batch statistics from ``batch_stats`` (training,
+collect-mode inference and the AdaBN sweep) or a layer's stored running
+estimates (eval mode, a pure function of the model). ``bn_backward`` is its
+gradient under batch statistics.
+
+Only two functions write running statistics. ``update_running_statistics``
+folds one training step's batch statistics into them with ``running <-
+m*running + (1-m)*batch``; ``collect_target_statistics`` (AdaBN) replaces
+them with the equal-weight average of per-batch statistics over one pass of
+an unlabeled image set, leaving all weights untouched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .ops import ShapeError
-
-
-@dataclass
-class BNState:
-    """Per-channel affine parameters and running statistics of one BN layer."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        c = self.gamma.shape[0]
-        for name in ("beta", "running_mean", "running_var"):
-            if getattr(self, name).shape != (c,):
-                raise ShapeError(f"BNState.{name} shape != ({c},)")
-        if not 0 < self.momentum <= 1:
-            raise ValueError(f"BN momentum must be in (0, 1], got {self.momentum}")
-        if self.epsilon <= 0:
-            raise ValueError(f"BN epsilon must be > 0, got {self.epsilon}")
-
-
-def bn_init(channels: int, dtype=np.float32) -> BNState:
-    return BNState(
-        gamma=np.ones(channels, dtype=dtype),
-        beta=np.zeros(channels, dtype=dtype),
-        running_mean=np.zeros(channels, dtype=dtype),
-        running_var=np.ones(channels, dtype=dtype),
-    )
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def batch_stats(x: np.ndarray):
@@ -55,53 +28,20 @@ def batch_stats(x: np.ndarray):
     return mean, var
 
 
-def ema_running_update(running_mean, running_var, batch_mean, batch_var,
-                       momentum: float):
-    """running <- momentum*running + (1-momentum)*batch, for both statistics."""
-    m = momentum
-    return (m * running_mean + (1 - m) * batch_mean,
-            m * running_var + (1 - m) * batch_var)
+def bn_apply(x: np.ndarray, mean, var, gamma, beta):
+    """gamma * (x - mean)/sqrt(var + BN_EPS) + beta with per-channel factors.
 
-
-def bn_apply(x: np.ndarray, mean, var, gamma, beta, epsilon: float):
-    """gamma * (x - mean)/sqrt(var + eps) + beta with per-channel factors."""
-    inv_std = 1.0 / np.sqrt(var + epsilon)
+    Returns (output, xhat, inv_std); (xhat, inv_std, gamma) is the cache
+    bn_backward needs when mean and var are the batch statistics of x.
+    """
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
 
 
-def bn_forward(x: np.ndarray, state: BNState, train: bool):
-    """Normalize an NCHW batch.
-
-    Returns (output, state', cache). In train mode state' carries the
-    updated running estimates and cache holds values for bn_backward; in
-    eval mode the input state is returned untouched and cache is None.
-    """
-    if x.ndim != 4 or x.shape[1] != state.gamma.shape[0]:
-        raise ShapeError(
-            f"bn_forward: input {x.shape} does not match {state.gamma.shape[0]} channels")
-    if train:
-        n = x.shape[0] * x.shape[2] * x.shape[3]
-        if n < 2:
-            raise ShapeError("bn_forward train mode needs >= 2 values per channel")
-        mean, var = batch_stats(x)
-        out, xhat, inv_std = bn_apply(x, mean, var, state.gamma, state.beta, state.epsilon)
-        rm, rv = ema_running_update(state.running_mean, state.running_var,
-                                    mean, var, state.momentum)
-        new_state = replace(
-            state,
-            running_mean=rm.astype(x.dtype),
-            running_var=rv.astype(x.dtype),
-        )
-        cache = (xhat, inv_std, state.gamma)
-        return out, new_state, cache
-    out, _, _ = bn_apply(x, state.running_mean, state.running_var,
-                         state.gamma, state.beta, state.epsilon)
-    return out, state, None
-
-
 def bn_backward(dout: np.ndarray, cache):
-    """Gradients of train-mode bn_forward w.r.t. (input, gamma, beta)."""
+    """Gradients of bn_apply under batch statistics w.r.t. (input, gamma,
+    beta); cache is (xhat, inv_std, gamma). Eval mode keeps no cache."""
     if cache is None:
         raise ValueError("bn_backward: no gradient path for eval-mode forward")
     xhat, inv_std, gamma = cache
@@ -115,6 +55,17 @@ def bn_backward(dout: np.ndarray, cache):
         n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
     )
     return dx, dgamma, dbeta
+
+
+def update_running_statistics(model, stats):
+    """Fold per-layer batch statistics [(mean, var), ...] into the model's
+    running estimates in place: running <- m*running + (1-m)*batch with
+    m = BN_MOMENTUM, stored as float32."""
+    m = BN_MOMENTUM
+    p = model.params
+    for (layer, _), (mean, var) in zip(model.arch.bn_layers(), stats):
+        for name, batch in ((f"{layer}.running_mean", mean), (f"{layer}.running_var", var)):
+            p[name] = (m * p[name] + (1 - m) * batch).astype(np.float32)
 
 
 def collect_target_statistics(model, images, batch_size: int = 4):

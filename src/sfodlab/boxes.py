@@ -56,12 +56,6 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     return out
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two single boxes."""
-    return float(iou_matrix(np.asarray(a, np.float64).reshape(1, 4),
-                            np.asarray(b, np.float64).reshape(1, 4))[0, 0])
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N,4) and (M,4) box arrays, shape (N, M)."""
     a = np.asarray(a)

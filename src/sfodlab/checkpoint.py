@@ -42,11 +42,11 @@ def save_checkpoint(path, model: ModelState, metadata: dict | None = None):
             f.write(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes())
 
 
-def load_checkpoint(path, expect_arch: ArchDescriptor | None = None):
+def load_checkpoint(path):
     """Read a checkpoint; returns (ModelState, metadata).
 
-    Fails loudly if the file is malformed or, when expect_arch is given,
-    if the stored architecture descriptor differs from it.
+    Fails loudly with CheckpointError if the file is malformed or its array
+    names or shapes differ from those its architecture descriptor defines.
     """
     path = Path(path)
     try:
@@ -68,9 +68,6 @@ def load_checkpoint(path, expect_arch: ArchDescriptor | None = None):
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
     off += hlen
     arch = ArchDescriptor.from_dict(header["arch"])
-    if expect_arch is not None and arch != expect_arch:
-        raise CheckpointError(
-            f"{path}: architecture descriptor mismatch: {arch} != {expect_arch}")
     params = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
@@ -83,7 +80,11 @@ def load_checkpoint(path, expect_arch: ArchDescriptor | None = None):
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
-    expected = set(arch.param_shapes())
-    if set(params) != expected:
+    shapes = arch.param_shapes()
+    if set(params) != set(shapes):
         raise CheckpointError(f"{path}: parameter names do not match descriptor")
+    for name, arr in params.items():
+        if arr.shape != shapes[name]:
+            raise CheckpointError(
+                f"{path}: {name} has shape {arr.shape}, descriptor needs {shapes[name]}")
     return ModelState(arch, params), header["metadata"]

@@ -11,7 +11,6 @@ Errors print a single machine-parsable line ``ERROR[<kind>]: <message>``.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -38,6 +37,7 @@ from .report import (
     read_run_report,
     read_trace_csv,
     write_comparison_csv,
+    write_loss_csv,
     write_run_report,
     write_trace_csv,
     write_trace_svg,
@@ -147,13 +147,7 @@ def cmd_train_source(args) -> int:
             "seed": args.seed, "batch_size": args.batch_size}
     save_checkpoint(args.out, model, meta)
     loss_csv = Path(str(args.out) + ".losses.csv")
-    with open(loss_csv, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "total", "rpn_cls", "rpn_reg", "roi_cls", "roi_reg"])
-        for step, loss in history:
-            w.writerow([step, f"{loss.total:.6f}", f"{loss.rpn_cls:.6f}",
-                        f"{loss.rpn_reg:.6f}", f"{loss.roi_cls:.6f}",
-                        f"{loss.roi_reg:.6f}"])
+    write_loss_csv(history, loss_csv)
     print(f"saved checkpoint -> {args.out}  (loss log: {loss_csv})")
     return 0
 

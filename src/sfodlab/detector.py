@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import boxes as B
-from .batchnorm import batch_stats, bn_apply, bn_backward, ema_running_update
+from .batchnorm import batch_stats, bn_apply, bn_backward, update_running_statistics
 from .ops import (
     NumericsError,
     conv2d_backward,
@@ -36,9 +36,6 @@ from .ops import (
     smooth_l1,
     softmax_cross_entropy,
 )
-
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 
 
 @dataclass(frozen=True)
@@ -217,13 +214,16 @@ def generate_anchors(arch: ArchDescriptor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
-    """Run the conv/BN/ReLU/pool blocks.
+    """Run the conv/BN/ReLU/pool blocks; never writes to model.params.
 
-    mode 'train' uses batch statistics and folds them into the running
-    estimates (mutating model.params); 'collect' uses batch statistics
-    without touching the model; 'eval' uses the stored running estimates.
-    Returns (features, per-block caches, per-layer batch statistics).
+    mode 'collect' normalizes each layer by its batch statistics and keeps
+    the per-block caches the backward pass needs; 'eval' normalizes by the
+    stored running estimates and keeps none. Returns (features, per-block
+    caches, per-layer batch statistics), the last two empty in eval mode.
     """
+    if mode not in ("collect", "eval"):
+        raise ValueError(f"unknown backbone mode {mode!r}")
+    collect = mode == "collect"
     p = model.params
     arch = model.arch
     caches = []
@@ -232,40 +232,30 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
     for i in range(len(arch.channels)):
         pre = f"backbone.b{i}"
         conv_in = h
-        if mode == "eval":
-            conv_out = conv2d_forward(h, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"], 1, 1)
-            cols = None
-        else:
-            conv_out, cols = conv2d_forward_cols(
-                h, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"], 1, 1)
-        gamma, beta = p[f"{pre}.bn.gamma"], p[f"{pre}.bn.beta"]
-        if mode == "eval":
-            bn_out, _, _ = bn_apply(conv_out, p[f"{pre}.bn.running_mean"],
-                                    p[f"{pre}.bn.running_var"], gamma, beta, BN_EPS)
-            bn_cache = None
-        else:
+        w, b = p[f"{pre}.conv.w"], p[f"{pre}.conv.b"]
+        if collect:
+            conv_out, cols = conv2d_forward_cols(h, w, b, 1, 1)
             mean, var = batch_stats(conv_out)
             stats.append((mean, var))
-            bn_out, xhat, inv_std = bn_apply(conv_out, mean, var, gamma, beta, BN_EPS)
-            bn_cache = (xhat, inv_std, gamma)
-            if mode == "train":
-                rm, rv = ema_running_update(
-                    p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"],
-                    mean, var, BN_MOMENTUM)
-                p[f"{pre}.bn.running_mean"] = rm.astype(np.float32)
-                p[f"{pre}.bn.running_var"] = rv.astype(np.float32)
+        else:
+            conv_out = conv2d_forward(h, w, b, 1, 1)
+            mean, var = p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"]
+        gamma = p[f"{pre}.bn.gamma"]
+        bn_out, xhat, inv_std = bn_apply(conv_out, mean, var, gamma, p[f"{pre}.bn.beta"])
         relu_out = relu_forward(bn_out)
         pooled = i < arch.n_pools
         pool_idx = None
-        if pooled and mode == "eval":
-            h = maxpool2_forward(relu_out)
-        elif pooled:
+        if pooled and collect:
             h, pool_idx = maxpool2_with_indices(relu_out)
+        elif pooled:
+            h = maxpool2_forward(relu_out)
         else:
             h = relu_out
-        caches.append({"conv_in": conv_in, "cols": cols, "bn_cache": bn_cache,
-                       "bn_out": bn_out, "pool_idx": pool_idx,
-                       "pool_in_shape": relu_out.shape, "pooled": pooled})
+        if collect:
+            caches.append({"conv_in": conv_in, "cols": cols,
+                           "bn_cache": (xhat, inv_std, gamma), "bn_out": bn_out,
+                           "pool_idx": pool_idx, "pool_in_shape": relu_out.shape,
+                           "pooled": pooled})
     return h, caches, stats
 
 
@@ -414,24 +404,6 @@ def _roi_scatter_batch(dpooled: np.ndarray, cells: np.ndarray,
     acc = np.bincount(lin.ravel(), weights=vals.ravel().astype(np.float64),
                       minlength=c * fh * fw)
     return acc.reshape(c, fh, fw).astype(dpooled.dtype)
-
-
-def roi_pool(features: np.ndarray, box, out_size: int) -> np.ndarray:
-    """Max-pool the feature cells under each cell of an out_size x out_size
-    grid spanning the box (feature-map coordinates). A proposal smaller than
-    one feature cell pools from its single covering cell."""
-    boxes = np.asarray(box, np.float64).reshape(1, 4)
-    pooled, _ = _roi_pool_batch(features, boxes, out_size)
-    return pooled[0]
-
-
-def roi_pool_backward(dout: np.ndarray, features: np.ndarray, box,
-                      out_size: int) -> np.ndarray:
-    """Scatter each pooled cell's gradient to the first maximum in its window."""
-    boxes = np.asarray(box, np.float64).reshape(1, 4)
-    _, cells = _roi_pool_batch(features, boxes, out_size)
-    c, fh, fw = features.shape
-    return _roi_scatter_batch(dout[None], cells, c, fh, fw)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +582,14 @@ def _compute_losses(obj_flat, delta_flat, cls_logits, roi_deltas, plan,
     return loss, dobj, ddelta, dcls, droi_delta
 
 
-def _forward_all(model: ModelState, images: np.ndarray, mode: str):
+def _forward_all(model: ModelState, images: np.ndarray):
+    """Backbone and RPN forward on batch statistics, with everything the
+    plan, the losses and the backward pass need."""
     arch = model.arch
-    feats, bb_caches, _ = _backbone_forward(model, images, mode=mode)
+    feats, bb_caches, stats = _backbone_forward(model, images, mode="collect")
     obj_map, delta_map, hidden_pre, hidden, rpn_cols = _rpn_forward(model, feats)
     return {
-        "feats": feats, "bb_caches": bb_caches,
+        "feats": feats, "bb_caches": bb_caches, "stats": stats,
         "hidden_pre": hidden_pre, "hidden": hidden, "rpn_cols": rpn_cols,
         "obj_flat": _flatten_rpn(arch, obj_map, 2),
         "delta_flat": _flatten_rpn(arch, delta_map, 4),
@@ -682,7 +656,7 @@ def training_loss(model: ModelState, images: np.ndarray, plan: TrainPlan,
                   include_reg: bool = True) -> LossBreakdown:
     """Loss of a frozen plan without gradients or model mutation (batch
     statistics are used but not folded into the running estimates)."""
-    fw = _forward_all(model, images, "collect")
+    fw = _forward_all(model, images)
     loss, _ = _finish(model, images, fw, plan, include_reg, False)
     return loss
 
@@ -690,24 +664,26 @@ def training_loss(model: ModelState, images: np.ndarray, plan: TrainPlan,
 def forward_train_with_plan(model: ModelState, images: np.ndarray, plan: TrainPlan,
                             include_reg: bool = True):
     """Loss and gradients of a frozen plan, without model mutation."""
-    fw = _forward_all(model, images, "collect")
+    fw = _forward_all(model, images)
     return _finish(model, images, fw, plan, include_reg, True)
 
 
 def forward_train(model: ModelState, images: np.ndarray, targets,
                   rng: np.random.Generator, include_reg: bool = True):
-    """One supervised forward/backward pass.
+    """One supervised forward/backward pass on batch statistics.
 
-    Samples anchors/proposals with rng, mutates the model's BN running
-    statistics (train-mode forward) and returns (LossBreakdown, gradients
-    by parameter name). Raises NumericsError on a non-finite loss.
+    Samples anchors/proposals with rng and returns (LossBreakdown, gradients
+    by parameter name). Raises NumericsError on a non-finite loss, leaving
+    the model untouched; otherwise folds the batch statistics into the BN
+    running estimates (update_running_statistics) before returning.
     """
-    fw = _forward_all(model, images, "train")
+    fw = _forward_all(model, images)
     plan = _plan_from_outputs(model.arch, generate_anchors(model.arch),
                               fw["obj_flat"], fw["delta_flat"], targets, rng)
     loss, grads = _finish(model, images, fw, plan, include_reg, True)
     if not np.isfinite(loss.total):
         raise NumericsError(f"non-finite training loss: {loss}")
+    update_running_statistics(model, fw["stats"])
     return loss, grads
 
 
@@ -720,8 +696,10 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
                             stats_mode: str = "eval"):
     """Detect objects in a list of HWC images; one Detections per image.
 
-    Per-image results are identical to single-image calls: every stage is
-    either elementwise or an independent per-image/per-row matrix product.
+    With stats_mode 'eval', per-image results are identical to single-image
+    calls: every stage is either elementwise or an independent
+    per-image/per-row matrix product. With 'collect' they are not, because
+    every image is normalized by the statistics of the whole batch.
     """
     arch = model.arch
     x = images_to_batch(images)

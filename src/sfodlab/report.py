@@ -1,4 +1,4 @@
-"""Trace CSV, run reports and dependency-free SVG training curves."""
+"""Loss and trace CSVs, run reports and dependency-free SVG training curves."""
 
 from __future__ import annotations
 
@@ -22,6 +22,20 @@ def _num_ap_columns(names, prefix: str = "") -> int:
     while f"{prefix}ap_class{k}" in names:
         k += 1
     return k
+
+
+def write_loss_csv(history, path):
+    """One row per source-training step: the total and the four loss terms.
+
+    history is train_source's list of (step, LossBreakdown) rows.
+    """
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["step", "total", "rpn_cls", "rpn_reg", "roi_cls", "roi_reg"])
+        for step, loss in history:
+            w.writerow([step, f"{loss.total:.6f}", f"{loss.rpn_cls:.6f}",
+                        f"{loss.rpn_reg:.6f}", f"{loss.roi_cls:.6f}",
+                        f"{loss.roi_reg:.6f}"])
 
 
 def write_trace_csv(trace: AdaptTrace, path, num_classes: int):

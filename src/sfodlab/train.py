@@ -16,25 +16,22 @@ from .ops import sgd_step
 
 
 def train_source(model: ModelState, scenes, steps: int, lr: float,
-                 batch_size: int, rng: np.random.Generator,
-                 include_reg: bool = True, log_every: int = 0,
-                 decay_at: int = 0, decay_factor: float = 0.1):
-    """SGD on labeled scenes with weak (flip) augmentation, mutating model.
+                 batch_size: int, rng: np.random.Generator, log_every: int = 0):
+    """SGD at a constant learning rate on labeled scenes with weak (flip)
+    augmentation, mutating model.
 
-    The learning rate drops by decay_factor once, at step decay_at (0 keeps
-    it constant). Returns a list of (step, LossBreakdown) rows. Raises
-    NumericsError on divergence.
+    Returns a list of (step, LossBreakdown) rows. Raises NumericsError on
+    divergence.
     """
     history = []
     n = len(scenes)
     for step in range(1, steps + 1):
-        cur_lr = lr * decay_factor if decay_at and step > decay_at else lr
         ids = rng.choice(n, size=min(batch_size, n), replace=False)
         batch = [weak_augment(scenes[i], rng) for i in ids]
         images = images_to_batch([s.image for s in batch])
         targets = [(s.boxes, s.labels) for s in batch]
-        loss, grads = forward_train(model, images, targets, rng, include_reg)
-        sgd_step(model, grads, cur_lr)
+        loss, grads = forward_train(model, images, targets, rng)
+        sgd_step(model, grads, lr)
         history.append((step, loss))
         if log_every and step % log_every == 0:
             print(f"step {step:5d}  total {loss.total:.4f}  "
@@ -43,20 +40,12 @@ def train_source(model: ModelState, scenes, steps: int, lr: float,
     return history
 
 
-def predict_scenes(model: ModelState, scenes, score_floor: float = 0.05,
-                   nms_iou: float = 0.5, max_dets: int = 50, chunk: int = 16):
-    dets = []
+def evaluate_model(model: ModelState, scenes) -> EvalResult:
+    """AP50 per class and mAP of a model over a list of annotated scenes,
+    detected in eval mode in chunks of 16 images."""
     scenes = list(scenes)
-    for start in range(0, len(scenes), chunk):
+    dets = []
+    for start in range(0, len(scenes), 16):
         dets.extend(forward_inference_batch(
-            model, [s.image for s in scenes[start:start + chunk]],
-            score_floor, nms_iou, max_dets))
-    return dets
-
-
-def evaluate_model(model: ModelState, scenes, score_floor: float = 0.05,
-                   nms_iou: float = 0.5, max_dets: int = 50) -> EvalResult:
-    """AP50 per class and mAP of a model over a list of annotated scenes."""
-    dets = predict_scenes(model, scenes, score_floor, nms_iou, max_dets)
-    gts = [(s.boxes, s.labels) for s in scenes]
-    return evaluate_ap50(dets, gts)
+            model, [s.image for s in scenes[start:start + 16]]))
+    return evaluate_ap50(dets, [(s.boxes, s.labels) for s in scenes])

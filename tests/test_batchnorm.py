@@ -1,93 +1,99 @@
-"""BN layer contracts: the normalization identity, running-statistics
-update, backward gradients, and the AdaBN statistics-collection pass."""
+"""BN layer contracts on the functions the detector runs: the
+normalization identity, running-statistics update, backward gradients,
+and the AdaBN statistics-collection pass."""
 
 import numpy as np
 import pytest
 
 from sfodlab import batchnorm as bn
-from sfodlab.detector import ArchDescriptor, init_model
-from sfodlab.ops import ShapeError
+from sfodlab.detector import ArchDescriptor, _backbone_forward, init_model
 from conftest import assert_grads_close, numerical_grad
 
 SEEDS = [0, 1, 2, 3, 4]
 
 
-def make_state(c, dtype=np.float64, **kw):
-    st = bn.bn_init(c)
-    return bn.BNState(
-        gamma=st.gamma.astype(dtype), beta=st.beta.astype(dtype),
-        running_mean=st.running_mean.astype(dtype),
-        running_var=st.running_var.astype(dtype), **kw)
+def small_arch():
+    return ArchDescriptor(input_size=32, channels=(4, 8), feature_stride=4,
+                          anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
+                          rpn_channels=8, roi_pool_size=3, roi_hidden=16)
+
+
+def bn_train(x, gamma=None, beta=None):
+    """bn_apply on x's own batch statistics, as the detector trains; returns
+    the output and bn_backward's cache."""
+    c = x.shape[1]
+    gamma = np.ones(c, x.dtype) if gamma is None else gamma
+    beta = np.zeros(c, x.dtype) if beta is None else beta
+    mean, var = bn.batch_stats(x)
+    out, xhat, inv_std = bn.bn_apply(x, mean, var, gamma, beta)
+    return out, (xhat, inv_std, gamma)
 
 
 def test_worked_example_two_values():
     # per-channel batch {0, 2}, gamma=2, beta=1: mean 1, var 1 -> outputs {-1, 3}
     x = np.array([0.0, 2.0]).reshape(2, 1, 1, 1)
-    state = make_state(1)
-    state.gamma[:] = 2.0
-    state.beta[:] = 1.0
-    out, _, _ = bn.bn_forward(x, state, train=True)
+    out, _ = bn_train(x, np.array([2.0]), np.array([1.0]))
     assert np.abs(out.ravel() - np.array([-1.0, 3.0])).max() < 1e-3
 
 
 def test_constant_input_returns_beta():
     x = np.full((3, 2, 4, 4), 7.25, np.float64)
-    state = make_state(2)
-    state.beta[:] = (0.5, -1.5)
-    out, _, _ = bn.bn_forward(x, state, train=True)
+    out, _ = bn_train(x, beta=np.array([0.5, -1.5]))
     assert np.allclose(out[:, 0], 0.5) and np.allclose(out[:, 1], -1.5)
 
 
 def test_eval_identity_statistics(rng):
     x = rng.normal(size=(2, 3, 5, 5))
-    state = make_state(3)
-    out, state2, cache = bn.bn_forward(x, state, train=False)
-    assert cache is None and state2 is state
+    out, _, _ = bn.bn_apply(x, np.zeros(3), np.ones(3), np.ones(3), np.zeros(3))
     assert np.abs(out - x / np.sqrt(1 + 1e-5)).max() < 1e-6
+    # the detector's eval mode keeps no cache and no batch statistics
+    model = init_model(small_arch(), 0)
+    _, caches, stats = _backbone_forward(model, rng.random((2, 3, 32, 32)), "eval")
+    assert caches == [] and stats == []
 
 
 def test_train_output_normalized(rng):
     x = (rng.normal(size=(8, 4, 24, 24)) * rng.uniform(0.5, 3, size=(1, 4, 1, 1))
          + rng.uniform(-2, 2, size=(1, 4, 1, 1)))
-    state = make_state(4)
-    out, _, _ = bn.bn_forward(x, state, train=True)
+    out, _ = bn_train(x)
     for c in range(4):
         assert abs(out[:, c].mean()) <= 1e-5
         assert abs(out[:, c].var() - 1.0) <= 1e-4
     # float32 path keeps the same contract
-    out32, _, _ = bn.bn_forward(x.astype(np.float32), make_state(4, np.float32), True)
+    out32, _ = bn_train(x.astype(np.float32))
+    assert out32.dtype == np.float32
     for c in range(4):
         assert abs(float(out32[:, c].mean())) <= 1e-5
         assert abs(float(out32[:, c].var()) - 1.0) <= 1e-4
 
 
 def test_running_update_convention(rng):
-    x = rng.normal(size=(4, 2, 6, 6)) + 3.0
-    state = make_state(2, momentum=0.1)
-    mean, var = bn.batch_stats(x)
-    _, state2, _ = bn.bn_forward(x, state, train=True)
-    assert np.allclose(state2.running_mean, 0.1 * 0.0 + 0.9 * mean, atol=1e-6)
-    assert np.allclose(state2.running_var, 0.1 * 1.0 + 0.9 * var, atol=1e-6)
-    # eval mode mutates nothing
-    before = (state2.running_mean.copy(), state2.running_var.copy())
-    bn.bn_forward(x, state2, train=False)
-    assert np.array_equal(state2.running_mean, before[0])
-    assert np.array_equal(state2.running_var, before[1])
+    model = init_model(small_arch(), 0)  # running mean 0, running var 1
+    stats = [bn.batch_stats(rng.normal(size=(4, c, 6, 6)) + 3.0)
+             for _, c in model.arch.bn_layers()]
+    bn.update_running_statistics(model, stats)
+    for (layer, _), (mean, var) in zip(model.arch.bn_layers(), stats):
+        rm = model.params[f"{layer}.running_mean"]
+        rv = model.params[f"{layer}.running_var"]
+        assert rm.dtype == rv.dtype == np.float32
+        assert np.allclose(rm, 0.1 * 0.0 + 0.9 * mean, atol=1e-6)
+        assert np.allclose(rv, 0.1 * 1.0 + 0.9 * var, atol=1e-6)
+    # neither forward mode mutates anything
+    before = {n: model.params[n].tobytes() for n in model.params}
+    x = rng.random((2, 3, 32, 32)).astype(np.float32)
+    for mode in ("collect", "eval"):
+        _backbone_forward(model, x, mode)
+    assert before == {n: model.params[n].tobytes() for n in model.params}
 
 
-def test_forward_errors(rng):
-    state = make_state(3)
-    with pytest.raises(ShapeError):
-        bn.bn_forward(rng.normal(size=(2, 4, 3, 3)), state, train=True)
-    with pytest.raises(ShapeError):
-        bn.bn_forward(np.zeros((1, 3, 1, 1)), state, train=True)
+def test_backward_requires_cache():
     with pytest.raises(ValueError):
         bn.bn_backward(np.zeros((1, 3, 2, 2)), None)
 
 
 def test_backward_zero_upstream(rng):
     x = rng.normal(size=(2, 3, 4, 4))
-    _, _, cache = bn.bn_forward(x, make_state(3), train=True)
+    _, cache = bn_train(x)
     dx, dg, db = bn.bn_backward(np.zeros_like(x), cache)
     assert not dx.any() and not dg.any() and not db.any()
 
@@ -95,7 +101,7 @@ def test_backward_zero_upstream(rng):
 def test_beta_gradient_is_upstream_sum(rng):
     x = rng.normal(size=(2, 3, 4, 4))
     dout = rng.normal(size=x.shape)
-    _, _, cache = bn.bn_forward(x, make_state(3), train=True)
+    _, cache = bn_train(x)
     _, _, db = bn.bn_backward(dout, cache)
     assert np.allclose(db, dout.sum(axis=(0, 2, 3)), atol=1e-10)
 
@@ -109,16 +115,10 @@ def test_backward_matches_finite_differences():
         dout = r.normal(size=x.shape)
 
         def loss():
-            state = make_state(2)
-            state.gamma[:] = gamma
-            state.beta[:] = beta
-            out, _, _ = bn.bn_forward(x, state, train=True)
+            out, _ = bn_train(x, gamma, beta)
             return float((out * dout).sum())
 
-        state = make_state(2)
-        state.gamma[:] = gamma
-        state.beta[:] = beta
-        _, _, cache = bn.bn_forward(x, state, train=True)
+        _, cache = bn_train(x, gamma, beta)
         dx, dg, db = bn.bn_backward(dout, cache)
         assert_grads_close(dx, numerical_grad(loss, x), what=f"bn dx seed {seed}")
         assert_grads_close(dg, numerical_grad(loss, gamma), what=f"bn dgamma seed {seed}")
@@ -128,12 +128,6 @@ def test_backward_matches_finite_differences():
 # ---------------------------------------------------------------------------
 # AdaBN statistics collection
 # ---------------------------------------------------------------------------
-
-def small_arch():
-    return ArchDescriptor(input_size=32, channels=(4, 8), feature_stride=4,
-                          anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
-                          rpn_channels=8, roi_pool_size=3, roi_hidden=16)
-
 
 def test_collect_requires_images():
     model = init_model(small_arch(), 0)

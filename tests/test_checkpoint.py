@@ -1,0 +1,85 @@
+"""Checkpoint format contracts: bit-exact round trips, and a CheckpointError
+for every malformed or incompatible file."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from sfodlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from sfodlab.detector import ArchDescriptor, init_model
+
+
+def small_model(seed=0):
+    arch = ArchDescriptor(input_size=32, channels=(4, 8), feature_stride=4,
+                          anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
+                          rpn_channels=8, roi_pool_size=3, roi_hidden=16)
+    return init_model(arch, seed)
+
+
+@pytest.fixture
+def ckpt(tmp_path):
+    model = small_model()
+    model.params["backbone.b0.bn.running_mean"][:] = (0.25, -1e-30, np.pi, 7.0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, {"kind": "source", "steps": 3})
+    return path, model
+
+
+def test_round_trip_bit_exact(ckpt):
+    path, model = ckpt
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"kind": "source", "steps": 3}
+    assert loaded.arch == model.arch
+    assert list(loaded.params) == list(model.params)
+    for name, arr in model.params.items():
+        assert loaded.params[name].dtype == np.float32
+        assert loaded.params[name].tobytes() == arr.tobytes(), name
+
+
+def rewrite(path, raw):
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_bad_magic(ckpt):
+    path, _ = ckpt
+    rewrite(path, b"NOTACKPT" + path.read_bytes()[8:])
+
+
+def test_bad_version(ckpt):
+    path, _ = ckpt
+    raw = path.read_bytes()
+    rewrite(path, raw[:8] + struct.pack("<I", 2) + raw[12:])
+
+
+def test_truncated_payload(ckpt):
+    path, _ = ckpt
+    rewrite(path, path.read_bytes()[:-4])
+
+
+def test_trailing_bytes(ckpt):
+    path, _ = ckpt
+    rewrite(path, path.read_bytes() + b"\0")
+
+
+def test_missing_file(tmp_path):
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def test_wrong_names(tmp_path):
+    model = small_model()
+    model.params["roi.fc1.bias"] = model.params.pop("roi.fc1.b")
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    with pytest.raises(CheckpointError, match="names"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_wrong_shape(tmp_path):
+    model = small_model()
+    model.params["roi.fc1.b"] = np.zeros(7, np.float32)
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    with pytest.raises(CheckpointError, match="roi.fc1.b"):
+        load_checkpoint(tmp_path / "m.ckpt")

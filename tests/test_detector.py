@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sfodlab import detector as D
+from sfodlab.batchnorm import update_running_statistics
 from sfodlab.ops import NumericsError
 
 
@@ -134,21 +135,27 @@ def mixed_boxes(rng, n, size):
     return np.stack([x1, y1, np.minimum(x1 + w, size), np.minimum(y1 + h, size)], 1)
 
 
+def roi_pool_one(feats, box, out):
+    """_roi_pool_batch on a single box: pooled (C, out, out) and the cells."""
+    pooled, cells = D._roi_pool_batch(feats, np.asarray(box, np.float64).reshape(1, 4), out)
+    return pooled[0], cells
+
+
 def test_roi_pool_identity(rng):
     feats = rng.normal(size=(3, 5, 5))
-    out = D.roi_pool(feats, (0.0, 0.0, 5.0, 5.0), 5)
+    out, _ = roi_pool_one(feats, (0.0, 0.0, 5.0, 5.0), 5)
     assert np.array_equal(out, feats)
 
 
 def test_roi_pool_constant(rng):
     feats = np.full((2, 8, 8), 0.7)
-    out = D.roi_pool(feats, (1.3, 2.2, 6.9, 7.1), 4)
+    out, _ = roi_pool_one(feats, (1.3, 2.2, 6.9, 7.1), 4)
     assert np.allclose(out, 0.7)
 
 
 def test_roi_pool_degenerate_single_cell(rng):
     feats = rng.normal(size=(1, 8, 8))
-    out = D.roi_pool(feats, (3.2, 4.1, 3.4, 4.3), 3)
+    out, _ = roi_pool_one(feats, (3.2, 4.1, 3.4, 4.3), 3)
     assert np.allclose(out, feats[0, 4, 3])
 
 
@@ -158,7 +165,7 @@ def test_roi_pool_matches_naive(rng):
         x1, y1 = rng.uniform(0, 6, 2)
         x2 = rng.uniform(x1 + 0.3, 8)
         y2 = rng.uniform(y1 + 0.3, 8)
-        got = D.roi_pool(feats, (x1, y1, x2, y2), 3)
+        got, _ = roi_pool_one(feats, (x1, y1, x2, y2), 3)
         assert np.array_equal(got, roi_pool_naive(feats, (x1, y1, x2, y2), 3))
 
 
@@ -166,11 +173,11 @@ def test_roi_pool_backward_gradient(rng):
     feats = rng.normal(size=(2, 6, 6))
     box = (0.7, 1.2, 5.3, 4.9)
     dout = rng.normal(size=(2, 3, 3))
-    dfeat = D.roi_pool_backward(dout, feats, box, 3)
+    pooled, cells = roi_pool_one(feats, box, 3)
+    dfeat = D._roi_scatter_batch(dout[None], cells, 2, 6, 6)
     # scatter conserves the total gradient mass
     assert dfeat.sum() == pytest.approx(dout.sum(), rel=1e-6)
     # gradient lands only on per-cell argmax positions
-    pooled = D.roi_pool(feats, box, 3)
     assert (np.abs(dfeat[feats != feats]) == 0).all()
     nz = np.nonzero(dfeat)
     for c, y, x in zip(*nz):
@@ -280,13 +287,29 @@ def test_forward_train_nan_aborts(rng):
 
 
 def test_forward_train_nan_features_abort(rng):
+    """A divergent step raises and leaves every parameter, BN running
+    statistics included, byte-identical."""
     arch = small_arch()
     model = D.init_model(arch, 0)
     last = len(arch.channels) - 1
     model.params[f"backbone.b{last}.bn.beta"][0] = np.nan
+    before = {k: v.tobytes() for k, v in model.params.items()}
     imgs, targets = random_batch(rng, arch)
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
         D.forward_train(model, imgs, targets, np.random.default_rng(0))
+    assert {k: v.tobytes() for k, v in model.params.items()} == before
+
+
+def test_forward_train_folds_batch_statistics(rng):
+    arch = small_arch()
+    model = D.init_model(arch, 1)
+    imgs, targets = random_batch(rng, arch)
+    want = model.copy()
+    update_running_statistics(want, D.backbone_batch_statistics(model, imgs))
+    D.forward_train(model, imgs, targets, np.random.default_rng(0))
+    for name in model.params:
+        assert model.params[name].tobytes() == want.params[name].tobytes(), name
+        assert model.params[name].dtype == np.float32
 
 
 def test_gradients_match_finite_differences_20_params(rng):
@@ -368,3 +391,6 @@ def test_inference_eval_mode_pure(rng):
     D.forward_inference(model, img)
     for k in before:
         assert np.array_equal(model.params[k], before[k])
+    # there is no mode that folds statistics into the model during a forward
+    with pytest.raises(ValueError):
+        D.forward_inference(model, img, stats_mode="train")
