@@ -7,6 +7,10 @@ moves a box. Mosaic concatenates four scenes into a 2x2 composite resized
 to a single input, rescaling boxes into their quadrants.
 
 Everything is a pure function of (input, explicit RNG state).
+
+``scipy.ndimage`` is imported by the blur branch of ``strong_augment`` when
+it first runs, not at module level: it takes longer to import than the rest
+of the package, and only strategies with strong augmentation ever blur.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .data import Scene
 
@@ -95,6 +98,8 @@ def strong_augment(scene: Scene, params: StrongAugParams,
         img = np.repeat(_luma(img)[..., None], 3, axis=2)
 
     if rng.random() < params.blur_prob:
+        from scipy.ndimage import gaussian_filter
+
         sigma = rng.uniform(*params.blur_sigma)
         img = gaussian_filter(img, sigma=(sigma, sigma, 0))
 

@@ -42,11 +42,32 @@ def save_checkpoint(path, model: ModelState, metadata: dict | None = None):
             f.write(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes())
 
 
+def _decode_header(header):
+    """(arch, ordered {array name: shape}, metadata) of a parsed JSON header.
+
+    Raises KeyError, TypeError or ValueError on a malformed header, and
+    CheckpointError when the arrays differ from those the architecture
+    descriptor defines.
+    """
+    arch = ArchDescriptor.from_dict(header["arch"])
+    layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    shapes = arch.param_shapes()
+    names = [name for name, _ in layout]
+    if sorted(names) != sorted(shapes):
+        raise CheckpointError("parameter names do not match descriptor")
+    for name, shape in layout:
+        if shape != shapes[name]:
+            raise CheckpointError(
+                f"{name} has shape {shape}, descriptor needs {shapes[name]}")
+    return arch, {name: shapes[name] for name in names}, header["metadata"]
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelState, metadata).
 
-    Fails loudly with CheckpointError if the file is malformed or its array
-    names or shapes differ from those its architecture descriptor defines.
+    Fails loudly with CheckpointError if the file is malformed, its header
+    lacks an entry or holds an invalid architecture descriptor, or its array
+    names or shapes differ from those the descriptor defines.
     """
     path = Path(path)
     try:
@@ -67,24 +88,20 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
     off += hlen
-    arch = ArchDescriptor.from_dict(header["arch"])
+    try:
+        arch, layout, metadata = _decode_header(header)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: invalid header: {type(e).__name__}: {e}") from e
     params = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
+    for name, shape in layout.items():
+        nbytes = int(np.prod(shape)) * 4
         if off + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
-        params[entry["name"]] = np.frombuffer(
+            raise CheckpointError(f"{path}: truncated payload at {name}")
+        params[name] = np.frombuffer(
             raw[off:off + nbytes], dtype="<f4").reshape(shape).copy()
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
-    shapes = arch.param_shapes()
-    if set(params) != set(shapes):
-        raise CheckpointError(f"{path}: parameter names do not match descriptor")
-    for name, arr in params.items():
-        if arr.shape != shapes[name]:
-            raise CheckpointError(
-                f"{path}: {name} has shape {arr.shape}, descriptor needs {shapes[name]}")
-    return ModelState(arch, params), header["metadata"]
+    return ModelState(arch, params), metadata

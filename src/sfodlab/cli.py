@@ -105,11 +105,34 @@ def _config_hash(config_dict: dict) -> str:
         json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _load_split(data_root, split: str):
+def _load_split(data_root, split: str, input_size: int | None = None):
+    """Read a split; with input_size, every image must be that square size."""
     path = Path(data_root) / split
     if not path.exists():
         raise DataError(f"missing split directory {path}")
-    return read_dataset(path)
+    scenes = read_dataset(path)
+    if input_size is not None:
+        for sc in scenes:
+            if sc.image.shape[:2] != (input_size, input_size):
+                h, w = sc.image.shape[:2]
+                raise DataError(f"{path}: image {sc.id} is {w}x{h}, the model "
+                                f"takes {input_size}x{input_size}")
+    return scenes
+
+
+def _arch_for(scenes, split: str) -> ArchDescriptor:
+    """Default architecture sized to the split's images, which must all be
+    one square size divisible by the feature stride."""
+    sizes = {sc.image.shape[:2] for sc in scenes}
+    if len(sizes) != 1:
+        raise DataError(f"{split}: need images of one size, found "
+                        f"{sorted(sizes) or 'no images'}")
+    ((h, w),) = sizes
+    stride = ArchDescriptor.feature_stride
+    if h != w or h % stride:
+        raise DataError(f"{split}: images are {w}x{h}; the detector needs square "
+                        f"images whose side is divisible by {stride}")
+    return ArchDescriptor(input_size=h)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +161,7 @@ def cmd_make_data(args) -> int:
 
 def cmd_train_source(args) -> int:
     scenes = _load_split(args.data, "source_train")
-    arch = ArchDescriptor()
-    model = init_model(arch, seed=args.seed)
+    model = init_model(_arch_for(scenes, "source_train"), seed=args.seed)
     rng = np.random.default_rng(args.seed)
     history = train_source(model, scenes, args.steps, args.lr,
                            args.batch_size, rng, log_every=args.log_every)
@@ -185,8 +207,9 @@ def _build_adapt_config(args) -> AdaptConfig:
 def cmd_adapt(args) -> int:
     config = _build_adapt_config(args)
     source, _ = load_checkpoint(args.source_ckpt)
-    target_train = _load_split(args.data, "target_train")
-    target_test = _load_split(args.data, "target_test")
+    size = source.arch.input_size
+    target_train = _load_split(args.data, "target_train", size)
+    target_test = _load_split(args.data, "target_test", size)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,9 +255,10 @@ def cmd_adapt(args) -> int:
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    scenes = _load_split(args.data, args.split)
+    scenes = _load_split(args.data, args.split, model.arch.input_size)
     res = evaluate_model(model, scenes)
-    for i, name in enumerate(CLASS_NAMES):
+    for i in range(model.arch.num_classes):
+        name = CLASS_NAMES[i] if i < len(CLASS_NAMES) else f"class{i}"
         print(f"ap[{name}] {res.ap(i, 0.0):.6f}")
     print(f"map {res.map:.6f}")
     return 0

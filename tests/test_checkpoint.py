@@ -1,6 +1,8 @@
 """Checkpoint format contracts: bit-exact round trips, and a CheckpointError
 for every malformed or incompatible file."""
 
+import json
+import re
 import struct
 
 import numpy as np
@@ -83,3 +85,55 @@ def test_wrong_shape(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", model)
     with pytest.raises(CheckpointError, match="roi.fc1.b"):
         load_checkpoint(tmp_path / "m.ckpt")
+
+
+def rewrite_header(path, edit):
+    """Re-encode the JSON header of the checkpoint at path after edit(header)."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + hlen])
+    header = edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+
+
+def set_key(obj, key, value):
+    obj[key] = value
+    return obj
+
+
+def del_key(obj, key):
+    del obj[key]
+    return obj
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: set_key(h, "arch", set_key(h["arch"], "bogus", 1)),
+    lambda h: set_key(h, "arch", del_key(h["arch"], "channels")),
+    lambda h: set_key(h, "arch", set_key(h["arch"], "feature_stride", 3)),
+    lambda h: set_key(h, "arch", set_key(h["arch"], "channels", 8)),
+    lambda h: del_key(h, "arch"),
+    lambda h: del_key(h, "arrays"),
+    lambda h: del_key(h, "metadata"),
+    lambda h: set_key(h, "arrays", [del_key(e, "name") for e in h["arrays"]]),
+    lambda h: set_key(h, "arrays", [del_key(e, "shape") for e in h["arrays"]]),
+    lambda h: set_key(h, "arrays", [set_key(e, "shape", 4) for e in h["arrays"]]),
+    lambda h: set_key(h, "arrays", h["arrays"] + h["arrays"][-1:]),
+    lambda h: [h],
+], ids=["extra-arch-key", "missing-arch-key", "bad-stride", "bad-channels",
+        "no-arch", "no-arrays", "no-metadata", "no-name", "no-shape",
+        "int-shape", "duplicate-name", "not-an-object"])
+def test_malformed_header(ckpt, edit):
+    path, _ = ckpt
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_rewrite_header_identity(ckpt):
+    """The header rewriter alone keeps a loadable, bit-exact checkpoint."""
+    path, model = ckpt
+    rewrite_header(path, lambda h: h)
+    loaded, _ = load_checkpoint(path)
+    for name, arr in model.params.items():
+        assert loaded.params[name].tobytes() == arr.tobytes(), name

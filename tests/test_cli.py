@@ -1,11 +1,20 @@
 """CLI contract on a tiny benchmark: exit codes 0/2/3/4 and the single
 ``ERROR[<kind>]:`` line printed for data and numerics failures."""
 
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sfodlab import cli
 from sfodlab.checkpoint import load_checkpoint, save_checkpoint
+from sfodlab.data import DataError, Scene
+from sfodlab.detector import ArchDescriptor, init_model
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +93,92 @@ def test_diverging_training_exits_4(workdir, capsys):
     (line,) = error_lines(capsys)
     assert line.startswith("ERROR[numerics]:")
     assert not out.exists()
+
+
+def test_bad_header_checkpoint_exits_3(workdir, capsys):
+    raw = (workdir / "source.ckpt").read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + hlen])
+    header["arch"]["bogus"] = 1
+    blob = json.dumps(header).encode("utf-8")
+    bad = workdir / "bad_header.ckpt"
+    bad.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+    rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(workdir / "data"),
+                   "--split", "target_test"])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and "bogus" in line
+
+
+@pytest.fixture(scope="module")
+def data64(tmp_path_factory):
+    """make-data at 64 px, then train-source on it."""
+    root = tmp_path_factory.mktemp("cli64")
+    spec = root / "spec.txt"
+    spec.write_text("source_train = 4\nsource_test = 2\ntarget_train = 2\n"
+                    "target_test = 2\nmax_objects = 3\nimage_size = 64\n"
+                    "noise_cells = 8\n")
+    assert cli.main(["make-data", "--spec", str(spec), "--out", str(root / "data"),
+                     "--seed", "0"]) == 0
+    return root
+
+
+def test_train_source_takes_image_size_from_data(data64, workdir, capsys):
+    out = data64 / "source.ckpt"
+    assert cli.main(["train-source", "--data", str(data64 / "data"),
+                     "--out", str(out), "--steps", "2", "--batch-size", "2"]) == 0
+    model, _ = load_checkpoint(out)
+    assert model.arch == ArchDescriptor(input_size=64)
+    # the 96-px default arch, and so its checkpoint header, is unchanged
+    assert load_checkpoint(workdir / "source.ckpt")[0].arch == ArchDescriptor()
+    assert cli.main(["eval", "--ckpt", str(out), "--data", str(data64 / "data"),
+                     "--split", "target_test"]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_image_size_mismatch_exits_3(data64, workdir, command, capsys):
+    ckpt = str(workdir / "source.ckpt")
+    data = str(data64 / "data")
+    argv = (["eval", "--ckpt", ckpt, "--data", data, "--split", "target_test"]
+            if command == "eval" else
+            ["adapt", "--source-ckpt", ckpt, "--data", data, "--strategy", "adabn",
+             "--out", str(data64 / "adapted")])
+    assert cli.main(argv) == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and "64x64" in line and "96x96" in line
+
+
+def scene(h, w):
+    return Scene(np.zeros((h, w, 3), np.float32), np.zeros((0, 4), np.float32),
+                 np.zeros(0, np.int64))
+
+
+@pytest.mark.parametrize("scenes", [[], [scene(64, 64), scene(96, 96)],
+                                    [scene(64, 96)], [scene(60, 60)]],
+                         ids=["empty", "mixed", "not-square", "not-divisible"])
+def test_arch_for_rejects_unusable_images(scenes):
+    with pytest.raises(DataError, match="source_train"):
+        cli._arch_for(scenes, "source_train")
+
+
+@pytest.mark.parametrize("num_classes,names", [
+    (2, ["disc", "square"]),
+    (5, ["disc", "square", "triangle", "class3", "class4"]),
+])
+def test_eval_prints_one_line_per_model_class(workdir, capsys, num_classes, names):
+    ckpt = workdir / f"classes{num_classes}.ckpt"
+    save_checkpoint(ckpt, init_model(ArchDescriptor(num_classes=num_classes), seed=0))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data"),
+                     "--split", "target_test"]) == 0
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == [f"ap[{n}]" for n in names] + ["map"]
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.ndimage is imported on first render or blur, never by the CLI import."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, sfodlab.cli; sys.exit(any(m == 'scipy' or "
+             "m.startswith('scipy.') for m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

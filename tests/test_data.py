@@ -162,3 +162,98 @@ def test_split_scene_ids_and_determinism():
     assert [s.id for s in a] == ["train_00000", "train_00001", "train_00002"]
     for x, y in zip(a, b):
         assert x.image.tobytes() == y.image.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# rendering against the full-grid references
+# ---------------------------------------------------------------------------
+
+def shape_mask_meshgrid(class_id, x1, y1, x2, y2, region_x, region_y, rw, rh):
+    """Reference _shape_mask on two full np.meshgrid coordinate grids."""
+    ss = Dt._SS
+    ys = (np.arange(rh * ss) + 0.5) / ss + region_y
+    xs = (np.arange(rw * ss) + 0.5) / ss + region_x
+    gx, gy = np.meshgrid(xs, ys)
+    cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
+    w, h = x2 - x1, y2 - y1
+    if class_id == 0:
+        r = w / 2
+        inside = (gx - cx) ** 2 + (gy - cy) ** 2 <= r * r
+    elif class_id == 1:
+        inside = (gx >= x1) & (gx <= x2) & (gy >= y1) & (gy <= y2)
+    else:
+        t = np.clip((gy - y1) / max(h, 1e-6), 0, 1)
+        half = t * (w / 2)
+        inside = (np.abs(gx - cx) <= half) & (gy >= y1) & (gy <= y2)
+    inside = inside.astype(np.float32)
+    return inside.reshape(rh, ss, rw, ss).mean(axis=(1, 3))
+
+
+def background_zoom3d(spec, rng):
+    """Reference _background: one 3-D zoom of the coarse noise stack."""
+    from scipy.ndimage import zoom
+
+    s = spec.image_size
+    lo, hi = spec.base_color_range
+    base = rng.uniform(lo, hi, size=3).astype(np.float32)
+    coarse = rng.uniform(-1, 1, size=(spec.noise_cells, spec.noise_cells, 3))
+    noise = zoom(coarse, (s / spec.noise_cells, s / spec.noise_cells, 1), order=1)
+    img = base[None, None, :] + spec.noise_amplitude * noise.astype(np.float32)
+    return np.clip(img, 0, 1).astype(np.float32), base
+
+
+def mask_cases(rng, s=96, n=60):
+    """Random boxes, many clipped at the image edge, with the pixel region
+    generate_scene would render them into, plus near-degenerate triangles."""
+    for _ in range(n):
+        size = rng.uniform(2.0, 50.0)
+        cx, cy = rng.uniform(-10, s + 10, size=2)
+        x1, y1, x2, y2 = cx - size / 2, cy - size / 2, cx + size / 2, cy + size / 2
+        vx1, vy1, vx2, vy2 = max(x1, 0.0), max(y1, 0.0), min(x2, s), min(y2, s)
+        if vx2 - vx1 < 1 or vy2 - vy1 < 1:
+            continue
+        rx0, ry0 = int(np.floor(vx1)), int(np.floor(vy1))
+        rx1, ry1 = int(np.ceil(vx2)), int(np.ceil(vy2))
+        for class_id in range(Dt.NUM_CLASSES):
+            yield class_id, x1, y1, x2, y2, rx0, ry0, rx1 - rx0, ry1 - ry0
+    for y1, dy in [(10.0, 0.0), (10.25, 1e-9), (3.5, 5e-7), (40.0, 1e-6)]:
+        yield 2, 12.3, y1, 30.8, y1 + dy, 12, int(y1), 19, 2
+    # edges, apex and disc rim exactly on supersample centres (k + 1/8 + j/4)
+    for class_id in range(Dt.NUM_CLASSES):
+        yield class_id, 16.125, 16.125, 24.125, 24.125, 16, 16, 9, 9
+
+
+def test_shape_mask_matches_meshgrid_reference():
+    cases = list(mask_cases(np.random.default_rng(5)))
+    assert {c[0] for c in cases} == {0, 1, 2} and len(cases) > 100
+    for case in cases:
+        live, ref = Dt._shape_mask(*case), shape_mask_meshgrid(*case)
+        assert live.dtype == ref.dtype and live.shape == ref.shape, case
+        assert np.array_equal(live, ref), case
+
+
+@pytest.mark.parametrize("size,cells", [(96, 12), (64, 8), (96, 7)])
+def test_background_matches_3d_zoom_reference(size, cells):
+    spec = Dt.DomainSpec(image_size=size, noise_cells=cells)
+    for seed in range(40):
+        img, base = Dt._background(spec, np.random.default_rng(seed))
+        ref_img, ref_base = background_zoom3d(spec, np.random.default_rng(seed))
+        assert img.shape == (size, size, 3)
+        assert img.tobytes() == ref_img.tobytes() and base.tobytes() == ref_base.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    Dt.DomainSpec(shift="fog", fog_strength=0.65),
+    Dt.DomainSpec(shift="color", color_cast=(1.1, 0.8, 0.7)),
+    Dt.DomainSpec(shift="scale", scale_factor=0.7, image_size=64, noise_cells=8),
+], ids=["fog", "color", "scale"])
+def test_split_matches_reference_rendering(spec, monkeypatch):
+    live = Dt.generate_split(spec, 6, [3, 2], "t")
+    monkeypatch.setattr(Dt, "_shape_mask", shape_mask_meshgrid)
+    monkeypatch.setattr(Dt, "_background", background_zoom3d)
+    ref = Dt.generate_split(spec, 6, [3, 2], "t")
+    for a, b in zip(live, ref, strict=True):
+        assert a.id == b.id
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.boxes.tobytes() == b.boxes.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
