@@ -6,11 +6,23 @@ report so nothing is silently defaulted.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numerical divergence.
 Errors print a single machine-parsable line ``ERROR[<kind>]: <message>``.
+
+Allocator policy: ``main`` tells glibc's malloc to keep freed memory in the
+process heap (``mallopt``: blocks under 32 MiB come from the heap, which is
+trimmed only when 256 MiB lie free at its top). Every batch frees im2col and
+batch-norm temporaries of several MB; with glibc's defaults many of them
+went back to the operating system and the next batch faulted the same pages
+in again. One ``adapt --strategy adabn`` of 32 + 16 images took about 62k
+minor page faults and 0.12-0.16 s of kernel time (``getrusage``; 2 vCPU,
+numpy 2.4.6, glibc 2.36); with this policy and 8-image evaluation chunks
+(``train.evaluate_model``) it takes about 10k faults and 0.03-0.04 s.
+Without glibc's mallopt nothing is set; results never depend on the policy.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -106,11 +118,14 @@ def _config_hash(config_dict: dict) -> str:
 
 
 def _load_split(data_root, split: str, input_size: int | None = None):
-    """Read a split; with input_size, every image must be that square size."""
+    """Read a split, which must hold at least one scene; with input_size,
+    every image must be that square size."""
     path = Path(data_root) / split
     if not path.exists():
         raise DataError(f"missing split directory {path}")
     scenes = read_dataset(path)
+    if not scenes:
+        raise DataError(f"{path}: the split has no scenes")
     if input_size is not None:
         for sc in scenes:
             if sc.image.shape[:2] != (input_size, input_size):
@@ -343,7 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# glibc mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Set the allocator policy described in the module docstring; a no-op
+    where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -40,12 +40,22 @@ def train_source(model: ModelState, scenes, steps: int, lr: float,
     return history
 
 
+EVAL_CHUNK = 8
+
+
 def evaluate_model(model: ModelState, scenes) -> EvalResult:
     """AP50 per class and mAP of a model over a list of annotated scenes,
-    detected in eval mode in chunks of 16 images."""
+    detected in eval mode in chunks of 8 images.
+
+    Eval mode treats every image on its own, so the chunk size changes no
+    detection; it only bounds memory. The first conv's im2col buffer of a
+    chunk is about 1 MB per 96-px image: 8 images keep it near 8 MB, while
+    16 would double it and raise the peak RSS of an ``adapt --strategy
+    adabn`` on 16 test images by about 19 MB.
+    """
     scenes = list(scenes)
     dets = []
-    for start in range(0, len(scenes), 16):
+    for start in range(0, len(scenes), EVAL_CHUNK):
         dets.extend(forward_inference_batch(
-            model, [s.image for s in scenes[start:start + 16]]))
+            model, [s.image for s in scenes[start:start + EVAL_CHUNK]]))
     return evaluate_ap50(dets, [(s.boxes, s.labels) for s in scenes])

@@ -1,6 +1,7 @@
 """CLI contract on a tiny benchmark: exit codes 0/2/3/4 and the single
 ``ERROR[<kind>]:`` line printed for data and numerics failures."""
 
+import ctypes
 import json
 import os
 import struct
@@ -182,3 +183,87 @@ def test_cli_import_loads_no_scipy():
              "m.startswith('scipy.') for m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+@pytest.fixture(scope="module")
+def empty_target(tmp_path_factory, workdir):
+    """make-data with no target_train scenes, next to workdir's checkpoint."""
+    root = tmp_path_factory.mktemp("cli_empty")
+    spec = root / "spec.txt"
+    spec.write_text("source_train = 1\nsource_test = 0\n"
+                    "target_train = 0\ntarget_test = 2\nmax_objects = 3\n")
+    assert cli.main(["make-data", "--spec", str(spec), "--out", str(root / "data"),
+                     "--seed", "0"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("strategy", ["adabn", "sf_ut"])
+def test_adapt_on_empty_target_split_exits_3(empty_target, workdir, strategy, capsys):
+    rc = cli.main(["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+                   "--data", str(empty_target / "data"), "--strategy", strategy,
+                   "--out", str(empty_target / strategy)])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and "target_train" in line
+    assert "no scenes" in line
+
+
+def test_eval_on_empty_split_exits_3(empty_target, workdir, capsys):
+    rc = cli.main(["eval", "--ckpt", str(workdir / "source.ckpt"),
+                   "--data", str(empty_target / "data"), "--split", "source_test"])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and "source_test" in line
+    assert "map" not in capsys.readouterr().out
+
+
+FAULT_PROBE = """
+import json, resource, sys
+import numpy as np
+from sfodlab import cli
+
+spec, out = sys.argv[1:]
+assert cli.main(["make-data", "--spec", spec, "--out", out, "--seed", "0"]) == 0
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(mb << 18, np.float32) for mb in (16, 4, 12)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def test_allocator_keeps_freed_memory(tmp_path):
+    """After cli.main, the memory of freed multi-MB arrays is reused, not
+    faulted in again."""
+    pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("source_train = 1\nsource_test = 0\n"
+                    "target_train = 0\ntarget_test = 0\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(spec),
+                           str(tmp_path / "data")],
+                          env=env, capture_output=True, text=True, check=True)
+    faults = json.loads(done.stdout.splitlines()[-1])
+    # With glibc's default thresholds the heap is trimmed once the 32 MB are
+    # freed, and every round faults them in again (about 1,500 faults with
+    # numpy's huge-page advice, 8,000 without it).
+    assert max(faults[1:]) < 100, faults
+
+
+@pytest.mark.parametrize("lookup", ["no-library", "no-mallopt"])
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch, lookup):
+    def no_library(name, *args, **kwargs):
+        raise OSError(f"cannot load {name}")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library if lookup == "no-library"
+                        else lambda *args, **kwargs: object())
+    spec = tmp_path / "spec.txt"
+    spec.write_text("source_train = 1\nsource_test = 0\n"
+                    "target_train = 0\ntarget_test = 0\n")
+    assert cli.main(["make-data", "--spec", str(spec), "--out", str(tmp_path / "data"),
+                     "--seed", "0"]) == 0
