@@ -66,6 +66,10 @@ class AdaptConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0 <= self.tau <= 1:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        for name, low in (("batch_size", 1), ("max_steps", 0), ("eval_period", 1),
+                          ("eval_subset", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -4,7 +4,7 @@
 given: the biased batch statistics from ``batch_stats`` (training,
 collect-mode inference and the AdaBN sweep) or a layer's stored running
 estimates (eval mode, a pure function of the model). ``bn_backward`` is its
-gradient under batch statistics.
+gradient under batch statistics; only training keeps its cache.
 
 Only two functions write running statistics. ``update_running_statistics``
 folds one training step's batch statistics into them with ``running <-
@@ -33,10 +33,14 @@ def bn_apply(x: np.ndarray, mean, var, gamma, beta):
 
     Returns (output, xhat, inv_std); (xhat, inv_std, gamma) is the cache
     bn_backward needs when mean and var are the batch statistics of x.
+    xhat and the output are built in place, so all inputs share one dtype.
     """
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
+    xhat = x - mean[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat
+    out += beta[None, :, None, None]
+    return out, xhat, inv_std
 
 
 def bn_backward(dout: np.ndarray, cache):
@@ -72,12 +76,12 @@ def collect_target_statistics(model, images, batch_size: int = 4):
     """AdaBN: one pass over the image set, replacing every BN layer's
     running statistics with the equal-weight average of per-batch statistics.
 
-    The sweep runs the backbone with each batch normalized by its own batch
-    statistics (so later layers see activations consistent with earlier
-    layers' fresh statistics). Weights, gamma and beta are bit-identical in
-    the returned model.
+    The sweep runs the backbone in collect mode: each batch is normalized by
+    its own batch statistics (so later layers see activations consistent
+    with earlier layers' fresh statistics) and no backward cache is kept.
+    Weights, gamma and beta are bit-identical in the returned model.
     """
-    from .detector import backbone_batch_statistics, images_to_batch
+    from .detector import _backbone_forward, images_to_batch
 
     images = list(images)
     if not images:
@@ -85,19 +89,17 @@ def collect_target_statistics(model, images, batch_size: int = 4):
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
+    starts = range(0, len(images), batch_size)
     sums = None
-    n_batches = 0
-    for start in range(0, len(images), batch_size):
+    for start in starts:
         batch = images_to_batch(images[start:start + batch_size])
-        stats = backbone_batch_statistics(model, batch)
-        if sums is None:
-            sums = [(m.astype(np.float64), v.astype(np.float64)) for m, v in stats]
-        else:
-            sums = [(sm + m, sv + v) for (sm, sv), (m, v) in zip(sums, stats)]
-        n_batches += 1
+        _, _, stats = _backbone_forward(model, batch, "collect")
+        stats = [(m.astype(np.float64), v.astype(np.float64)) for m, v in stats]
+        sums = stats if sums is None else [
+            (sm + m, sv + v) for (sm, sv), (m, v) in zip(sums, stats)]
 
     adapted = model.copy()
     for (layer_name, _), (sm, sv) in zip(model.arch.bn_layers(), sums):
-        adapted.params[f"{layer_name}.running_mean"] = (sm / n_batches).astype(np.float32)
-        adapted.params[f"{layer_name}.running_var"] = (sv / n_batches).astype(np.float32)
+        adapted.params[f"{layer_name}.running_mean"] = (sm / len(starts)).astype(np.float32)
+        adapted.params[f"{layer_name}.running_var"] = (sv / len(starts)).astype(np.float32)
     return adapted

@@ -189,6 +189,12 @@ def evaluate_ap50(dets_per_image, gts_per_image, iou_threshold: float = 0.5) -> 
 
     dets_per_image: list of Detections; gts_per_image: list of
     (boxes, labels) pairs aligned by position.
+
+    Matching follows PASCAL VOC (Everingham et al., 2010): per class, all
+    images' detections in one global order of descending score each claim
+    the unmatched same-image ground truth of highest IoU (the first on ties)
+    if it reaches the threshold. Equal scores rank by image, then box x1,
+    y1, x2, y2, then position; one iou_matrix per (image, class).
     """
     if len(dets_per_image) != len(gts_per_image):
         raise ValueError("evaluate_ap50: image count mismatch")
@@ -197,35 +203,28 @@ def evaluate_ap50(dets_per_image, gts_per_image, iou_threshold: float = 0.5) -> 
     )
     per_class = {}
     for c in classes:
-        num_gt = sum(int((np.asarray(labels) == c).sum()) for _, labels in gts_per_image)
-        # flatten detections of class c: (img, score, box)
-        rows = []
-        for img, dets in enumerate(dets_per_image):
-            sel = np.where(dets.labels == c)[0]
-            for i in sel:
-                rows.append((img, float(dets.scores[i]), dets.boxes[i]))
-        if rows:
-            key = np.array(
-                [(-s, img, *box) for img, s, box in rows], dtype=np.float64)
-            order = np.lexsort(tuple(key[:, k] for k in range(key.shape[1] - 1, -1, -1)))
-        else:
-            order = []
-        matched = [np.zeros(int((np.asarray(labels) == c).sum()), bool)
-                   for _, labels in gts_per_image]
-        gt_boxes_c = [np.asarray(boxes)[np.asarray(labels) == c]
-                      for boxes, labels in gts_per_image]
-        tp = np.zeros(len(rows))
-        for rank, ri in enumerate(order):
-            img, _, box = rows[ri]
-            gtb = gt_boxes_c[img]
-            if len(gtb) == 0:
+        gt_c = [np.asarray(boxes)[np.asarray(labels) == c]
+                for boxes, labels in gts_per_image]
+        dets_c = [dets[dets.labels == c] for dets in dets_per_image]
+        ious = [iou_matrix(d.boxes, g) if len(d) and len(g) else None
+                for d, g in zip(dets_c, gt_c)]
+        img = np.concatenate([np.full(len(d), i) for i, d in enumerate(dets_c)])
+        pos = np.concatenate([np.arange(len(d)) for d in dets_c])
+        score = np.concatenate([d.scores for d in dets_c]).astype(np.float64)
+        box = np.concatenate([d.boxes for d in dets_c]).astype(np.float64)
+        order = np.lexsort((box[:, 3], box[:, 2], box[:, 1], box[:, 0], img, -score))
+        matched = [np.zeros(len(g), bool) for g in gt_c]
+        tp = np.zeros(len(order))
+        for rank, k in enumerate(order):
+            i = img[k]
+            if ious[i] is None:
                 continue
-            ious = iou_matrix(np.asarray(box).reshape(1, 4), gtb)[0]
-            ious[matched[img]] = -1.0
-            j = int(ious.argmax())
-            if ious[j] >= iou_threshold:
-                matched[img][j] = True
+            row = ious[i][pos[k]].copy()
+            row[matched[i]] = -1.0
+            j = int(row.argmax())
+            if row[j] >= iou_threshold:
+                matched[i][j] = True
                 tp[rank] = 1
-        per_class[c] = _ap_from_matches(tp, num_gt)
+        per_class[c] = _ap_from_matches(tp, sum(len(g) for g in gt_c))
     mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
     return EvalResult(per_class_ap=per_class, map=mean)

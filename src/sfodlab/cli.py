@@ -22,6 +22,7 @@ Without glibc's mallopt nothing is set; results never depend on the policy.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import hashlib
 import json
@@ -190,6 +191,15 @@ def cmd_train_source(args) -> int:
 
 
 def _build_adapt_config(args) -> AdaptConfig:
+    """The preset named by --strategy with --config entries and flags
+    applied; an invalid value is a DataError."""
+    try:
+        return _adapt_config_from(args)
+    except ValueError as e:
+        raise DataError(f"adapt config: {e}") from e
+
+
+def _adapt_config_from(args) -> AdaptConfig:
     presets = strategy_presets()
     if args.strategy not in presets:
         raise DataError(f"unknown strategy {args.strategy!r}; "
@@ -279,18 +289,37 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_run(run_dir):
+    """(report dict, AdaptTrace or None) of one adapt run directory; a
+    missing, non-JSON or incomplete report.json, or a trace.csv that does
+    not parse, is a DataError naming the file."""
+    rpath = Path(run_dir) / "report.json"
+    if not rpath.exists():
+        raise DataError(f"missing run report {rpath}")
+    try:
+        rep = read_run_report(rpath)
+    except (ValueError, OSError) as e:
+        raise DataError(f"{rpath}: not a JSON run report ({e})") from e
+    if not (isinstance(rep, dict) and all(
+            isinstance(rep.get(k), dict) and "map" in rep[k] for k in ("final", "best"))):
+        raise DataError(f"{rpath}: needs 'final' and 'best' entries with a 'map'")
+    tpath = Path(run_dir) / rep.get("trace_csv", "trace.csv")
+    if not tpath.exists():
+        return rep, None
+    try:
+        return rep, read_trace_csv(tpath)
+    except (ValueError, TypeError, OSError, csv.Error) as e:
+        raise DataError(f"{tpath}: unreadable trace ({e})") from e
+
+
 def cmd_report(args) -> int:
     reports, traces = [], {}
     for run_dir in args.runs:
-        rpath = Path(run_dir) / "report.json"
-        if not rpath.exists():
-            raise DataError(f"missing run report {rpath}")
-        rep = read_run_report(rpath)
+        rep, trace = _read_run(run_dir)
         reports.append(rep)
-        tpath = Path(run_dir) / rep.get("trace_csv", "trace.csv")
-        if tpath.exists():
+        if trace is not None:
             name = f"{rep.get('strategy', Path(run_dir).name)}-s{rep.get('seed', 0)}"
-            traces[name] = read_trace_csv(tpath)
+            traces[name] = trace
     out = Path(args.out)
     if out.suffix == ".csv":
         write_comparison_csv(comparison_table(reports), out)

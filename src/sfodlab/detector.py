@@ -216,14 +216,18 @@ def generate_anchors(arch: ArchDescriptor) -> np.ndarray:
 def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
     """Run the conv/BN/ReLU/pool blocks; never writes to model.params.
 
-    mode 'collect' normalizes each layer by its batch statistics and keeps
-    the per-block caches the backward pass needs; 'eval' normalizes by the
-    stored running estimates and keeps none. Returns (features, per-block
-    caches, per-layer batch statistics), the last two empty in eval mode.
+    mode 'train' (forward_train) normalizes each layer by its batch
+    statistics and keeps the per-block caches the backward pass needs.
+    'collect' (the AdaBN sweep, forward_inference_batch(stats_mode=
+    'collect') and build_train_plan) uses batch statistics but keeps no
+    cache, so the cheaper conv2d_forward and maxpool2_forward run. 'eval'
+    uses the stored running estimates. Returns (features, per-block caches,
+    per-layer batch statistics): caches only in train mode, no statistics
+    in eval mode.
     """
-    if mode not in ("collect", "eval"):
+    if mode not in ("train", "collect", "eval"):
         raise ValueError(f"unknown backbone mode {mode!r}")
-    collect = mode == "collect"
+    keep = mode == "train"
     p = model.params
     arch = model.arch
     caches = []
@@ -233,25 +237,27 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
         pre = f"backbone.b{i}"
         conv_in = h
         w, b = p[f"{pre}.conv.w"], p[f"{pre}.conv.b"]
-        if collect:
+        if keep:
             conv_out, cols = conv2d_forward_cols(h, w, b, 1, 1)
-            mean, var = batch_stats(conv_out)
-            stats.append((mean, var))
         else:
             conv_out = conv2d_forward(h, w, b, 1, 1)
+        if mode == "eval":
             mean, var = p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"]
+        else:
+            mean, var = batch_stats(conv_out)
+            stats.append((mean, var))
         gamma = p[f"{pre}.bn.gamma"]
         bn_out, xhat, inv_std = bn_apply(conv_out, mean, var, gamma, p[f"{pre}.bn.beta"])
         relu_out = relu_forward(bn_out)
         pooled = i < arch.n_pools
         pool_idx = None
-        if pooled and collect:
+        if pooled and keep:
             h, pool_idx = maxpool2_with_indices(relu_out)
         elif pooled:
             h = maxpool2_forward(relu_out)
         else:
             h = relu_out
-        if collect:
+        if keep:
             caches.append({"conv_in": conv_in, "cols": cols,
                            "bn_cache": (xhat, inv_std, gamma), "bn_out": bn_out,
                            "pool_idx": pool_idx, "pool_in_shape": relu_out.shape,
@@ -277,12 +283,6 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
                                     cols=c["cols"], need_dx=i > 0)
         grads[f"{pre}.conv.w"] = dw
         grads[f"{pre}.conv.b"] = db
-
-
-def backbone_batch_statistics(model: ModelState, x: np.ndarray):
-    """Per-BN-layer (mean, var) of a batch under frozen weights."""
-    _, _, stats = _backbone_forward(model, x, mode="collect")
-    return stats
 
 
 def _rpn_forward(model: ModelState, feats: np.ndarray):
@@ -586,7 +586,7 @@ def _forward_all(model: ModelState, images: np.ndarray):
     """Backbone and RPN forward on batch statistics, with everything the
     plan, the losses and the backward pass need."""
     arch = model.arch
-    feats, bb_caches, stats = _backbone_forward(model, images, mode="collect")
+    feats, bb_caches, stats = _backbone_forward(model, images, mode="train")
     obj_map, delta_map, hidden_pre, hidden, rpn_cols = _rpn_forward(model, feats)
     return {
         "feats": feats, "bb_caches": bb_caches, "stats": stats,
@@ -699,9 +699,13 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
     With stats_mode 'eval', per-image results are identical to single-image
     calls: every stage is either elementwise or an independent
     per-image/per-row matrix product. With 'collect' they are not, because
-    every image is normalized by the statistics of the whole batch.
+    every image is normalized by the statistics of the whole batch. Each
+    image's boxes are decoded and filtered for all classes in one pass.
     """
+    if stats_mode not in ("eval", "collect"):
+        raise ValueError(f"unknown stats_mode {stats_mode!r}")
     arch = model.arch
+    k = arch.num_classes
     x = images_to_batch(images)
     feats, _, _ = _backbone_forward(model, x, mode=stats_mode)
     obj_map, delta_map, _, _, _ = _rpn_forward(model, feats)
@@ -725,22 +729,17 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
         if n == 0:
             results.append(B.Detections())
             continue
-        pr = probs[row:row + n]
-        dl = roi_deltas[row:row + n]
+        # rows c*n .. c*n + n-1 hold class c for every proposal
+        scores = probs[row:row + n, 1:].T.ravel()
+        deltas = roi_deltas[row:row + n].reshape(n, k, 4).transpose(1, 0, 2)
         row += n
-        parts = []
-        for c in range(arch.num_classes):
-            scores = pr[:, c + 1]
-            boxes = B.decode_deltas(dl[:, 4 * c:4 * c + 4], props)
-            boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
-            ok = ((boxes[:, 2] - boxes[:, 0] > 1e-3)
-                  & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-                  & (scores >= score_floor))
-            parts.append((boxes[ok], np.full(int(ok.sum()), c, np.int64),
-                          scores[ok].astype(np.float32)))
-        dets = B.Detections(np.concatenate([b for b, _, _ in parts]),
-                            np.concatenate([l for _, l, _ in parts]),
-                            np.concatenate([s for _, _, s in parts]))
+        boxes = B.decode_deltas(deltas.reshape(k * n, 4), np.tile(props, (k, 1)))
+        boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
+        ok = ((boxes[:, 2] - boxes[:, 0] > 1e-3)
+              & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+              & (scores >= score_floor))
+        dets = B.Detections(boxes[ok], np.repeat(np.arange(k, dtype=np.int64), n)[ok],
+                            scores[ok].astype(np.float32))
         results.append(B.nms(dets, nms_iou)[:max_dets])
     return results
 

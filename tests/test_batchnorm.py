@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sfodlab import batchnorm as bn
-from sfodlab.detector import ArchDescriptor, _backbone_forward, init_model
+from sfodlab import detector as D
+from sfodlab.detector import ArchDescriptor, _backbone_forward, images_to_batch, init_model
 from conftest import assert_grads_close, numerical_grad
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -81,9 +82,32 @@ def test_running_update_convention(rng):
     # neither forward mode mutates anything
     before = {n: model.params[n].tobytes() for n in model.params}
     x = rng.random((2, 3, 32, 32)).astype(np.float32)
-    for mode in ("collect", "eval"):
+    for mode in ("train", "collect", "eval"):
         _backbone_forward(model, x, mode)
     assert before == {n: model.params[n].tobytes() for n in model.params}
+
+
+def bn_apply_reference(x, mean, var, gamma, beta):
+    """bn_apply before it built xhat and the output in place."""
+    inv_std = 1.0 / np.sqrt(var + bn.BN_EPS)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bn_apply_matches_out_of_place_reference(rng, dtype):
+    x = (rng.normal(size=(3, 5, 7, 6)) * 4 + 1).astype(dtype)
+    x_before = x.tobytes()
+    running = (rng.normal(size=5).astype(dtype), rng.uniform(0, 3, 5).astype(dtype))
+    for mean, var in (bn.batch_stats(x), running):
+        gamma = rng.normal(size=5).astype(dtype)
+        beta = rng.normal(size=5).astype(dtype)
+        got = bn.bn_apply(x, mean, var, gamma, beta)
+        want = bn_apply_reference(x, mean, var, gamma, beta)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+    assert x.tobytes() == x_before
 
 
 def test_backward_requires_cache():
@@ -183,3 +207,45 @@ def test_collect_order_invariant(rng):
     b = bn.collect_target_statistics(model, rolled, batch_size=4)
     for name in model.stat_names():
         assert np.abs(a.params[name] - b.params[name]).max() <= 1e-6
+
+
+def collect_reference(model, images, batch_size):
+    """The AdaBN sweep as it ran before: per-batch statistics from the
+    caching 'train' forward, averaged in float64."""
+    per_batch = [_backbone_forward(model, images_to_batch(images[i:i + batch_size]),
+                                   "train")[2]
+                 for i in range(0, len(images), batch_size)]
+    sums = [(m.astype(np.float64), v.astype(np.float64)) for m, v in per_batch[0]]
+    for stats in per_batch[1:]:
+        sums = [(sm + m, sv + v) for (sm, sv), (m, v) in zip(sums, stats)]
+    n = len(per_batch)
+    adapted = model.copy()
+    for (layer, _), (sm, sv) in zip(model.arch.bn_layers(), sums):
+        adapted.params[f"{layer}.running_mean"] = (sm / n).astype(np.float32)
+        adapted.params[f"{layer}.running_var"] = (sv / n).astype(np.float32)
+    return adapted
+
+
+def test_sweep_keeps_no_caches(rng, monkeypatch):
+    """Collect mode gives the caching mode's features and batch statistics
+    byte for byte, returns no caches, and the sweep never builds one."""
+    model = init_model(small_arch(), 3)
+    x = rng.random((4, 3, 32, 32)).astype(np.float32)
+    feats, caches, stats = _backbone_forward(model, x, "collect")
+    feats_t, caches_t, stats_t = _backbone_forward(model, x, "train")
+    assert caches == [] and len(caches_t) == len(model.arch.channels)
+    assert feats.tobytes() == feats_t.tobytes()
+    assert [(m.tobytes(), v.tobytes()) for m, v in stats] == \
+        [(m.tobytes(), v.tobytes()) for m, v in stats_t]
+
+    images = [rng.random((32, 32, 3), dtype=np.float32) for _ in range(10)]
+    want = collect_reference(model, images, 4)
+
+    def caching_kernel(*args, **kwargs):
+        raise AssertionError("the AdaBN sweep built a backward cache")
+
+    monkeypatch.setattr(D, "conv2d_forward_cols", caching_kernel)
+    monkeypatch.setattr(D, "maxpool2_with_indices", caching_kernel)
+    adapted = bn.collect_target_statistics(model, images, batch_size=4)
+    for name in model.params:
+        assert adapted.params[name].tobytes() == want.params[name].tobytes(), name

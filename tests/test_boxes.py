@@ -301,3 +301,102 @@ def test_ap_invariances(rng):
     assert B.evaluate_ap50(shuf, gts).map == base.map
     # mAP is the mean of independently computed per-class APs
     assert abs(base.map - np.mean(list(base.per_class_ap.values()))) < 1e-12
+
+
+def evaluate_ap50_reference(dets_per_image, gts_per_image, iou_threshold=0.5):
+    """The per-detection evaluate_ap50 that the one-matrix-per-(image, class)
+    version replaced: a tuple and an iou_matrix call per ranked detection."""
+    classes = sorted(
+        {int(c) for _, labels in gts_per_image for c in np.asarray(labels).ravel()})
+    per_class = {}
+    for c in classes:
+        num_gt = sum(int((np.asarray(labels) == c).sum()) for _, labels in gts_per_image)
+        rows = []
+        for img, dets in enumerate(dets_per_image):
+            for i in np.where(dets.labels == c)[0]:
+                rows.append((img, float(dets.scores[i]), dets.boxes[i]))
+        if rows:
+            key = np.array([(-s, img, *box) for img, s, box in rows], dtype=np.float64)
+            order = np.lexsort(tuple(key[:, k] for k in range(key.shape[1] - 1, -1, -1)))
+        else:
+            order = []
+        matched = [np.zeros(int((np.asarray(labels) == c).sum()), bool)
+                   for _, labels in gts_per_image]
+        gt_boxes_c = [np.asarray(boxes)[np.asarray(labels) == c]
+                      for boxes, labels in gts_per_image]
+        tp = np.zeros(len(rows))
+        for rank, ri in enumerate(order):
+            img, _, box = rows[ri]
+            gtb = gt_boxes_c[img]
+            if len(gtb) == 0:
+                continue
+            ious = B.iou_matrix(np.asarray(box).reshape(1, 4), gtb)[0]
+            ious[matched[img]] = -1.0
+            j = int(ious.argmax())
+            if ious[j] >= iou_threshold:
+                matched[img][j] = True
+                tp[rank] = 1
+        per_class[c] = B._ap_from_matches(tp, num_gt)
+    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
+    return B.EvalResult(per_class_ap=per_class, map=mean)
+
+
+def tie_heavy_instance(r, gt_dtype):
+    """Images whose detections share scores and boxes: scores from a set of
+    three values, boxes repeated inside and across images, ground truth
+    with duplicate boxes, images without any ground truth or detection,
+    and class 2 detected where it has no ground truth."""
+    pool = np.round(random_boxes(r, 4, 40.0)).astype(np.float32)
+    gts, dets = [], []
+    for _ in range(int(r.integers(1, 6))):
+        k = int(r.integers(0, 5))
+        g = pool[r.integers(0, len(pool), k)]
+        gts.append((g.astype(gt_dtype), r.integers(0, 2, k)))
+        m = int(r.integers(0, 7))
+        boxes = pool[r.integers(0, len(pool), m)]
+        jitter = r.random(m) < 0.3
+        boxes[jitter] += r.integers(-3, 4, (int(jitter.sum()), 4)).astype(np.float32)
+        boxes[:, 2:] = np.maximum(boxes[:, 2:], boxes[:, :2] + 1)
+        dets.append(B.Detections(boxes, r.integers(0, 3, m),
+                                 r.choice(np.float32([0.25, 0.5, 0.9]), m)))
+    return dets, gts
+
+
+def test_ap_matches_per_detection_reference_on_ties():
+    """Bit-identical EvalResult, in float32 and float64 ground truth."""
+    for seed in range(300):
+        r = np.random.default_rng(seed + 9000)
+        dets, gts = tie_heavy_instance(r, np.float32 if seed % 2 else np.float64)
+        assert B.evaluate_ap50(dets, gts) == evaluate_ap50_reference(dets, gts), seed
+    # all images empty, and no images at all
+    empty = [B.Detections(), B.Detections()]
+    no_gt = [(np.zeros((0, 4)), np.zeros(0, np.int64))] * 2
+    assert B.evaluate_ap50(empty, no_gt) == evaluate_ap50_reference(empty, no_gt)
+    assert B.evaluate_ap50([], []) == evaluate_ap50_reference([], [])
+
+
+def test_ap_iou_tie_goes_to_first_ground_truth():
+    """The first detection has IoU 0.5 with both ground-truth boxes and
+    claims the first; the second then overlaps only the remaining one at
+    IoU 1/3 and is a false positive."""
+    gts = [(np.array([[0.0, 0, 10, 20], [0.0, 0, 20, 10]]), np.array([0, 0]))]
+    dets = [B.Detections(np.array([[0.0, 0, 10, 10], [0.0, 0, 10, 20]], np.float32),
+                         np.array([0, 0]), np.array([0.9, 0.8], np.float32))]
+    res = B.evaluate_ap50(dets, gts)
+    assert res == evaluate_ap50_reference(dets, gts)
+    assert res.per_class_ap[0] == 0.5
+
+
+def test_ap_one_iou_matrix_per_image_and_class(monkeypatch):
+    r = np.random.default_rng(77)
+    dets, gts = tie_heavy_instance(r, np.float64)
+    while len(dets) < 4:
+        dets, gts = tie_heavy_instance(r, np.float64)
+    calls = []
+    real = B.iou_matrix
+    monkeypatch.setattr(B, "iou_matrix", lambda a, b: calls.append(1) or real(a, b))
+    B.evaluate_ap50(dets, gts)
+    classes = {int(c) for _, labels in gts for c in labels}
+    want = sum(1 for c in classes for d, (_, labels) in zip(dets, gts)
+               if (d.labels == c).any() and (labels == c).any())
+    assert len(calls) == want

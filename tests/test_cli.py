@@ -1,12 +1,15 @@
 """CLI contract on a tiny benchmark: exit codes 0/2/3/4 and the single
 ``ERROR[<kind>]:`` line printed for data and numerics failures."""
 
+import csv
 import ctypes
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -267,3 +270,118 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch, lookup):
                     "target_train = 0\ntarget_test = 0\n")
     assert cli.main(["make-data", "--spec", str(spec), "--out", str(tmp_path / "data"),
                      "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--alpha", "2"], "alpha"),
+    (["--tau", "1.5"], "tau"),
+    (["--eval-period", "0"], "eval_period"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--eval-subset", "-1"], "eval_subset"),
+    (["--steps", "-1"], "max_steps"),
+], ids=["alpha", "tau", "eval-period", "batch-size", "eval-subset", "steps"])
+def test_adapt_rejects_invalid_option(workdir, capsys, flags, name):
+    out = workdir / f"invalid_{name}"
+    rc = cli.main(["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+                   "--data", str(workdir / "data"), "--strategy", "sf_pl",
+                   "--out", str(out), "--steps", "1", *flags])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and name in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["eval_period = 0", "alpha = high"])
+def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
+    config = tmp_path / "adapt.cfg"
+    config.write_text(entry + "\n")
+    rc = cli.main(["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+                   "--data", str(workdir / "data"), "--strategy", "sf_pl",
+                   "--out", str(tmp_path / "out"), "--steps", "1",
+                   "--config", str(config)])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:")
+
+
+# ---------------------------------------------------------------------------
+# sfodlab report
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def runs(workdir):
+    """Two adabn run directories that differ only in the seed."""
+    dirs = []
+    for seed in (0, 1):
+        out = workdir / f"report_run{seed}"
+        assert cli.main(["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+                         "--data", str(workdir / "data"), "--strategy", "adabn",
+                         "--out", str(out), "--batch-size", "2",
+                         "--seed", str(seed)]) == 0
+        dirs.append(out)
+    return dirs
+
+
+def test_report_csv_has_one_row_per_run(runs, tmp_path):
+    out = tmp_path / "table.csv"
+    assert cli.main(["report", "--runs", *map(str, runs), "--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == len(runs)
+    for row, run in zip(rows, runs):
+        rep = json.loads((run / "report.json").read_text())
+        assert row["seed"] == str(rep["seed"])
+        assert float(row["final_map"]) == rep["final"]["map"]
+        assert float(row["best_map"]) == rep["best"]["map"]
+
+
+def test_report_svg_has_one_polyline_per_run(runs, tmp_path):
+    out = tmp_path / "curves.svg"
+    assert cli.main(["report", "--runs", *map(str, runs), "--out", str(out)]) == 0
+    root = ET.parse(out).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == len(runs)
+
+
+def test_report_other_suffix_exits_3(runs, tmp_path, capsys):
+    out = tmp_path / "table.txt"
+    assert cli.main(["report", "--runs", str(runs[0]), "--out", str(out)]) == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and "table.txt" in line
+    assert not out.exists()
+
+
+def _not_json(run):
+    (run / "report.json").write_text("{ not json")
+    return "report.json"
+
+
+def _drop(key):
+    def damage(run):
+        rep = json.loads((run / "report.json").read_text())
+        del rep[key]
+        (run / "report.json").write_text(json.dumps(rep))
+        return "report.json"
+    return damage
+
+
+def _rename_trace_column(run):
+    path = run / "trace.csv"
+    head, rest = path.read_text().split("\n", 1)
+    path.write_text(head.replace("num_pls", "pseudo_labels") + "\n" + rest)
+    return "trace.csv"
+
+
+@pytest.mark.parametrize("damage", [_not_json, _drop("final"), _drop("best"),
+                                    _rename_trace_column],
+                         ids=["not-json", "no-final", "no-best", "trace-columns"])
+@pytest.mark.parametrize("suffix", [".csv", ".svg"])
+def test_report_on_malformed_run_exits_3(runs, tmp_path, capsys, damage, suffix):
+    run = tmp_path / "run"
+    shutil.copytree(runs[0], run)
+    bad_file = damage(run)
+    out = tmp_path / f"merged{suffix}"
+    assert cli.main(["report", "--runs", str(runs[1]), str(run), "--out", str(out)]) == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and str(run / bad_file) in line
+    assert not out.exists()

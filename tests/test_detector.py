@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sfodlab import boxes as B
 from sfodlab import detector as D
 from sfodlab.batchnorm import update_running_statistics
 from sfodlab.ops import NumericsError
@@ -305,7 +306,8 @@ def test_forward_train_folds_batch_statistics(rng):
     model = D.init_model(arch, 1)
     imgs, targets = random_batch(rng, arch)
     want = model.copy()
-    update_running_statistics(want, D.backbone_batch_statistics(model, imgs))
+    _, _, stats = D._backbone_forward(model, imgs, "collect")
+    update_running_statistics(want, stats)
     D.forward_train(model, imgs, targets, np.random.default_rng(0))
     for name in model.params:
         assert model.params[name].tobytes() == want.params[name].tobytes(), name
@@ -394,3 +396,65 @@ def test_inference_eval_mode_pure(rng):
     # there is no mode that folds statistics into the model during a forward
     with pytest.raises(ValueError):
         D.forward_inference(model, img, stats_mode="train")
+
+
+def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=50,
+                        stats_mode="eval"):
+    """forward_inference_batch as it was before the class decode was
+    vectorized: one decode, clip and filter pass per class."""
+    arch = model.arch
+    x = D.images_to_batch(images)
+    feats, _, _ = D._backbone_forward(model, x, mode=stats_mode)
+    obj_map, delta_map, _, _, _ = D._rpn_forward(model, feats)
+    obj_flat = D._flatten_rpn(arch, obj_map, 2)
+    delta_flat = D._flatten_rpn(arch, delta_map, 4)
+    anchors = D.generate_anchors(arch)
+    proposals = [D._propose(arch, anchors, obj_flat[i], delta_flat[i])[0]
+                 for i in range(len(images))]
+    cls_logits, roi_deltas, _ = D._roi_head_forward(model, feats, proposals,
+                                                    need_indices=False)
+    z = cls_logits - cls_logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    results, row = [], 0
+    for props in proposals:
+        n = len(props)
+        if n == 0:
+            results.append(B.Detections())
+            continue
+        pr, dl = probs[row:row + n], roi_deltas[row:row + n]
+        row += n
+        parts = []
+        for c in range(arch.num_classes):
+            scores = pr[:, c + 1]
+            boxes = B.decode_deltas(dl[:, 4 * c:4 * c + 4], props)
+            boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
+            ok = ((boxes[:, 2] - boxes[:, 0] > 1e-3)
+                  & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+                  & (scores >= score_floor))
+            parts.append((boxes[ok], np.full(int(ok.sum()), c, np.int64),
+                          scores[ok].astype(np.float32)))
+        dets = B.Detections(np.concatenate([b for b, _, _ in parts]),
+                            np.concatenate([l for _, l, _ in parts]),
+                            np.concatenate([s for _, _, s in parts]))
+        results.append(B.nms(dets, nms_iou)[:max_dets])
+    return results
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+def test_class_decode_matches_per_class_reference(rng, num_classes):
+    """Byte-equal Detections; the ROI head is scaled up so scores straddle
+    the floors and 7-45% of the decoded boxes clip to nothing."""
+    model = D.init_model(small_arch(num_classes=num_classes), 8)
+    for name in ("roi.cls.w", "roi.delta.w"):
+        model.params[name] *= np.float32(30.0)
+    imgs = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(4)]
+    for floor, mode in ((0.05, "eval"), (0.0, "eval"), (0.2, "collect")):
+        got = D.forward_inference_batch(model, imgs, floor, stats_mode=mode)
+        want = inference_reference(model, imgs, floor, stats_mode=mode)
+        for g, w in zip(got, want):
+            for field in ("boxes", "labels", "scores"):
+                a, b = getattr(g, field), getattr(w, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (floor, mode, field)
+    assert sum(len(d) for d in got) > 0
