@@ -145,7 +145,7 @@ def ema_update(teacher: ModelState, student: ModelState, alpha: float) -> ModelS
         s = student.params[name]
         if t.shape != s.shape:
             raise KeyError(f"ema_update: shape mismatch for {name}")
-        params[name] = (alpha * t + (1.0 - alpha) * s).astype(t.dtype)
+        params[name] = (alpha * t + (1.0 - alpha) * s).astype(t.dtype, copy=False)
     return ModelState(teacher.arch, params)
 
 
@@ -211,11 +211,12 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     rng = np.random.default_rng(config.seed)
     n = len(target_scenes)
 
+    # student and teacher below are copies, so source itself is never written
     if config.adabn_first:
         init = collect_target_statistics(
             source, [s.image for s in target_scenes], config.batch_size)
     else:
-        init = source.copy()
+        init = source
 
     trace = AdaptTrace()
     eval_pool = list(eval_scenes)
@@ -280,6 +281,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
             trace.diverged_at = step
             break
         sgd_step(student, grads, config.lr)
+        del grads  # not alive beside the next step's forward caches
         if not config.fixed_pls:
             teacher = ema_update(teacher, student, config.alpha)
 

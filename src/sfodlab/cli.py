@@ -313,13 +313,13 @@ def _read_run(run_dir):
 
 
 def cmd_report(args) -> int:
-    reports, traces = [], {}
+    # keyed by run directory: strategy and seed alone do not name a run
+    reports, traces = {}, {}
     for run_dir in args.runs:
         rep, trace = _read_run(run_dir)
-        reports.append(rep)
+        reports[run_dir] = rep
         if trace is not None:
-            name = f"{rep.get('strategy', Path(run_dir).name)}-s{rep.get('seed', 0)}"
-            traces[name] = trace
+            traces[run_dir] = trace
     out = Path(args.out)
     if out.suffix == ".csv":
         write_comparison_csv(comparison_table(reports), out)

@@ -224,6 +224,11 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
     uses the stored running estimates. Returns (features, per-block caches,
     per-layer batch statistics): caches only in train mode, no statistics
     in eval mode.
+
+    A train-mode block cache holds the conv input and its im2col columns
+    (for dw), the BN cache, the pooling indices and the ReLU mask
+    bn_out > 0 as bool: all the ReLU backward reads, at a quarter of the
+    size of the float32 bn_out.
     """
     if mode not in ("train", "collect", "eval"):
         raise ValueError(f"unknown backbone mode {mode!r}")
@@ -259,7 +264,7 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
             h = relu_out
         if keep:
             caches.append({"conv_in": conv_in, "cols": cols,
-                           "bn_cache": (xhat, inv_std, gamma), "bn_out": bn_out,
+                           "bn_cache": (xhat, inv_std, gamma), "relu_mask": bn_out > 0,
                            "pool_idx": pool_idx, "pool_in_shape": relu_out.shape,
                            "pooled": pooled})
     return h, caches, stats
@@ -267,15 +272,17 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
 
 def _backbone_backward(model: ModelState, caches, dfeats, grads):
     """Fill grads with the backbone's parameter gradients. The gradient with
-    respect to the image is never needed, so block 0 skips it."""
+    respect to the image is never needed, so block 0 skips it. Each block's
+    cache is popped off caches as it is processed, so it is freed as soon as
+    its gradients exist; caches is empty on return."""
     p = model.params
     d = dfeats
     for i in reversed(range(len(model.arch.channels))):
         pre = f"backbone.b{i}"
-        c = caches[i]
+        c = caches.pop()
         if c["pooled"]:
             d = maxpool2_scatter(d, c["pool_idx"], c["pool_in_shape"])
-        d = relu_backward(d, c["bn_out"])
+        d = d * c["relu_mask"]
         d, dgamma, dbeta = bn_backward(d, c["bn_cache"])
         grads[f"{pre}.bn.gamma"] = dgamma
         grads[f"{pre}.bn.beta"] = dbeta
@@ -598,7 +605,13 @@ def _forward_all(model: ModelState, images: np.ndarray):
 
 def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
             include_reg: bool, want_grads: bool):
-    """ROI head forward, losses and (optionally) the full backward pass."""
+    """ROI head forward, losses and (optionally) the full backward pass.
+
+    The backward pass consumes fw: each forward cache (the RPN columns and
+    activations, every backbone block's cache) is dropped once its
+    gradient exists, so the caches of layers already processed are not
+    alive beside the backward buffers of the layers still to come.
+    """
     arch = model.arch
     feats = fw["feats"]
     cls_logits, roi_deltas, roi_cache = _roi_head_forward(model, feats, plan.proposals)
@@ -621,29 +634,34 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     dh1 = relu_backward(dh1, roi_cache["h1_pre"])
     dflat, dw, db = linear_backward(dh1, roi_cache["flat"], p["roi.fc1.w"])
     grads["roi.fc1.w"], grads["roi.fc1.b"] = dw, db
+    scatter = roi_cache["scatter"]
+    del roi_cache
 
     dfeats = np.zeros_like(feats)
     dpooled = dflat.reshape(-1, arch.channels[-1], arch.roi_pool_size,
                             arch.roi_pool_size)
     c, fh, fw_ = feats.shape[1:]
     row = 0
-    for i, info in enumerate(roi_cache["scatter"]):
+    for i, info in enumerate(scatter):
         if info is None:
             continue
         cells, count = info
         dfeats[i] += _roi_scatter_batch(dpooled[row:row + count], cells, c, fh, fw_)
         row += count
+    del scatter, dflat, dpooled
 
     # RPN backward
     dobj_map = _unflatten_rpn(arch, dobj, 2)
     ddelta_map = _unflatten_rpn(arch, ddelta, 4)
-    dh, dw, db = conv2d_backward(dobj_map, fw["hidden"], p["rpn.obj.w"], 1, 0)
+    hidden = fw.pop("hidden")
+    dh, dw, db = conv2d_backward(dobj_map, hidden, p["rpn.obj.w"], 1, 0)
     grads["rpn.obj.w"], grads["rpn.obj.b"] = dw, db
-    dh_d, dw, db = conv2d_backward(ddelta_map, fw["hidden"], p["rpn.delta.w"], 1, 0)
+    dh_d, dw, db = conv2d_backward(ddelta_map, hidden, p["rpn.delta.w"], 1, 0)
     grads["rpn.delta.w"], grads["rpn.delta.b"] = dw, db
-    dh = relu_backward(dh + dh_d, fw["hidden_pre"])
+    del hidden
+    dh = relu_backward(dh + dh_d, fw.pop("hidden_pre"))
     dfeats_rpn, dw, db = conv2d_backward(dh, feats, p["rpn.conv.w"], 1, 1,
-                                         cols=fw["rpn_cols"])
+                                         cols=fw.pop("rpn_cols"))
     grads["rpn.conv.w"], grads["rpn.conv.b"] = dw, db
     dfeats += dfeats_rpn
 

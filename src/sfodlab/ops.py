@@ -81,10 +81,19 @@ def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     """Gradients of conv2d_forward w.r.t. (input, kernel, bias).
 
     Returns (dx, dw, db); dx is None when need_dx is False, which skips the
-    full correlation that dominates the cost of a layer with few input
-    channels (the first conv sees the image). dw and db do not depend on
-    need_dx. cols, when given, must be the patch matrix from
-    conv2d_forward_cols for the same (x, kernel, stride, pad).
+    correlation that dominates the cost of a layer with few input channels
+    (the first conv sees the image). dw and db do not depend on need_dx.
+    cols, when given, must be the patch matrix from conv2d_forward_cols for
+    the same (x, kernel, stride, pad).
+
+    dx is a same-size correlation of the upstream gradient with the
+    channel-swapped, spatially flipped kernel. The gradient is written with
+    stride-dilation into a zero buffer of x's size plus k-1, at offset
+    k-1-pad (rows and columns falling outside it only ever met padding), so
+    each output is exactly one dx element: nothing is cropped afterwards and
+    no border is zero-filled. The buffer is unfolded one image at a time, so
+    only one image's patch matrix (C_out*kh*kw by H*W) is alive at once; a
+    batched matmul would also run one GEMM per image, so this costs no time.
     """
     n, c, h, w = x.shape
     o, _, kh, kw = kernel.shape
@@ -102,19 +111,25 @@ def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
     if not need_dx:
         return None, dw, db
 
-    # dL/dx is a full correlation of the (stride-dilated) upstream gradient
-    # with the channel-swapped, spatially flipped kernel.
-    if stride > 1:
-        dd = np.zeros((n, o, (oh - 1) * stride + 1, (ow - 1) * stride + 1), dtype=dout.dtype)
-        dd[:, :, ::stride, ::stride] = dout
-    else:
-        dd = dout
-    kflip = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    full = conv2d_forward(dd, kflip, None, stride=1, pad=max(kh, kw) - 1)
-    dx = np.zeros_like(x)
-    region = full[:, :, pad:pad + h, pad:pad + w]
-    dx[:, :, : region.shape[2], : region.shape[3]] = region
+    buf = np.zeros((n, o, h + kh - 1, w + kw - 1), dtype=dout.dtype)
+    row_dst, row_src = _dilated_span(kh - 1 - pad, oh, stride, h + kh - 1)
+    col_dst, col_src = _dilated_span(kw - 1 - pad, ow, stride, w + kw - 1)
+    buf[:, :, row_dst, col_dst] = dout[:, :, row_src, col_src]
+    kmat = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    dx = np.empty_like(x)
+    for i in range(n):
+        img_cols, _, _ = _im2col(buf[i:i + 1], kh, kw, 1, 0)
+        dx[i] = np.matmul(kmat, img_cols[0]).reshape(c, h, w)
     return dx, dw, db
+
+
+def _dilated_span(offset: int, count: int, stride: int, size: int):
+    """(destination, source) slices that put element j of a length-count
+    axis at offset + stride*j of a length-size axis, dropping the elements
+    that land outside it."""
+    first = max(0, stride - 1 - offset) // stride
+    last = min(count, (size - offset + stride - 1) // stride)
+    return slice(offset + first * stride, offset + last * stride, stride), slice(first, last)
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,14 @@ def read_run_report(path) -> dict:
         return json.load(f)
 
 
-def comparison_table(reports: list) -> list:
-    """One row per run: strategy, seed, per-class AP50 and mAP (final and best)."""
+def comparison_table(reports: dict) -> list:
+    """One row per run: its name (the key of reports, a run directory in
+    ``sfodlab report``), strategy, seed, per-class AP50 and mAP (final and
+    best)."""
     rows = []
-    for rep in reports:
+    for run, rep in reports.items():
         row = {
+            "run": run,
             "strategy": rep.get("strategy", "?"),
             "seed": rep.get("seed", ""),
             "final_map": rep["final"]["map"],
@@ -105,7 +108,7 @@ def comparison_table(reports: list) -> list:
 
 def write_comparison_csv(rows: list, path):
     k = max((_num_ap_columns(row, "final_") for row in rows), default=0)
-    cols = (["strategy", "seed"] + _ap_columns(k, "final_") + ["final_map"]
+    cols = (["run", "strategy", "seed"] + _ap_columns(k, "final_") + ["final_map"]
             + _ap_columns(k, "best_") + ["best_map"])
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -123,8 +126,10 @@ def write_trace_svg(named_traces: dict, path, width: int = 720, height: int = 42
     """Render one mAP-vs-step polyline per run into a plain SVG with axes.
 
     named_traces maps a run name to an AdaptTrace; every trace row becomes
-    one polyline point.
+    one polyline point. Run names are escaped for the legend.
     """
+    from html import escape  # only here: keeps the CLI's cold import lean
+
     margin = 50
     pw, ph = width - 2 * margin, height - 2 * margin
     max_step = max((max(t.steps(), default=0) for t in named_traces.values()),
@@ -172,6 +177,6 @@ def write_trace_svg(named_traces: dict, path, width: int = 720, height: int = 42
                      f'x2="{margin + pw - 110}" y2="{ty - 4}" stroke="{color}" '
                      'stroke-width="2"/>')
         parts.append(f'<text x="{margin + pw - 104}" y="{ty}" '
-                     f'font-size="11">{name}</text>')
+                     f'font-size="11">{escape(name)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")

@@ -32,6 +32,7 @@ def train_source(model: ModelState, scenes, steps: int, lr: float,
         targets = [(s.boxes, s.labels) for s in batch]
         loss, grads = forward_train(model, images, targets, rng)
         sgd_step(model, grads, lr)
+        del grads  # not alive beside the next step's forward caches
         history.append((step, loss))
         if log_every and step % log_every == 0:
             print(f"step {step:5d}  total {loss.total:.4f}  "

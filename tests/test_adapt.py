@@ -3,6 +3,7 @@ alpha=1 / fixed-pseudo-label equivalence, AdaBN initialization, and the
 strategy preset grid."""
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ def test_ema_k_step_closed_form():
     for name in t.params:
         want = alpha ** k * t.params[name] + (1 - alpha ** k) * s.params[name]
         assert np.abs(cur.params[name] - want).max() < 1e-6, name
+
+
+def test_ema_keeps_float64():
+    t = init_model(small_arch(), 0)
+    s = init_model(small_arch(), 1)
+    for m in (t, s):
+        m.params = {k: v.astype(np.float64) for k, v in m.params.items()}
+    out = ema_update(t, s, 0.9)
+    for name in t.params:
+        assert out.params[name].dtype == np.float64, name
+        want = 0.9 * t.params[name] + (1.0 - 0.9) * s.params[name]
+        assert out.params[name].tobytes() == want.tobytes(), name
 
 
 def test_ema_name_mismatch():
@@ -290,3 +303,15 @@ def test_trace_rows_and_argmax_best():
     assert [r.evaluated for r in res.trace.rows] == [True, False, True, False, True]
     assert res.best_eval_map >= res.final_eval_map
     assert res.best_eval_map == res.trace.peak_map()
+
+
+@pytest.mark.parametrize("strategy", ["sf_ut", "mean_teacher", "fixed_sf_pl"])
+def test_adapt_leaves_source_untouched(strategy):
+    source = init_model(small_arch(), 0)
+    before = {k: v.tobytes() for k, v in source.params.items()}
+    targets = tiny_scenes(6, 2, shift="fog")
+    cfg = replace(strategy_presets()[strategy], tau=0.3, lr=0.002, batch_size=2,
+                  max_steps=3, eval_period=2, seed=3)
+    res = adapt(source, targets, cfg, targets[:2])
+    assert {k: v.tobytes() for k, v in source.params.items()} == before
+    assert any(res.final.params[k].tobytes() != before[k] for k in before)

@@ -330,6 +330,7 @@ def test_report_csv_has_one_row_per_run(runs, tmp_path):
     assert len(rows) == len(runs)
     for row, run in zip(rows, runs):
         rep = json.loads((run / "report.json").read_text())
+        assert row["run"] == str(run)
         assert row["seed"] == str(rep["seed"])
         assert float(row["final_map"]) == rep["final"]["map"]
         assert float(row["best_map"]) == rep["best"]["map"]
@@ -341,6 +342,22 @@ def test_report_svg_has_one_polyline_per_run(runs, tmp_path):
     root = ET.parse(out).getroot()
     assert root.tag == "{http://www.w3.org/2000/svg}svg"
     assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == len(runs)
+
+
+def test_report_tells_apart_runs_of_one_strategy_and_seed(runs, tmp_path):
+    twin = tmp_path / "adabn & again"  # also checks the legend is escaped
+    shutil.copytree(runs[0], twin)  # a second adabn run at seed 0
+    argv = ["report", "--runs", str(runs[0]), str(twin), "--out"]
+    svg = tmp_path / "curves.svg"
+    assert cli.main([*argv, str(svg)]) == 0
+    assert len(ET.parse(svg).getroot().findall("{http://www.w3.org/2000/svg}polyline")) == 2
+    table = tmp_path / "table.csv"
+    assert cli.main([*argv, str(table)]) == 0
+    with open(table, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["run"] for r in rows] == [str(runs[0]), str(twin)]
+    assert {(r["strategy"], r["seed"]) for r in rows} == {("adabn", "0")}
+    assert len({tuple(r.values()) for r in rows}) == 2
 
 
 def test_report_other_suffix_exits_3(runs, tmp_path, capsys):

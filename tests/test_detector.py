@@ -3,6 +3,7 @@ checks against finite differences, ROI pooling oracle, determinism, and
 inference behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,36 @@ def test_forward_train_deterministic(rng):
         runs.append((loss, {k: v.tobytes() for k, v in grads.items()}))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
+
+
+def test_forward_train_traced_peak_bound(rng):
+    """One batch-4 step of the default detector allocates at most 21 MiB
+    at once (measured: 19.2 MiB; 28.4 MiB while every forward cache, the
+    batch-wide full-correlation unfold and the float32 ReLU inputs were
+    kept to the end of the backward pass)."""
+    arch = D.ArchDescriptor()
+    model = D.init_model(arch, 0)
+    imgs, targets = random_batch(rng, arch, n=4)
+    tracemalloc.start()
+    try:
+        D.forward_train(model, imgs, targets, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_backward_consumes_forward_caches(rng):
+    arch = small_arch()
+    model = D.init_model(arch, 0)
+    imgs, targets = random_batch(rng, arch)
+    fw = D._forward_all(model, imgs)
+    assert all(c["relu_mask"].dtype == bool for c in fw["bb_caches"])
+    plan = D._plan_from_outputs(arch, D.generate_anchors(arch), fw["obj_flat"],
+                                fw["delta_flat"], targets, np.random.default_rng(0))
+    D._finish(model, imgs, fw, plan, True, True)
+    assert fw["bb_caches"] == []
+    assert not {"hidden", "hidden_pre", "rpn_cols"} & fw.keys()
 
 
 def test_forward_train_nan_aborts(rng):

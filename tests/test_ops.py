@@ -130,6 +130,78 @@ def test_conv_backward_cached_cols_identical(rng):
         assert np.array_equal(a, b)
 
 
+def full_correlation_dx(dout, x, kernel, stride, pad):
+    """The input gradient as conv2d_backward used to compute it: a full
+    correlation of the stride-dilated upstream gradient over the whole
+    batch, cropped to x and zero-filled where it falls short. Square
+    kernels only (it pads both axes by max(kh, kw) - 1)."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    oh, ow = dout.shape[2:]
+    if stride > 1:
+        dd = np.zeros((n, o, (oh - 1) * stride + 1, (ow - 1) * stride + 1), dtype=dout.dtype)
+        dd[:, :, ::stride, ::stride] = dout
+    else:
+        dd = dout
+    kflip = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    full = ops.conv2d_forward(dd, kflip, None, stride=1, pad=max(kh, kw) - 1)
+    dx = np.zeros_like(x)
+    region = full[:, :, pad:pad + h, pad:pad + w]
+    dx[:, :, : region.shape[2], : region.shape[3]] = region
+    return dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_dx_equals_full_correlation_and_crop(dtype):
+    # Small integers make every product and partial sum exact, so any GEMM
+    # summation order gives the same bits and the check is on where each
+    # gradient lands; a positive kernel rules out -0.0 from padding.
+    r = np.random.default_rng(0)
+    for stride in (1, 2, 3):
+        for pad in (0, 1, 2):
+            for ksize in (1, 3):
+                for n in range(1, 6):
+                    x = np.zeros((n, 3, 7, 8), dtype)
+                    k = r.integers(1, 4, size=(4, 3, ksize, ksize)).astype(dtype)
+                    shape = ops.conv2d_forward(x, k, None, stride, pad).shape
+                    dout = r.integers(-3, 4, size=shape).astype(dtype)
+                    dx, _, _ = ops.conv2d_backward(dout, x, k, stride, pad)
+                    want = full_correlation_dx(dout, x, k, stride, pad)
+                    assert dx.dtype == want.dtype
+                    assert dx.tobytes() == want.tobytes(), (stride, pad, ksize, n)
+
+
+@pytest.mark.parametrize("cin, cout, size, ksize, pad", [
+    (8, 16, 48, 3, 1), (16, 32, 24, 3, 1), (32, 64, 12, 3, 1), (64, 64, 12, 3, 1),
+    (64, 18, 12, 1, 0), (64, 36, 12, 1, 0)])
+def test_conv_dx_bytes_at_detector_layer_shapes(cin, cout, size, ksize, pad):
+    # On real values the two GEMMs may round differently in general; at the
+    # layer shapes the detector runs they do not, which is what keeps every
+    # training trace bit-identical to the full-correlation code.
+    r = np.random.default_rng(size + cout)
+    x = r.normal(size=(4, cin, size, size)).astype(np.float32)
+    k = r.normal(size=(cout, cin, ksize, ksize)).astype(np.float32)
+    dout = r.normal(size=(4, cout, size, size)).astype(np.float32)
+    dx, _, _ = ops.conv2d_backward(dout, x, k, 1, pad)
+    assert dx.tobytes() == full_correlation_dx(dout, x, k, 1, pad).tobytes()
+
+
+@pytest.mark.parametrize("kshape", [(1, 3), (3, 1), (2, 3)])
+def test_conv_backward_non_square_kernel_matches_finite_differences(kshape):
+    r = np.random.default_rng(7)
+    for stride, pad in [(1, 0), (1, 1), (2, 1)]:
+        x = r.normal(size=(2, 2, 6, 7))
+        k = r.normal(size=(3, 2, *kshape))
+        dout = r.normal(size=ops.conv2d_forward(x, k, None, stride, pad).shape)
+
+        def loss():
+            return float((ops.conv2d_forward(x, k, None, stride, pad) * dout).sum())
+
+        dx, _, _ = ops.conv2d_backward(dout, x, k, stride, pad)
+        assert_grads_close(dx, numerical_grad(loss, x),
+                           what=f"conv dx kernel {kshape} stride {stride} pad {pad}")
+
+
 # ---------------------------------------------------------------------------
 # relu / maxpool / linear
 # ---------------------------------------------------------------------------

@@ -50,16 +50,16 @@ def test_comparison_table_two_classes(tmp_path):
     rep = {"strategy": "sf_ut", "seed": 1,
            "final": {"map": 0.5, "ap_class0": 0.4, "ap_class1": 0.6},
            "best": {"map": 0.55, "ap_class0": 0.5, "ap_class1": 0.6}}
-    rows = R.comparison_table([rep])
-    assert rows == [{"strategy": "sf_ut", "seed": 1, "final_map": 0.5, "best_map": 0.55,
-                     "final_ap_class0": 0.4, "final_ap_class1": 0.6,
+    rows = R.comparison_table({"runs/a": rep})
+    assert rows == [{"run": "runs/a", "strategy": "sf_ut", "seed": 1, "final_map": 0.5,
+                     "best_map": 0.55, "final_ap_class0": 0.4, "final_ap_class1": 0.6,
                      "best_ap_class0": 0.5, "best_ap_class1": 0.6}]
     path = tmp_path / "cmp.csv"
     R.write_comparison_csv(rows, path)
     assert path.read_text().splitlines() == [
-        "strategy,seed,final_ap_class0,final_ap_class1,final_map,"
+        "run,strategy,seed,final_ap_class0,final_ap_class1,final_map,"
         "best_ap_class0,best_ap_class1,best_map",
-        "sf_ut,1,0.4,0.6,0.5,0.5,0.6,0.55",
+        "runs/a,sf_ut,1,0.4,0.6,0.5,0.5,0.6,0.55",
     ]
 
 
@@ -68,7 +68,7 @@ def test_comparison_csv_default_arch_header(tmp_path):
     aps = {f"ap_class{i}": 0.5 for i in range(k)}
     rep = {"final": {"map": 0.5, **aps}, "best": {"map": 0.5, **aps}}
     path = tmp_path / "cmp.csv"
-    R.write_comparison_csv(R.comparison_table([rep]), path)
+    R.write_comparison_csv(R.comparison_table({"run": rep}), path)
     assert path.read_text().splitlines()[0] == (
-        "strategy,seed,final_ap_class0,final_ap_class1,final_ap_class2,final_map,"
+        "run,strategy,seed,final_ap_class0,final_ap_class1,final_ap_class2,final_map,"
         "best_ap_class0,best_ap_class1,best_ap_class2,best_map")
