@@ -211,12 +211,14 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     rng = np.random.default_rng(config.seed)
     n = len(target_scenes)
 
-    # student and teacher below are copies, so source itself is never written
+    # The teacher is never written in place (ema_update builds new arrays,
+    # an alpha = 1 teacher is only read), so it may be source itself; the
+    # student is a copy.
     if config.adabn_first:
-        init = collect_target_statistics(
+        teacher = collect_target_statistics(
             source, [s.image for s in target_scenes], config.batch_size)
     else:
-        init = source
+        teacher = source
 
     trace = AdaptTrace()
     eval_pool = list(eval_scenes)
@@ -227,8 +229,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
         res = evaluate_model(model, eval_pool)
         return res.map, dict(res.per_class_ap)
 
-    student = init.copy()
-    teacher = init.copy()
+    student = teacher.copy()
 
     cur_map, cur_ap = run_eval(student)
     best_map, best_model = cur_map, student.copy()

@@ -238,16 +238,17 @@ def cmd_adapt(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    num_classes = source.arch.num_classes
     t0 = time.monotonic()
     result = adapt(source, target_train, config, target_test)
     wall = time.monotonic() - t0
+    del source, target_train  # not alive beside the evaluations below
 
     cfg_dict = config.to_dict()
     meta = {"kind": "adapted", "strategy": config.strategy, "seed": config.seed,
             "config_hash": _config_hash(cfg_dict)}
     save_checkpoint(out / "final.ckpt", result.final, {**meta, "which": "final"})
     save_checkpoint(out / "best.ckpt", result.best, {**meta, "which": "best"})
-    num_classes = source.arch.num_classes
     write_trace_csv(result.trace, out / "trace.csv", num_classes)
 
     final_eval = evaluate_model(result.final, target_test)

@@ -10,7 +10,7 @@ ROI classification, ROI regression) with the regression terms toggleable.
 Proposal boxes and all sampling decisions are frozen into a TrainPlan;
 gradients flow only through network activations, never through proposal
 coordinates, so the analytic gradients can be verified against finite
-differences of ``training_loss`` on the same plan.
+differences of the loss on the same plan.
 """
 
 from __future__ import annotations
@@ -218,17 +218,17 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
 
     mode 'train' (forward_train) normalizes each layer by its batch
     statistics and keeps the per-block caches the backward pass needs.
-    'collect' (the AdaBN sweep, forward_inference_batch(stats_mode=
-    'collect') and build_train_plan) uses batch statistics but keeps no
-    cache, so the cheaper conv2d_forward and maxpool2_forward run. 'eval'
-    uses the stored running estimates. Returns (features, per-block caches,
-    per-layer batch statistics): caches only in train mode, no statistics
-    in eval mode.
+    'collect' (the AdaBN sweep and forward_inference_batch(stats_mode=
+    'collect')) uses batch statistics but keeps no cache, so the cheaper
+    maxpool2_forward runs. 'eval' uses the stored running estimates.
+    Returns (features, per-block caches, per-layer batch statistics):
+    caches only in train mode, no statistics in eval mode.
 
-    A train-mode block cache holds the conv input and its im2col columns
-    (for dw), the BN cache, the pooling indices and the ReLU mask
-    bn_out > 0 as bool: all the ReLU backward reads, at a quarter of the
-    size of the float32 bn_out.
+    A train-mode block cache holds the conv input, the BN cache, the
+    pooling indices and the ReLU mask bn_out > 0 as bool: all the ReLU
+    backward reads, at a quarter of the size of the float32 bn_out. It
+    holds no im2col patch matrix; conv2d_backward unfolds the conv input
+    again, one image at a time, for dw.
     """
     if mode not in ("train", "collect", "eval"):
         raise ValueError(f"unknown backbone mode {mode!r}")
@@ -242,10 +242,7 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
         pre = f"backbone.b{i}"
         conv_in = h
         w, b = p[f"{pre}.conv.w"], p[f"{pre}.conv.b"]
-        if keep:
-            conv_out, cols = conv2d_forward_cols(h, w, b, 1, 1)
-        else:
-            conv_out = conv2d_forward(h, w, b, 1, 1)
+        conv_out = conv2d_forward(h, w, b, 1, 1)
         if mode == "eval":
             mean, var = p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"]
         else:
@@ -263,7 +260,7 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
         else:
             h = relu_out
         if keep:
-            caches.append({"conv_in": conv_in, "cols": cols,
+            caches.append({"conv_in": conv_in,
                            "bn_cache": (xhat, inv_std, gamma), "relu_mask": bn_out > 0,
                            "pool_idx": pool_idx, "pool_in_shape": relu_out.shape,
                            "pooled": pooled})
@@ -287,18 +284,18 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
         grads[f"{pre}.bn.gamma"] = dgamma
         grads[f"{pre}.bn.beta"] = dbeta
         d, dw, db = conv2d_backward(d, c["conv_in"], p[f"{pre}.conv.w"], 1, 1,
-                                    cols=c["cols"], need_dx=i > 0)
+                                    need_dx=i > 0)
         grads[f"{pre}.conv.w"] = dw
         grads[f"{pre}.conv.b"] = db
 
 
 def _rpn_forward(model: ModelState, feats: np.ndarray):
     p = model.params
-    hidden_pre, cols = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)
+    hidden_pre = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)[0]
     hidden = relu_forward(hidden_pre)
     obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"], 1, 0)
     delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"], 1, 0)
-    return obj_map, delta_map, hidden_pre, hidden, cols
+    return obj_map, delta_map, hidden_pre, hidden
 
 
 def _flatten_rpn(arch: ArchDescriptor, amap: np.ndarray, per_anchor: int):
@@ -495,20 +492,6 @@ def _plan_from_outputs(arch: ArchDescriptor, anchors, obj_flat, delta_flat,
     return plan
 
 
-def build_train_plan(model: ModelState, images: np.ndarray, targets,
-                     rng: np.random.Generator) -> TrainPlan:
-    """Forward the current model (without mutating it) and freeze the
-    anchor/proposal sampling for a step. targets: per image (boxes, labels);
-    empty target lists are allowed and yield pure-background sampling."""
-    arch = model.arch
-    feats, _, _ = _backbone_forward(model, images, mode="collect")
-    obj_map, delta_map, _, _, _ = _rpn_forward(model, feats)
-    obj_flat = _flatten_rpn(arch, obj_map, 2)
-    delta_flat = _flatten_rpn(arch, delta_map, 4)
-    return _plan_from_outputs(arch, generate_anchors(arch), obj_flat, delta_flat,
-                              targets, rng)
-
-
 # ---------------------------------------------------------------------------
 # loss and gradients
 # ---------------------------------------------------------------------------
@@ -594,10 +577,10 @@ def _forward_all(model: ModelState, images: np.ndarray):
     plan, the losses and the backward pass need."""
     arch = model.arch
     feats, bb_caches, stats = _backbone_forward(model, images, mode="train")
-    obj_map, delta_map, hidden_pre, hidden, rpn_cols = _rpn_forward(model, feats)
+    obj_map, delta_map, hidden_pre, hidden = _rpn_forward(model, feats)
     return {
         "feats": feats, "bb_caches": bb_caches, "stats": stats,
-        "hidden_pre": hidden_pre, "hidden": hidden, "rpn_cols": rpn_cols,
+        "hidden_pre": hidden_pre, "hidden": hidden,
         "obj_flat": _flatten_rpn(arch, obj_map, 2),
         "delta_flat": _flatten_rpn(arch, delta_map, 4),
     }
@@ -607,10 +590,10 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
             include_reg: bool, want_grads: bool):
     """ROI head forward, losses and (optionally) the full backward pass.
 
-    The backward pass consumes fw: each forward cache (the RPN columns and
-    activations, every backbone block's cache) is dropped once its
-    gradient exists, so the caches of layers already processed are not
-    alive beside the backward buffers of the layers still to come.
+    The backward pass consumes fw: each forward cache (the RPN activations,
+    every backbone block's cache) is dropped once its gradient exists, so
+    the caches of layers already processed are not alive beside the
+    backward buffers of the layers still to come.
     """
     arch = model.arch
     feats = fw["feats"]
@@ -660,30 +643,13 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     grads["rpn.delta.w"], grads["rpn.delta.b"] = dw, db
     del hidden
     dh = relu_backward(dh + dh_d, fw.pop("hidden_pre"))
-    dfeats_rpn, dw, db = conv2d_backward(dh, feats, p["rpn.conv.w"], 1, 1,
-                                         cols=fw.pop("rpn_cols"))
+    dfeats_rpn, dw, db = conv2d_backward(dh, feats, p["rpn.conv.w"], 1, 1)
     grads["rpn.conv.w"], grads["rpn.conv.b"] = dw, db
     dfeats += dfeats_rpn
 
     _backbone_backward(model, fw["bb_caches"], dfeats, grads)
     grads = {k: np.asarray(v, images.dtype) for k, v in grads.items()}
     return loss, grads
-
-
-def training_loss(model: ModelState, images: np.ndarray, plan: TrainPlan,
-                  include_reg: bool = True) -> LossBreakdown:
-    """Loss of a frozen plan without gradients or model mutation (batch
-    statistics are used but not folded into the running estimates)."""
-    fw = _forward_all(model, images)
-    loss, _ = _finish(model, images, fw, plan, include_reg, False)
-    return loss
-
-
-def forward_train_with_plan(model: ModelState, images: np.ndarray, plan: TrainPlan,
-                            include_reg: bool = True):
-    """Loss and gradients of a frozen plan, without model mutation."""
-    fw = _forward_all(model, images)
-    return _finish(model, images, fw, plan, include_reg, True)
 
 
 def forward_train(model: ModelState, images: np.ndarray, targets,
@@ -726,7 +692,7 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
     k = arch.num_classes
     x = images_to_batch(images)
     feats, _, _ = _backbone_forward(model, x, mode=stats_mode)
-    obj_map, delta_map, _, _, _ = _rpn_forward(model, feats)
+    obj_map, delta_map, _, _ = _rpn_forward(model, feats)
     obj_flat = _flatten_rpn(arch, obj_map, 2)
     delta_flat = _flatten_rpn(arch, delta_map, 4)
     anchors = generate_anchors(arch)

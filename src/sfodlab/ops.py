@@ -31,7 +31,9 @@ def _im2col(x, kh, kw, stride, pad):
     if kh == kw == 1 and stride == 1 and pad == 0:
         return x.reshape(n, c, h * w), h, w
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
     hp, wp = x.shape[2:]
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
@@ -58,8 +60,8 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias, stride: int = 1,
 
 def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias, stride: int = 1,
                         pad: int = 0):
-    """conv2d_forward that also returns the im2col patch matrix, which
-    conv2d_backward can reuse to avoid re-unfolding the input."""
+    """conv2d_forward that also returns its (N, C*kh*kw, out_h*out_w)
+    im2col patch matrix."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input/kernel, got {x.shape}/{kernel.shape}")
     n, c, h, w = x.shape
@@ -76,15 +78,18 @@ def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias, stride: int = 1
 
 
 def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
-                    stride: int = 1, pad: int = 0, cols: np.ndarray = None,
-                    need_dx: bool = True):
+                    stride: int = 1, pad: int = 0, need_dx: bool = True):
     """Gradients of conv2d_forward w.r.t. (input, kernel, bias).
 
     Returns (dx, dw, db); dx is None when need_dx is False, which skips the
     correlation that dominates the cost of a layer with few input channels
     (the first conv sees the image). dw and db do not depend on need_dx.
-    cols, when given, must be the patch matrix from conv2d_forward_cols for
-    the same (x, kernel, stride, pad).
+
+    dw unfolds x again, one image at a time, and adds dout_i @ cols_i^T to
+    a zero accumulator in image order: the summation order of a batched
+    matmul summed over the batch, so the bits are the same, but only one
+    image's patch matrix is alive and the caller need not keep the forward
+    pass's columns.
 
     dx is a same-size correlation of the upstream gradient with the
     channel-swapped, spatially flipped kernel. The gradient is written with
@@ -104,10 +109,12 @@ def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
 
     db = dout.sum(axis=(0, 2, 3))
 
-    if cols is None:
-        cols, _, _ = _im2col(x, kh, kw, stride, pad)
     dmat = dout.reshape(n, o, oh * ow)
-    dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    dw = np.zeros((o, c * kh * kw), np.result_type(dout, x))
+    for i in range(n):
+        img_cols, _, _ = _im2col(x[i:i + 1], kh, kw, stride, pad)
+        dw += np.matmul(dmat[i], img_cols[0].T)
+    dw = dw.reshape(kernel.shape)
     if not need_dx:
         return None, dw, db
 

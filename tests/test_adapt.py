@@ -315,3 +315,19 @@ def test_adapt_leaves_source_untouched(strategy):
     res = adapt(source, targets, cfg, targets[:2])
     assert {k: v.tobytes() for k, v in source.params.items()} == before
     assert any(res.final.params[k].tobytes() != before[k] for k in before)
+
+
+@pytest.mark.parametrize("strategy", sorted(strategy_presets()))
+def test_adapt_never_writes_source(strategy):
+    """The teacher may be source itself, so every preset must only read it:
+    with source's arrays read-only, any in-place write would raise."""
+    source = init_model(small_arch(), 6)
+    before = {k: v.tobytes() for k, v in source.params.items()}
+    for v in source.params.values():
+        v.flags.writeable = False
+    targets = tiny_scenes(6, 4, shift="fog")
+    preset = strategy_presets()[strategy]
+    cfg = replace(preset, tau=0.3, lr=0.002, batch_size=2,
+                  max_steps=min(preset.max_steps, 2), eval_period=1, seed=5)
+    adapt(source, targets, cfg, targets[:2])
+    assert {k: v.tobytes() for k, v in source.params.items()} == before

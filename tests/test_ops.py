@@ -109,25 +109,103 @@ def test_conv_backward_without_dx_identical(rng):
     x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
     k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     for stride, pad in [(1, 1), (2, 0)]:
-        out, cols = ops.conv2d_forward_cols(x, k, None, stride, pad)
+        out = ops.conv2d_forward(x, k, None, stride, pad)
         dout = rng.normal(size=out.shape).astype(np.float32)
-        _, dw, db = ops.conv2d_backward(dout, x, k, stride, pad, cols=cols)
+        _, dw, db = ops.conv2d_backward(dout, x, k, stride, pad)
         dx, dw_only, db_only = ops.conv2d_backward(dout, x, k, stride, pad,
-                                                   cols=cols, need_dx=False)
+                                                   need_dx=False)
         assert dx is None
         assert dw_only.tobytes() == dw.tobytes()
         assert db_only.tobytes() == db.tobytes()
 
 
 def test_conv_backward_cached_cols_identical(rng):
+    """dw from the per-image re-unfold equals dw from the patch matrix the
+    forward pass returns, summed over the batch as a batched matmul."""
     x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
     k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    out, cols = ops.conv2d_forward_cols(x, k, None, 1, 1)
-    dout = rng.normal(size=out.shape).astype(np.float32)
-    plain = ops.conv2d_backward(dout, x, k, 1, 1)
-    cached = ops.conv2d_backward(dout, x, k, 1, 1, cols=cols)
-    for a, b in zip(plain, cached):
-        assert np.array_equal(a, b)
+    for stride, pad in [(1, 1), (2, 0)]:
+        out, cols = ops.conv2d_forward_cols(x, k, None, stride, pad)
+        dout = rng.normal(size=out.shape).astype(np.float32)
+        dmat = dout.reshape(len(x), 4, -1)
+        cached = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape)
+        _, dw, _ = ops.conv2d_backward(dout, x, k, stride, pad)
+        assert dw.tobytes() == cached.tobytes()
+        assert cols.tobytes() == im2col_reference(x, 3, 3, stride, pad).tobytes()
+
+
+def im2col_reference(x, kh, kw, stride, pad):
+    """Batch-wide unfold through np.pad, as the forward pass did it before
+    padding into a zero buffer."""
+    n, c = x.shape[:2]
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (x.shape[2] - kh) // stride + 1
+    ow = (x.shape[3] - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, oh, ow),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
+    return np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow)
+
+
+def batched_conv_backward(dout, x, kernel, stride, pad):
+    """conv2d_backward as it was while the forward pass kept its patch
+    matrix: dw from one batch-wide unfold, a batched matmul and a sum over
+    the batch; dx from the same-size correlation, unfolded per image."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    oh, ow = dout.shape[2:]
+    db = dout.sum(axis=(0, 2, 3))
+    cols = im2col_reference(x, kh, kw, stride, pad)
+    dmat = dout.reshape(n, o, oh * ow)
+    dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    buf = np.zeros((n, o, h + kh - 1, w + kw - 1), dtype=dout.dtype)
+    row_dst, row_src = ops._dilated_span(kh - 1 - pad, oh, stride, h + kh - 1)
+    col_dst, col_src = ops._dilated_span(kw - 1 - pad, ow, stride, w + kw - 1)
+    buf[:, :, row_dst, col_dst] = dout[:, :, row_src, col_src]
+    kmat = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    dx = np.empty_like(x)
+    for i in range(n):
+        img_cols = im2col_reference(buf[i:i + 1], kh, kw, 1, 0)
+        dx[i] = np.matmul(kmat, img_cols[0]).reshape(c, h, w)
+    return dx, dw, db
+
+
+def assert_same_gradients(got, want, what):
+    for name, a, b in zip(("dx", "dw", "db"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, (name, what)
+        assert a.tobytes() == b.tobytes(), (name, what)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("cin, cout, size", [
+    (3, 8, 96), (8, 16, 48), (16, 32, 24), (32, 64, 12), (64, 64, 12)])
+def test_conv_backward_bytes_match_batched_unfold_at_detector_shapes(cin, cout, size, n):
+    # The detector's five 3x3 convs (four backbone blocks and the RPN conv)
+    # at the training batch sizes, on real values: the per-image dw
+    # accumulation keeps the batched matmul's summation order.
+    r = np.random.default_rng(size + cout + n)
+    x = r.normal(size=(n, cin, size, size)).astype(np.float32)
+    k = r.normal(size=(cout, cin, 3, 3)).astype(np.float32)
+    dout = r.normal(size=(n, cout, size, size)).astype(np.float32)
+    assert_same_gradients(ops.conv2d_backward(dout, x, k, 1, 1),
+                          batched_conv_backward(dout, x, k, 1, 1), (cin, cout, n))
+
+
+def test_conv_backward_bytes_match_batched_unfold_small_integers():
+    r = np.random.default_rng(1)
+    for stride in (1, 2, 3):
+        for pad in (0, 1, 2):
+            for ksize in (1, 3):
+                for n in range(1, 6):
+                    x = r.integers(-3, 4, size=(n, 3, 7, 8)).astype(np.float32)
+                    k = r.integers(-3, 4, size=(4, 3, ksize, ksize)).astype(np.float32)
+                    shape = ops.conv2d_forward(x, k, None, stride, pad).shape
+                    dout = r.integers(-3, 4, size=shape).astype(np.float32)
+                    assert_same_gradients(
+                        ops.conv2d_backward(dout, x, k, stride, pad),
+                        batched_conv_backward(dout, x, k, stride, pad),
+                        (stride, pad, ksize, n))
 
 
 def full_correlation_dx(dout, x, kernel, stride, pad):
