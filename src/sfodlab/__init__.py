@@ -23,7 +23,6 @@ from .detector import (
     ArchDescriptor,
     LossBreakdown,
     ModelState,
-    forward_inference,
     forward_train,
     init_model,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ema_update",
     "evaluate_ap50",
     "evaluate_model",
-    "forward_inference",
     "forward_train",
     "generate_pseudo_labels",
     "generate_scene",

@@ -23,7 +23,7 @@ interchangeable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,18 +71,6 @@ class AdaptConfig:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["strong"] = self.strong.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdaptConfig":
-        d = dict(d)
-        if isinstance(d.get("strong"), dict):
-            d["strong"] = StrongAugParams.from_dict(d["strong"])
-        return cls(**d)
-
 
 @dataclass
 class TraceRow:
@@ -102,9 +90,6 @@ class TraceRow:
 class AdaptTrace:
     rows: list = field(default_factory=list)
     diverged_at: int | None = None
-
-    def maps(self):
-        return np.array([r.map for r in self.rows])
 
     def steps(self):
         return np.array([r.step for r in self.rows])
@@ -127,8 +112,6 @@ class AdaptResult:
     final: ModelState
     best: ModelState
     trace: AdaptTrace
-    final_eval_map: float
-    best_eval_map: float
 
 
 def ema_update(teacher: ModelState, student: ModelState, alpha: float) -> ModelState:
@@ -236,7 +219,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     trace.rows.append(TraceRow(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, cur_map, cur_ap))
 
     if config.max_steps == 0:
-        return AdaptResult(student, best_model, trace, cur_map, best_map)
+        return AdaptResult(student, best_model, trace)
 
     pl_set = None
     if config.fixed_pls:
@@ -246,12 +229,9 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     for step in range(1, config.max_steps + 1):
         if config.mosaic:
             ids = rng.choice(n, size=(config.batch_size, 4), replace=True)
-            flat_ids = [int(i) for i in ids.ravel()]
         else:
             ids = rng.choice(n, size=min(config.batch_size, n), replace=False)
-            flat_ids = [int(i) for i in ids.ravel()]
-
-        chosen = [target_scenes[i] for i in flat_ids]
+        chosen = [target_scenes[int(i)] for i in ids.ravel()]
         if pl_set is not None:
             pls = [pl_set[s.id] for s in chosen]
         else:
@@ -281,7 +261,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
         except NumericsError:
             trace.diverged_at = step
             break
-        sgd_step(student, grads, config.lr)
+        sgd_step(student.params, grads, config.lr)
         del grads  # not alive beside the next step's forward caches
         if not config.fixed_pls:
             teacher = ema_update(teacher, student, config.alpha)
@@ -295,4 +275,4 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
                                    loss.roi_cls, loss.roi_reg, num_pls,
                                    cur_map, cur_ap, evaluated))
 
-    return AdaptResult(student, best_model, trace, trace.final_map(), best_map)
+    return AdaptResult(student, best_model, trace)

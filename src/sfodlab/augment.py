@@ -15,7 +15,7 @@ of the package, and only strategies with strong augmentation ever blur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,20 +44,6 @@ class StrongAugParams:
                 raise ValueError(f"probability {p} outside [0, 1]")
         if self.blur_sigma[0] < 0:
             raise ValueError("blur sigma must be >= 0")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("blur_sigma", "cutout_count", "cutout_frac"):
-            d[key] = list(d[key])
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StrongAugParams":
-        d = dict(d)
-        for key in ("blur_sigma", "cutout_count", "cutout_frac"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 def flip_scene(scene: Scene) -> Scene:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ class CheckpointError(Exception):
 def save_checkpoint(path, model: ModelState, metadata: dict | None = None):
     names = list(model.params)
     header = {
-        "arch": model.arch.to_dict(),
+        "arch": asdict(model.arch),
         "arrays": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
         "metadata": metadata or {},
     }

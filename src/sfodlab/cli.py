@@ -28,7 +28,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +57,22 @@ from .report import (
 )
 from .train import evaluate_model, train_source
 
-DEFAULT_COUNTS = {"source_train": 500, "source_test": 200,
-                  "target_train": 500, "target_test": 200}
 DEFAULT_TARGET = DomainSpec(shift="fog", fog_strength=0.65)
+
+
+@dataclass(frozen=True)
+class SplitCounts:
+    """Scenes per split written by make-data, in writing order."""
+
+    source_train: int = 500
+    source_test: int = 200
+    target_train: int = 500
+    target_test: int = 200
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
 def parse_config_file(path) -> dict:
@@ -97,20 +110,24 @@ def _coerce(value: str, target_type):
     return value
 
 
-def _domain_spec_from_entries(entries: dict) -> tuple[DomainSpec, dict]:
-    counts = dict(DEFAULT_COUNTS)
-    spec_kwargs = {}
-    spec_fields = {f.name: f for f in fields(DomainSpec)}
-    defaults = DEFAULT_TARGET
+def _with_entries(obj, what: str, entries: dict, flags=None, exclude=()):
+    """The dataclass obj with ``key = value`` entries applied, each value
+    coerced to the type of the field it names, and then the already typed
+    flags. An unknown or excluded key, a value that does not parse and a
+    result the dataclass rejects are DataErrors."""
+    names = {f.name for f in fields(obj)} - set(exclude)
+    updates = {}
     for key, value in entries.items():
-        if key in counts:
-            counts[key] = int(value)
-        elif key in spec_fields:
-            current = getattr(defaults, key)
-            spec_kwargs[key] = _coerce(value, type(current))
-        else:
-            raise DataError(f"unknown domain spec key {key!r}")
-    return replace(defaults, **spec_kwargs), counts
+        if key not in names:
+            raise DataError(f"unknown {what} key {key!r}")
+        try:
+            updates[key] = _coerce(value, type(getattr(obj, key)))
+        except ValueError as e:
+            raise DataError(f"{what}: {key} = {value!r}: {e}") from e
+    try:
+        return replace(obj, **{**updates, **(flags or {})})
+    except ValueError as e:
+        raise DataError(f"{what}: {e}") from e
 
 
 def _config_hash(config_dict: dict) -> str:
@@ -156,19 +173,15 @@ def _arch_for(scenes, split: str) -> ArchDescriptor:
 # ---------------------------------------------------------------------------
 
 def cmd_make_data(args) -> int:
-    if args.spec:
-        target_spec, counts = _domain_spec_from_entries(parse_config_file(args.spec))
-    else:
-        target_spec, counts = DEFAULT_TARGET, dict(DEFAULT_COUNTS)
+    entries = parse_config_file(args.spec) if args.spec else {}
+    splits = [f.name for f in fields(SplitCounts)]
+    counts = _with_entries(SplitCounts(), "split count",
+                           {k: entries.pop(k) for k in splits if k in entries})
+    target_spec = _with_entries(DEFAULT_TARGET, "domain spec", entries)
     source_spec = replace(target_spec, shift="none")
     out = Path(args.out)
-    plan = [
-        ("source_train", source_spec, counts["source_train"]),
-        ("source_test", source_spec, counts["source_test"]),
-        ("target_train", target_spec, counts["target_train"]),
-        ("target_test", target_spec, counts["target_test"]),
-    ]
-    for k, (split, spec, count) in enumerate(plan):
+    for k, (split, count) in enumerate(asdict(counts).items()):
+        spec = source_spec if split.startswith("source") else target_spec
         scenes = generate_split(spec, count, [args.seed, k], split)
         write_dataset(scenes, out / split, spec=spec, seed=args.seed)
         print(f"wrote {count:4d} scenes -> {out / split}")
@@ -176,6 +189,11 @@ def cmd_make_data(args) -> int:
 
 
 def cmd_train_source(args) -> int:
+    for option, value, low in (("--steps", args.steps, 0),
+                               ("--batch-size", args.batch_size, 1),
+                               ("--log-every", args.log_every, 0)):
+        if value < low:
+            raise DataError(f"{option} must be >= {low}, got {value}")
     scenes = _load_split(args.data, "source_train")
     model = init_model(_arch_for(scenes, "source_train"), seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -190,47 +208,32 @@ def cmd_train_source(args) -> int:
     return 0
 
 
-def _build_adapt_config(args) -> AdaptConfig:
-    """The preset named by --strategy with --config entries and flags
-    applied; an invalid value is a DataError."""
-    try:
-        return _adapt_config_from(args)
-    except ValueError as e:
-        raise DataError(f"adapt config: {e}") from e
-
-
-def _adapt_config_from(args) -> AdaptConfig:
+def _adapt_config(args) -> AdaptConfig:
+    """The preset named by --strategy with the --config entries and then
+    the flags applied; an invalid name or value is a DataError."""
     presets = strategy_presets()
     if args.strategy not in presets:
         raise DataError(f"unknown strategy {args.strategy!r}; "
                         f"choose from {sorted(presets)}")
-    config = presets[args.strategy]
-    if args.config:
-        entries = parse_config_file(args.config)
-        cfg_fields = {f.name: f for f in fields(AdaptConfig)}
-        updates = {}
-        for key, value in entries.items():
-            if key not in cfg_fields or key in ("strategy", "strong"):
-                raise DataError(f"unknown adapt config key {key!r}")
-            updates[key] = _coerce(value, type(getattr(config, key)))
-        config = replace(config, **updates)
-    overrides = {}
+    flags = {}
     for flag, name in [("alpha", "alpha"), ("tau", "tau"), ("steps", "max_steps"),
                        ("lr", "lr"), ("batch_size", "batch_size"),
                        ("eval_period", "eval_period"), ("eval_subset", "eval_subset"),
                        ("seed", "seed")]:
         value = getattr(args, flag)
         if value is not None:
-            overrides[name] = value
+            flags[name] = value
     if args.mosaic:
-        overrides["mosaic"] = True
+        flags["mosaic"] = True
     if args.no_reg:
-        overrides["include_reg"] = False
-    return replace(config, **overrides)
+        flags["include_reg"] = False
+    entries = parse_config_file(args.config) if args.config else {}
+    return _with_entries(presets[args.strategy], "adapt config", entries, flags,
+                         exclude=("strategy", "strong"))
 
 
 def cmd_adapt(args) -> int:
-    config = _build_adapt_config(args)
+    config = _adapt_config(args)
     source, _ = load_checkpoint(args.source_ckpt)
     size = source.arch.input_size
     target_train = _load_split(args.data, "target_train", size)
@@ -244,7 +247,7 @@ def cmd_adapt(args) -> int:
     wall = time.monotonic() - t0
     del source, target_train  # not alive beside the evaluations below
 
-    cfg_dict = config.to_dict()
+    cfg_dict = asdict(config)
     meta = {"kind": "adapted", "strategy": config.strategy, "seed": config.seed,
             "config_hash": _config_hash(cfg_dict)}
     save_checkpoint(out / "final.ckpt", result.final, {**meta, "which": "final"})

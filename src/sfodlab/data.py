@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,25 +68,11 @@ class DomainSpec:
         if self.shift not in ("none", "fog", "color", "scale"):
             raise ValueError(f"unknown shift {self.shift!r}")
         if not 0 <= self.fog_strength <= 1:
-            raise ValueError("fog strength must be in [0, 1]")
+            raise ValueError(f"fog_strength must be in [0, 1], got {self.fog_strength}")
         if self.scale_factor <= 0:
-            raise ValueError("scale factor must be > 0")
+            raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
         if self.min_objects > self.max_objects:
             raise ValueError("min_objects > max_objects")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("base_color_range", "haze_color", "color_cast"):
-            d[key] = list(d[key])
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DomainSpec":
-        d = dict(d)
-        for key in ("base_color_range", "haze_color", "color_cast"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +281,7 @@ def write_dataset(scenes, out_dir, spec: DomainSpec | None = None,
         "format": "sfodlab-dataset-v1",
         "count": len(scenes),
         "classes": list(CLASS_NAMES),
-        "spec": spec.to_dict() if spec is not None else None,
+        "spec": asdict(spec) if spec is not None else None,
         "seed": seed,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
@@ -322,15 +308,19 @@ def read_dataset(in_dir):
                 continue
             try:
                 rec = json.loads(line)
+                path = root / rec["file"]
+                boxes = np.asarray(rec["boxes"], np.float32).reshape(-1, 4)
+                labels = np.asarray(rec["labels"], np.int64)
+                scene_id = rec.get("id", path.stem)
             except json.JSONDecodeError as e:
                 raise DataError(f"{apath}:{lineno}: corrupt record: {e}") from e
-            img = _read_ppm(root / rec["file"])
-            scenes.append(Scene(
-                image=img,
-                boxes=np.asarray(rec["boxes"], np.float32).reshape(-1, 4),
-                labels=np.asarray(rec["labels"], np.int64),
-                id=rec.get("id", Path(rec["file"]).stem),
-            ))
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"{apath}:{lineno}: malformed record: "
+                                f"{type(e).__name__}: {e}") from e
+            if labels.shape != (len(boxes),):
+                raise DataError(f"{apath}:{lineno}: {labels.size} labels for "
+                                f"{len(boxes)} boxes")
+            scenes.append(Scene(_read_ppm(path), boxes, labels, scene_id))
     if len(scenes) != manifest.get("count", len(scenes)):
         raise DataError(
             f"{in_dir}: manifest count {manifest.get('count')} != {len(scenes)} records")

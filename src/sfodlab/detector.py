@@ -15,7 +15,7 @@ differences of the loss on the same plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,12 +121,6 @@ class ArchDescriptor:
         shapes["roi.delta.b"] = (4 * k,)
         return shapes
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("channels", "anchor_scales", "anchor_aspects"):
-            d[key] = list(d[key])
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ArchDescriptor":
         d = dict(d)
@@ -147,9 +141,6 @@ class LossBreakdown:
         return self.rpn_cls + self.rpn_reg + self.roi_cls + self.roi_reg
 
 
-STAT_SUFFIXES = (".running_mean", ".running_var")
-
-
 @dataclass
 class ModelState:
     """Named parameter collection: weights, BN affine and BN statistics."""
@@ -159,12 +150,6 @@ class ModelState:
 
     def copy(self) -> "ModelState":
         return ModelState(self.arch, {k: v.copy() for k, v in self.params.items()})
-
-    def trainable_names(self):
-        return [k for k in self.params if not k.endswith(STAT_SUFFIXES)]
-
-    def stat_names(self):
-        return [k for k in self.params if k.endswith(STAT_SUFFIXES)]
 
 
 def init_model(arch: ArchDescriptor, seed: int = 0) -> ModelState:
@@ -587,8 +572,8 @@ def _forward_all(model: ModelState, images: np.ndarray):
 
 
 def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
-            include_reg: bool, want_grads: bool):
-    """ROI head forward, losses and (optionally) the full backward pass.
+            include_reg: bool):
+    """ROI head forward, losses and the full backward pass.
 
     The backward pass consumes fw: each forward cache (the RPN activations,
     every backbone block's cache) is dropped once its gradient exists, so
@@ -600,8 +585,6 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     cls_logits, roi_deltas, roi_cache = _roi_head_forward(model, feats, plan.proposals)
     loss, dobj, ddelta, dcls, droi_delta = _compute_losses(
         fw["obj_flat"], fw["delta_flat"], cls_logits, roi_deltas, plan, include_reg)
-    if not want_grads:
-        return loss, None
 
     p = model.params
     grads = {}
@@ -664,7 +647,7 @@ def forward_train(model: ModelState, images: np.ndarray, targets,
     fw = _forward_all(model, images)
     plan = _plan_from_outputs(model.arch, generate_anchors(model.arch),
                               fw["obj_flat"], fw["delta_flat"], targets, rng)
-    loss, grads = _finish(model, images, fw, plan, include_reg, True)
+    loss, grads = _finish(model, images, fw, plan, include_reg)
     if not np.isfinite(loss.total):
         raise NumericsError(f"non-finite training loss: {loss}")
     update_running_statistics(model, fw["stats"])
@@ -680,11 +663,12 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
                             stats_mode: str = "eval"):
     """Detect objects in a list of HWC images; one Detections per image.
 
-    With stats_mode 'eval', per-image results are identical to single-image
-    calls: every stage is either elementwise or an independent
-    per-image/per-row matrix product. With 'collect' they are not, because
-    every image is normalized by the statistics of the whole batch. Each
-    image's boxes are decoded and filtered for all classes in one pass.
+    stats_mode 'eval' normalizes with the stored running BN statistics, and
+    per-image results are then identical to single-image calls: every stage
+    is either elementwise or an independent per-image/per-row matrix
+    product. 'collect' normalizes every image by the statistics of the
+    whole batch, which are never written back. Each image's boxes are
+    decoded and filtered for all classes in one pass.
     """
     if stats_mode not in ("eval", "collect"):
         raise ValueError(f"unknown stats_mode {stats_mode!r}")
@@ -727,15 +711,3 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
         results.append(B.nms(dets, nms_iou)[:max_dets])
     return results
 
-
-def forward_inference(model: ModelState, image, score_floor: float = 0.05,
-                      nms_iou: float = 0.5, max_dets: int = 50,
-                      stats_mode: str = "eval") -> B.Detections:
-    """Detect objects in one HWC image.
-
-    stats_mode 'eval' normalizes with the stored running BN statistics;
-    'collect' uses the statistics of the submitted batch (never written
-    back). Deterministic given (model, image, settings).
-    """
-    return forward_inference_batch(model, [image], score_floor, nms_iou,
-                                   max_dets, stats_mode)[0]

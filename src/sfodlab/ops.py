@@ -263,13 +263,13 @@ def smooth_l1(diff: np.ndarray):
 # optimizer
 # ---------------------------------------------------------------------------
 
-def sgd_step(model, grads: dict, lr: float):
-    """In-place w <- w - lr*g for every named gradient.
+def sgd_step(params: dict, grads: dict, lr: float):
+    """In place, w <- w - lr*g for every named gradient in grads.
 
-    BN running statistics never appear in grads, so they are untouched.
-    The model is assumed exclusively held by the caller.
+    params is a model's name -> array dict (``ModelState.params``), held
+    exclusively by the caller. BN running statistics never appear in grads,
+    so they are untouched.
     """
-    params = model.params if hasattr(model, "params") else model
     for name, g in grads.items():
         if name not in params:
             raise KeyError(f"sgd_step: gradient for unknown parameter {name!r}")
@@ -277,4 +277,3 @@ def sgd_step(model, grads: dict, lr: float):
         if p.shape != g.shape:
             raise ShapeError(f"sgd_step: {name} shape {p.shape} != grad {g.shape}")
         p -= lr * g
-    return model

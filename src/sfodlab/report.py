@@ -121,16 +121,15 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#333333"]
 
 
-def write_trace_svg(named_traces: dict, path, width: int = 720, height: int = 420,
-                    metric: str = "map"):
-    """Render one mAP-vs-step polyline per run into a plain SVG with axes.
+def write_trace_svg(named_traces: dict, path):
+    """Render one mAP-vs-step polyline per run into a 720x420 SVG with axes.
 
     named_traces maps a run name to an AdaptTrace; every trace row becomes
     one polyline point. Run names are escaped for the legend.
     """
     from html import escape  # only here: keeps the CLI's cold import lean
 
-    margin = 50
+    width, height, margin = 720, 420, 50
     pw, ph = width - 2 * margin, height - 2 * margin
     max_step = max((max(t.steps(), default=0) for t in named_traces.values()),
                    default=1) or 1
@@ -153,7 +152,7 @@ def write_trace_svg(named_traces: dict, path, width: int = 720, height: int = 42
         f'<text x="{margin + pw / 2:.0f}" y="{height - 8}" font-size="13" '
         f'text-anchor="middle">training step</text>',
         f'<text x="14" y="{margin + ph / 2:.0f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 14 {margin + ph / 2:.0f})">{metric}</text>',
+        f'transform="rotate(-90 14 {margin + ph / 2:.0f})">map</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = sy(frac * max_y)
@@ -168,7 +167,7 @@ def write_trace_svg(named_traces: dict, path, width: int = 720, height: int = 42
                      f'text-anchor="middle">{frac * max_step:.0f}</text>')
     for k, (name, trace) in enumerate(sorted(named_traces.items())):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{sx(r.step):.1f},{sy(getattr(r, metric)):.1f}"
+        pts = " ".join(f"{sx(r.step):.1f},{sy(r.map):.1f}"
                        for r in trace.rows)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')

@@ -31,7 +31,7 @@ def train_source(model: ModelState, scenes, steps: int, lr: float,
         images = images_to_batch([s.image for s in batch])
         targets = [(s.boxes, s.labels) for s in batch]
         loss, grads = forward_train(model, images, targets, rng)
-        sgd_step(model, grads, lr)
+        sgd_step(model.params, grads, lr)
         del grads  # not alive beside the next step's forward caches
         history.append((step, loss))
         if log_every and step % log_every == 0:

@@ -64,6 +64,12 @@ def conv2d_naive(x, w, b, stride=1, pad=0):
     return out
 
 
+def bn_stat_names(arch):
+    """Names of the BN running statistics: the entries no gradient reaches."""
+    return [f"{bn}.{stat}" for bn, _ in arch.bn_layers()
+            for stat in ("running_mean", "running_var")]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -3,12 +3,13 @@ alpha=1 / fixed-pseudo-label equivalence, AdaBN initialization, and the
 strategy preset grid."""
 
 import importlib
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 adapt_mod = importlib.import_module("sfodlab.adapt")
+from sfodlab import cli
 from sfodlab.adapt import (
     AdaptConfig,
     adapt,
@@ -20,6 +21,8 @@ from sfodlab.boxes import Detections
 from sfodlab.data import DomainSpec, generate_split
 from sfodlab.detector import ArchDescriptor, init_model
 from sfodlab.ops import NumericsError
+from sfodlab.train import evaluate_model
+from conftest import bn_stat_names
 
 
 def small_arch():
@@ -161,8 +164,8 @@ def test_preset_grid_complete():
     assert ut.weak_strong and not ut.fixed_pls and ut.include_reg
     assert presets["adabn"].max_steps == 0 and presets["adabn"].adabn_first
     a, b = presets["fixed_sf_fm"], presets["fixed_sf_pl"]
-    da = {k: v for k, v in a.to_dict().items() if k not in ("strategy", "weak_strong")}
-    db = {k: v for k, v in b.to_dict().items() if k not in ("strategy", "weak_strong")}
+    da = {k: v for k, v in asdict(a).items() if k not in ("strategy", "weak_strong")}
+    db = {k: v for k, v in asdict(b).items() if k not in ("strategy", "weak_strong")}
     assert da == db and a.weak_strong and not b.weak_strong
     for name in ("sf_pl", "sf_fm"):
         assert presets[name].alpha == 0.0
@@ -172,13 +175,22 @@ def test_preset_grid_complete():
         assert presets[name].mosaic and presets[name].adabn_first
 
 
-def test_config_validation_and_round_trip():
+def test_config_validation_and_round_trip(tmp_path):
     with pytest.raises(ValueError):
         AdaptConfig(alpha=1.5)
     with pytest.raises(ValueError):
         AdaptConfig(tau=-0.1)
-    c = AdaptConfig(strategy="sf_ut", alpha=0.9996)
-    assert AdaptConfig.from_dict(c.to_dict()) == c
+    # every field an `adapt --config` file may set reads back unchanged
+    c = AdaptConfig(strategy="sf_ut", alpha=0.25, tau=0.65, weak_strong=False,
+                    fixed_pls=True, teacher_batch_stats=True, lr=0.0025,
+                    batch_size=3, max_steps=7, eval_subset=2, seed=11)
+    path = tmp_path / "adapt.cfg"
+    path.write_text("".join(f"{f.name} = {getattr(c, f.name)}\n" for f in fields(c)
+                            if f.name not in ("strategy", "strong")))
+    args = cli.build_parser().parse_args([
+        "adapt", "--source-ckpt", "-", "--data", "-", "--out", "-",
+        "--strategy", "sf_ut", "--config", str(path)])
+    assert cli._adapt_config(args) == c
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +202,11 @@ def test_adabn_strategy_changes_only_statistics():
     targets = tiny_scenes(8, 5, shift="fog")
     cfg = tiny_config(strategy="adabn", adabn_first=True, max_steps=0)
     res = adapt(source, targets, cfg, targets[:4])
-    for name in source.trainable_names():
+    stats = bn_stat_names(source.arch)
+    for name in source.params.keys() - set(stats):
         assert res.final.params[name].tobytes() == source.params[name].tobytes()
     assert any(res.final.params[n].tobytes() != source.params[n].tobytes()
-               for n in source.stat_names())
+               for n in stats)
     assert len(res.trace.rows) == 1 and res.trace.rows[0].step == 0
 
 
@@ -216,6 +229,27 @@ def test_fixed_pls_generated_exactly_once(monkeypatch):
     adapt(source, targets, tiny_config(fixed_pls=False, alpha=0.5, max_steps=3),
           targets[:3])
     assert len(calls) == 3  # once per step, on the batch only
+
+
+@pytest.mark.parametrize("batch_stats,mode", [(True, "collect"), (False, "eval")],
+                         ids=["batch-stats", "running-stats"])
+@pytest.mark.parametrize("fixed_pls", [False, True], ids=["per-step", "fixed"])
+def test_teacher_batch_stats_reaches_labeling(monkeypatch, fixed_pls, batch_stats, mode):
+    modes = []
+    real = adapt_mod.forward_inference_batch
+
+    def recording(model, images, **kw):
+        modes.append(kw.get("stats_mode", "eval"))
+        return real(model, images, **kw)
+
+    monkeypatch.setattr(adapt_mod, "forward_inference_batch", recording)
+    source = init_model(small_arch(), 0)
+    targets = tiny_scenes(6, 6)
+    cfg = tiny_config(fixed_pls=fixed_pls, alpha=1.0 if fixed_pls else 0.5,
+                      teacher_batch_stats=batch_stats, max_steps=3)
+    adapt(source, targets, cfg, targets[:3])
+    # one labeling call for the fixed set, else one per step
+    assert modes == [mode] * (1 if fixed_pls else 3)
 
 
 def test_alpha_one_equals_fixed_pls():
@@ -301,8 +335,9 @@ def test_trace_rows_and_argmax_best():
     steps = [r.step for r in res.trace.rows]
     assert steps == [0, 1, 2, 3, 4]
     assert [r.evaluated for r in res.trace.rows] == [True, False, True, False, True]
-    assert res.best_eval_map >= res.final_eval_map
-    assert res.best_eval_map == res.trace.peak_map()
+    assert res.trace.peak_map() >= res.trace.final_map()
+    assert evaluate_model(res.best, targets[:3]).map == res.trace.peak_map()
+    assert evaluate_model(res.final, targets[:3]).map == res.trace.final_map()
 
 
 @pytest.mark.parametrize("strategy", ["sf_ut", "mean_teacher", "fixed_sf_pl"])

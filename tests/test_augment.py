@@ -119,8 +119,6 @@ def test_params_validation():
         A.StrongAugParams(jitter_prob=1.5)
     with pytest.raises(ValueError):
         A.StrongAugParams(blur_sigma=(-0.1, 1.0))
-    p = A.StrongAugParams()
-    assert A.StrongAugParams.from_dict(p.to_dict()) == p
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Checkpoint format contracts: bit-exact round trips, and a CheckpointError
 for every malformed or incompatible file."""
 
+import hashlib
 import json
 import re
 import struct
@@ -37,6 +38,36 @@ def test_round_trip_bit_exact(ckpt):
     for name, arr in model.params.items():
         assert loaded.params[name].dtype == np.float32
         assert loaded.params[name].tobytes() == arr.tobytes(), name
+
+
+DEFAULT_ARCH_JSON = (
+    '{"input_size": 96, "in_channels": 3, "channels": [8, 16, 32, 64], '
+    '"feature_stride": 8, "anchor_scales": [16.0, 32.0, 64.0], '
+    '"anchor_aspects": [0.5, 1.0, 2.0], "num_classes": 3, "rpn_channels": 64, '
+    '"roi_pool_size": 5, "roi_hidden": 256, "rpn_pos_thr": 0.7, "rpn_neg_thr": 0.3, '
+    '"roi_pos_thr": 0.5, "rpn_sample": 64, "rpn_pos_fraction": 0.5, "roi_sample": 32, '
+    '"roi_pos_fraction": 0.25, "pre_nms_topk": 100, "post_nms_topk": 50, '
+    '"proposal_nms_iou": 0.7}')
+
+
+@pytest.mark.parametrize("arch,arch_json,digest", [
+    (ArchDescriptor(), DEFAULT_ARCH_JSON,
+     "c4d3635dae30aaffa7d386aeb18bd1fb474ddf5b5479aae89d664ab166bffcef"),
+    (ArchDescriptor(input_size=64, num_classes=2, channels=(4, 8, 8)),
+     DEFAULT_ARCH_JSON.replace('"input_size": 96', '"input_size": 64')
+     .replace("[8, 16, 32, 64]", "[4, 8, 8]").replace('"num_classes": 3', '"num_classes": 2'),
+     "07bf573b5e36f5eb9b143eaffbabf0edf504f0a60116dfdf9cadb2895c04ba5d"),
+], ids=["default", "small"])
+def test_header_bytes_pinned(tmp_path, arch, arch_json, digest):
+    """The JSON header byte for byte: the architecture descriptor first,
+    tuples as JSON lists."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_model(arch, 0), {"kind": "source"})
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 12)
+    header = raw[20:20 + hlen]
+    assert header.startswith(b'{"arch": ' + arch_json.encode() + b', "arrays": [')
+    assert hashlib.sha256(header).hexdigest() == digest
 
 
 def rewrite(path, raw):

@@ -10,12 +10,15 @@ import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sfodlab import cli
+from sfodlab.adapt import AdaptConfig, strategy_presets
+from sfodlab.augment import StrongAugParams
 from sfodlab.checkpoint import load_checkpoint, save_checkpoint
 from sfodlab.data import DataError, Scene
 from sfodlab.detector import ArchDescriptor, init_model
@@ -304,6 +307,53 @@ def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
     assert line.startswith("ERROR[data]:")
 
 
+@pytest.mark.parametrize("entry,key", [
+    ("source_train = abc", "source_train"),
+    ("fog_strength = 2", "fog_strength"),
+    ("target_test = -1", "target_test"),
+], ids=["not-an-int", "fog-out-of-range", "negative-count"])
+def test_make_data_rejects_invalid_spec_entry(tmp_path, capsys, entry, key):
+    spec = tmp_path / "spec.txt"
+    # the last entry for a key wins
+    spec.write_text("source_train = 1\nsource_test = 0\n"
+                    f"target_train = 0\ntarget_test = 0\n{entry}\n")
+    rc = cli.main(["make-data", "--spec", str(spec), "--out", str(tmp_path / "data")])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and key in line
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flags,option", [
+    (["--batch-size", "0"], "--batch-size"),
+    (["--steps", "-1"], "--steps"),
+    (["--log-every", "-1"], "--log-every"),
+], ids=["batch-size", "steps", "log-every"])
+def test_train_source_rejects_invalid_option(workdir, capsys, flags, option):
+    out = workdir / f"invalid{option}.ckpt"
+    rc = cli.main(["train-source", "--data", str(workdir / "data"), "--out", str(out),
+                   "--steps", "1", *flags])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and option in line
+    assert not out.exists()
+
+
+def test_train_source_on_malformed_annotation_exits_3(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data" / "source_train", data / "source_train")
+    ann = data / "source_train" / "annotations.jsonl"
+    lines = ann.read_text().splitlines()
+    lines[1] = json.dumps({"id": "no_file", "boxes": [], "labels": []})
+    ann.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "source.ckpt"
+    rc = cli.main(["train-source", "--data", str(data), "--out", str(out), "--steps", "1"])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and f"{ann}:2" in line
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sfodlab report
 # ---------------------------------------------------------------------------
@@ -402,3 +452,32 @@ def test_report_on_malformed_run_exits_3(runs, tmp_path, capsys, damage, suffix)
     (line,) = error_lines(capsys)
     assert line.startswith("ERROR[data]:") and str(run / bad_file) in line
     assert not out.exists()
+
+
+# config_hash of every preset, as report.json and the checkpoint metadata
+# record it; a change here splits runs that used to compare as equal
+PRESET_CONFIG_HASHES = {
+    "adabn": "f074af9e47d9f8e2",
+    "sf_pl": "10c510066a2a3980",
+    "sf_fm": "dd2a2eb597e58f0c",
+    "fixed_sf_pl": "a78f4be21a24aabc",
+    "fixed_sf_fm": "b2dbbde5b9ab1a89",
+    "adabn_fixed_sf_pl": "74625a72b54a62fd",
+    "adabn_fixed_sf_fm": "c000c688f8747727",
+    "mean_teacher": "aa87a2e247ff66e5",
+    "sf_ut": "0f4d81c876d28237",
+    "adabn_fixed_sf_pl_mosaic": "b7957f2684509bf6",
+    "adabn_fixed_sf_fm_mosaic": "ac68c3646b68e970",
+}
+
+
+def test_config_hash_pinned(runs):
+    assert {name: cli._config_hash(asdict(config))
+            for name, config in strategy_presets().items()} == PRESET_CONFIG_HASHES
+    custom = AdaptConfig(tau=0.5, strong=StrongAugParams(blur_sigma=(0.5, 1.0),
+                                                         cutout_count=(2, 2)))
+    assert cli._config_hash(asdict(custom)) == "6d6e4445e0a6f449"
+    # runs[0]: adabn at --batch-size 2 and seed 0
+    report = json.loads((runs[0] / "report.json").read_text())
+    _, meta = load_checkpoint(runs[0] / "final.ckpt")
+    assert report["config_hash"] == meta["config_hash"] == "ac2be00487b33bce"

