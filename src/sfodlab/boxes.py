@@ -18,6 +18,9 @@ ASSIGN_IGNORE = -2
 # log-size deltas are clamped here before exponentiation at decode time
 MAX_DELTA_LOG = 4.0
 
+# the IoU at which evaluate_ap50 counts a detection as a true positive
+AP_IOU = 0.5
+
 
 @dataclass
 class Detections:
@@ -183,9 +186,8 @@ def _ap_from_matches(tp: np.ndarray, num_gt: int) -> float:
     return float(ap)
 
 
-def evaluate_ap50(dets_per_image, gts_per_image, iou_threshold: float = 0.5) -> EvalResult:
-    """AP at the given IoU threshold per class, and mAP over classes with
-    ground truth.
+def evaluate_ap50(dets_per_image, gts_per_image) -> EvalResult:
+    """AP at IoU AP_IOU per class, and mAP over classes with ground truth.
 
     dets_per_image: list of Detections; gts_per_image: list of
     (boxes, labels) pairs aligned by position.
@@ -222,7 +224,7 @@ def evaluate_ap50(dets_per_image, gts_per_image, iou_threshold: float = 0.5) -> 
             row = ious[i][pos[k]].copy()
             row[matched[i]] = -1.0
             j = int(row.argmax())
-            if row[j] >= iou_threshold:
+            if row[j] >= AP_IOU:
                 matched[i][j] = True
                 tp[rank] = 1
         per_class[c] = _ap_from_matches(tp, sum(len(g) for g in gt_c))

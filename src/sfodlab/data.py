@@ -289,7 +289,9 @@ def write_dataset(scenes, out_dir, spec: DomainSpec | None = None,
 
 
 def read_dataset(in_dir):
-    """Load a dataset directory; raises DataError naming any broken entry."""
+    """Load a dataset directory; raises DataError naming any broken entry:
+    labels lie in [0, len(manifest classes)), boxes are finite with x1 < x2
+    and y1 < y2, and scene ids are unique."""
     root = Path(in_dir)
     mpath = root / "manifest.json"
     if not mpath.exists():
@@ -298,10 +300,14 @@ def read_dataset(in_dir):
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DataError(f"corrupt manifest {mpath}: {e}") from e
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("classes"), list):
+        raise DataError(f"{mpath}: not a JSON object with a 'classes' list")
+    num_classes = len(manifest["classes"])
     apath = root / "annotations.jsonl"
     if not apath.exists():
         raise DataError(f"missing annotations: {apath}")
     scenes = []
+    seen = set()
     with open(apath, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -312,6 +318,7 @@ def read_dataset(in_dir):
                 boxes = np.asarray(rec["boxes"], np.float32).reshape(-1, 4)
                 labels = np.asarray(rec["labels"], np.int64)
                 scene_id = rec.get("id", path.stem)
+                duplicate = scene_id in seen
             except json.JSONDecodeError as e:
                 raise DataError(f"{apath}:{lineno}: corrupt record: {e}") from e
             except (KeyError, TypeError, ValueError) as e:
@@ -320,6 +327,14 @@ def read_dataset(in_dir):
             if labels.shape != (len(boxes),):
                 raise DataError(f"{apath}:{lineno}: {labels.size} labels for "
                                 f"{len(boxes)} boxes")
+            if ((labels < 0) | (labels >= num_classes)).any():
+                raise DataError(f"{apath}:{lineno}: labels must lie in [0, {num_classes})")
+            if not (np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all()):
+                raise DataError(f"{apath}:{lineno}: boxes must be finite with x1 < x2 "
+                                f"and y1 < y2")
+            if duplicate:
+                raise DataError(f"{apath}:{lineno}: duplicate scene id {scene_id!r}")
+            seen.add(scene_id)
             scenes.append(Scene(_read_ppm(path), boxes, labels, scene_id))
     if len(scenes) != manifest.get("count", len(scenes)):
         raise DataError(

@@ -65,12 +65,11 @@ class ArchDescriptor:
     proposal_nms_iou: float = 0.7
 
     def __post_init__(self):
-        n_pools = int(np.log2(self.feature_stride))
-        if 2 ** n_pools != self.feature_stride:
+        if 2 ** self.n_pools != self.feature_stride:
             raise ValueError("feature_stride must be a power of two")
         if self.input_size % self.feature_stride:
             raise ValueError("feature_stride must divide input_size")
-        if n_pools > len(self.channels):
+        if self.n_pools > len(self.channels):
             raise ValueError("not enough blocks for the requested stride")
         if self.num_anchors < 1:
             raise ValueError("need at least one anchor per cell")
@@ -210,10 +209,10 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
     caches only in train mode, no statistics in eval mode.
 
     A train-mode block cache holds the conv input, the BN cache, the
-    pooling indices and the ReLU mask bn_out > 0 as bool: all the ReLU
-    backward reads, at a quarter of the size of the float32 bn_out. It
-    holds no im2col patch matrix; conv2d_backward unfolds the conv input
-    again, one image at a time, for dw.
+    pooling indices (None where the block does not pool) and the ReLU mask
+    bn_out > 0 as bool: all the ReLU backward reads, at a quarter of the
+    size of the float32 bn_out, and shaped like the pooling input. No im2col
+    patch matrix: conv2d_backward unfolds the conv input again for dw.
     """
     if mode not in ("train", "collect", "eval"):
         raise ValueError(f"unknown backbone mode {mode!r}")
@@ -236,19 +235,16 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
         gamma = p[f"{pre}.bn.gamma"]
         bn_out, xhat, inv_std = bn_apply(conv_out, mean, var, gamma, p[f"{pre}.bn.beta"])
         relu_out = relu_forward(bn_out)
-        pooled = i < arch.n_pools
         pool_idx = None
-        if pooled and keep:
-            h, pool_idx = maxpool2_with_indices(relu_out)
-        elif pooled:
-            h = maxpool2_forward(relu_out)
-        else:
+        if i >= arch.n_pools:
             h = relu_out
+        elif keep:
+            h, pool_idx = maxpool2_with_indices(relu_out)
+        else:
+            h = maxpool2_forward(relu_out)
         if keep:
-            caches.append({"conv_in": conv_in,
-                           "bn_cache": (xhat, inv_std, gamma), "relu_mask": bn_out > 0,
-                           "pool_idx": pool_idx, "pool_in_shape": relu_out.shape,
-                           "pooled": pooled})
+            caches.append({"conv_in": conv_in, "bn_cache": (xhat, inv_std, gamma),
+                           "relu_mask": bn_out > 0, "pool_idx": pool_idx})
     return h, caches, stats
 
 
@@ -262,8 +258,8 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
     for i in reversed(range(len(model.arch.channels))):
         pre = f"backbone.b{i}"
         c = caches.pop()
-        if c["pooled"]:
-            d = maxpool2_scatter(d, c["pool_idx"], c["pool_in_shape"])
+        if c["pool_idx"] is not None:
+            d = maxpool2_scatter(d, c["pool_idx"], c["relu_mask"].shape)
         d = d * c["relu_mask"]
         d, dgamma, dbeta = bn_backward(d, c["bn_cache"])
         grads[f"{pre}.bn.gamma"] = dgamma
@@ -276,11 +272,11 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
 
 def _rpn_forward(model: ModelState, feats: np.ndarray):
     p = model.params
-    hidden_pre = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)[0]
-    hidden = relu_forward(hidden_pre)
+    hidden = relu_forward(
+        conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)[0])
     obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"], 1, 0)
     delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"], 1, 0)
-    return obj_map, delta_map, hidden_pre, hidden
+    return obj_map, delta_map, hidden
 
 
 def _flatten_rpn(arch: ArchDescriptor, amap: np.ndarray, per_anchor: int):
@@ -302,17 +298,18 @@ def _unflatten_rpn(arch: ArchDescriptor, flat: np.ndarray, per_anchor: int):
         .reshape(n, a * per_anchor, f, f))
 
 
-def _objectness_scores(obj_flat_img: np.ndarray) -> np.ndarray:
-    """Foreground probability from per-anchor (background, foreground) logits."""
-    z = obj_flat_img - obj_flat_img.max(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (rows, classes) logits."""
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e[:, 1] / e.sum(axis=1)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _propose(arch: ArchDescriptor, anchors: np.ndarray, obj_flat_img: np.ndarray,
              delta_flat_img: np.ndarray):
     """Decode, clip, score-sort and NMS-prune one image's RPN output."""
-    scores = _objectness_scores(obj_flat_img.astype(np.float64))
+    # foreground probability from per-anchor (background, foreground) logits
+    scores = _softmax(obj_flat_img.astype(np.float64))[:, 1]
     boxes = B.decode_deltas(delta_flat_img, anchors)
     boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
     wh_ok = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
@@ -406,7 +403,6 @@ class TrainPlan:
 
     rpn_idx: list = field(default_factory=list)
     rpn_cls: list = field(default_factory=list)
-    rpn_pos_idx: list = field(default_factory=list)
     rpn_reg_targets: list = field(default_factory=list)
     proposals: list = field(default_factory=list)
     roi_labels: list = field(default_factory=list)
@@ -435,7 +431,6 @@ def _plan_from_outputs(arch: ArchDescriptor, anchors, obj_flat, delta_flat,
         plan.rpn_idx.append(np.concatenate([pos, neg]))
         plan.rpn_cls.append(np.concatenate([np.ones(len(pos), np.int64),
                                             np.zeros(len(neg), np.int64)]))
-        plan.rpn_pos_idx.append(pos)
         plan.rpn_reg_targets.append(
             B.encode_deltas(gt_boxes[assign[pos]], anchors[pos])
             if len(pos) else np.zeros((0, 4), np.float32))
@@ -498,44 +493,33 @@ def _roi_head_forward(model: ModelState, feats: np.ndarray, proposals,
     pooled = np.concatenate(pooled_parts) if pooled_parts else np.zeros(
         (0, arch.channels[-1], arch.roi_pool_size, arch.roi_pool_size), feats.dtype)
     flat = pooled.reshape(len(pooled), -1)
-    h1_pre = linear_forward(flat, p["roi.fc1.w"], p["roi.fc1.b"])
-    h1 = relu_forward(h1_pre)
-    h2_pre = linear_forward(h1, p["roi.fc2.w"], p["roi.fc2.b"])
-    h2 = relu_forward(h2_pre)
+    h1 = relu_forward(linear_forward(flat, p["roi.fc1.w"], p["roi.fc1.b"]))
+    h2 = relu_forward(linear_forward(h1, p["roi.fc2.w"], p["roi.fc2.b"]))
     cls_logits = linear_forward(h2, p["roi.cls.w"], p["roi.cls.b"])
     deltas = linear_forward(h2, p["roi.delta.w"], p["roi.delta.b"])
-    cache = {"flat": flat, "h1_pre": h1_pre, "h1": h1, "h2_pre": h2_pre,
-             "h2": h2, "scatter": scatter}
+    cache = {"flat": flat, "h1": h1, "h2": h2, "scatter": scatter}
     return cls_logits, deltas, cache
 
 
 def _compute_losses(obj_flat, delta_flat, cls_logits, roi_deltas, plan,
                     include_reg: bool):
-    """LossBreakdown plus upstream gradients for each head output."""
-    n_img = obj_flat.shape[0]
-    sel_logits = np.concatenate(
-        [obj_flat[i][plan.rpn_idx[i]] for i in range(n_img)], axis=0)
-    sel_targets = np.concatenate(plan.rpn_cls)
-    rpn_cls, dsel = softmax_cross_entropy(sel_logits, sel_targets)
+    """LossBreakdown plus upstream gradients for each head output. One
+    (image, row) index gathers the sampled anchors and scatters their
+    gradients; its rows of RPN class 1 are the regression positives."""
+    img = np.repeat(np.arange(len(plan.rpn_idx)), [len(ix) for ix in plan.rpn_idx])
+    row = np.concatenate(plan.rpn_idx)
+    rpn_targets = np.concatenate(plan.rpn_cls)
+    rpn_cls, dsel = softmax_cross_entropy(obj_flat[img, row], rpn_targets)
     dobj = np.zeros_like(obj_flat)
-    off = 0
-    for i in range(n_img):
-        k = len(plan.rpn_idx[i])
-        dobj[i][plan.rpn_idx[i]] = dsel[off:off + k]
-        off += k
+    dobj[img, row] = dsel
 
     ddelta = np.zeros_like(delta_flat)
-    n_rpn_pos = sum(len(ix) for ix in plan.rpn_pos_idx)
-    if include_reg and n_rpn_pos > 0:
-        diffs = np.concatenate(
-            [delta_flat[i][plan.rpn_pos_idx[i]] - plan.rpn_reg_targets[i]
-             for i in range(n_img)], axis=0)
+    pos = rpn_targets == 1
+    if include_reg and pos.any():
+        img, row = img[pos], row[pos]
+        diffs = delta_flat[img, row] - np.concatenate(plan.rpn_reg_targets)
         rpn_reg, ddiffs = smooth_l1(diffs)
-        off = 0
-        for i in range(n_img):
-            k = len(plan.rpn_pos_idx[i])
-            ddelta[i][plan.rpn_pos_idx[i]] = ddiffs[off:off + k]
-            off += k
+        ddelta[img, row] = ddiffs
     else:
         rpn_reg = 0.0
 
@@ -557,15 +541,15 @@ def _compute_losses(obj_flat, delta_flat, cls_logits, roi_deltas, plan,
     return loss, dobj, ddelta, dcls, droi_delta
 
 
-def _forward_all(model: ModelState, images: np.ndarray):
-    """Backbone and RPN forward on batch statistics, with everything the
-    plan, the losses and the backward pass need."""
+def _forward_all(model: ModelState, images: np.ndarray, mode: str):
+    """Backbone (in _backbone_forward's mode) and RPN forward. In train mode
+    the result holds everything the plan, the losses and the backward pass
+    need; inference reads only the features and the flattened RPN maps."""
     arch = model.arch
-    feats, bb_caches, stats = _backbone_forward(model, images, mode="train")
-    obj_map, delta_map, hidden_pre, hidden = _rpn_forward(model, feats)
+    feats, bb_caches, stats = _backbone_forward(model, images, mode)
+    obj_map, delta_map, hidden = _rpn_forward(model, feats)
     return {
-        "feats": feats, "bb_caches": bb_caches, "stats": stats,
-        "hidden_pre": hidden_pre, "hidden": hidden,
+        "feats": feats, "bb_caches": bb_caches, "stats": stats, "hidden": hidden,
         "obj_flat": _flatten_rpn(arch, obj_map, 2),
         "delta_flat": _flatten_rpn(arch, delta_map, 4),
     }
@@ -575,10 +559,11 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
             include_reg: bool):
     """ROI head forward, losses and the full backward pass.
 
-    The backward pass consumes fw: each forward cache (the RPN activations,
-    every backbone block's cache) is dropped once its gradient exists, so
-    the caches of layers already processed are not alive beside the
-    backward buffers of the layers still to come.
+    A ReLU backward reads the post-activation h (h > 0 where its input is,
+    NaN included). The backward pass consumes fw: each forward cache (the
+    RPN activation, every backbone block's cache) is dropped once its
+    gradient exists, so the caches of layers already processed are not
+    alive beside the backward buffers of the layers still to come.
     """
     arch = model.arch
     feats = fw["feats"]
@@ -589,15 +574,14 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     p = model.params
     grads = {}
     # ROI head backward
-    dh2 = dcls @ p["roi.cls.w"].T + droi_delta @ p["roi.delta.w"].T
-    grads["roi.cls.w"] = roi_cache["h2"].T @ dcls
-    grads["roi.cls.b"] = dcls.sum(axis=0)
-    grads["roi.delta.w"] = roi_cache["h2"].T @ droi_delta
-    grads["roi.delta.b"] = droi_delta.sum(axis=0)
-    dh2 = relu_backward(dh2, roi_cache["h2_pre"])
+    dh2, dw, db = linear_backward(dcls, roi_cache["h2"], p["roi.cls.w"])
+    grads["roi.cls.w"], grads["roi.cls.b"] = dw, db
+    dh2_d, dw, db = linear_backward(droi_delta, roi_cache["h2"], p["roi.delta.w"])
+    grads["roi.delta.w"], grads["roi.delta.b"] = dw, db
+    dh2 = relu_backward(dh2 + dh2_d, roi_cache["h2"])
     dh1, dw, db = linear_backward(dh2, roi_cache["h1"], p["roi.fc2.w"])
     grads["roi.fc2.w"], grads["roi.fc2.b"] = dw, db
-    dh1 = relu_backward(dh1, roi_cache["h1_pre"])
+    dh1 = relu_backward(dh1, roi_cache["h1"])
     dflat, dw, db = linear_backward(dh1, roi_cache["flat"], p["roi.fc1.w"])
     grads["roi.fc1.w"], grads["roi.fc1.b"] = dw, db
     scatter = roi_cache["scatter"]
@@ -608,10 +592,8 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
                             arch.roi_pool_size)
     c, fh, fw_ = feats.shape[1:]
     row = 0
-    for i, info in enumerate(scatter):
-        if info is None:
-            continue
-        cells, count = info
+    # the plan gives every image arch.roi_sample proposals, so no entry is None
+    for i, (cells, count) in enumerate(scatter):
         dfeats[i] += _roi_scatter_batch(dpooled[row:row + count], cells, c, fh, fw_)
         row += count
     del scatter, dflat, dpooled
@@ -624,8 +606,8 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     grads["rpn.obj.w"], grads["rpn.obj.b"] = dw, db
     dh_d, dw, db = conv2d_backward(ddelta_map, hidden, p["rpn.delta.w"], 1, 0)
     grads["rpn.delta.w"], grads["rpn.delta.b"] = dw, db
+    dh = relu_backward(dh + dh_d, hidden)
     del hidden
-    dh = relu_backward(dh + dh_d, fw.pop("hidden_pre"))
     dfeats_rpn, dw, db = conv2d_backward(dh, feats, p["rpn.conv.w"], 1, 1)
     grads["rpn.conv.w"], grads["rpn.conv.b"] = dw, db
     dfeats += dfeats_rpn
@@ -644,7 +626,7 @@ def forward_train(model: ModelState, images: np.ndarray, targets,
     the model untouched; otherwise folds the batch statistics into the BN
     running estimates (update_running_statistics) before returning.
     """
-    fw = _forward_all(model, images)
+    fw = _forward_all(model, images, "train")
     plan = _plan_from_outputs(model.arch, generate_anchors(model.arch),
                               fw["obj_flat"], fw["delta_flat"], targets, rng)
     loss, grads = _finish(model, images, fw, plan, include_reg)
@@ -658,9 +640,13 @@ def forward_train(model: ModelState, images: np.ndarray, targets,
 # inference
 # ---------------------------------------------------------------------------
 
-def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05,
-                            nms_iou: float = 0.5, max_dets: int = 50,
-                            stats_mode: str = "eval"):
+# detection post-processing: class-score floor, per-class NMS IoU, kept boxes
+SCORE_FLOOR = 0.05
+NMS_IOU = 0.5
+MAX_DETS = 50
+
+
+def forward_inference_batch(model: ModelState, images, stats_mode: str = "eval"):
     """Detect objects in a list of HWC images; one Detections per image.
 
     stats_mode 'eval' normalizes with the stored running BN statistics, and
@@ -668,27 +654,23 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
     is either elementwise or an independent per-image/per-row matrix
     product. 'collect' normalizes every image by the statistics of the
     whole batch, which are never written back. Each image's boxes are
-    decoded and filtered for all classes in one pass.
+    decoded and filtered for all classes in one pass: boxes scoring below
+    SCORE_FLOOR are dropped, NMS at NMS_IOU runs per class, and at most
+    MAX_DETS detections are kept.
     """
     if stats_mode not in ("eval", "collect"):
         raise ValueError(f"unknown stats_mode {stats_mode!r}")
     arch = model.arch
     k = arch.num_classes
-    x = images_to_batch(images)
-    feats, _, _ = _backbone_forward(model, x, mode=stats_mode)
-    obj_map, delta_map, _, _ = _rpn_forward(model, feats)
-    obj_flat = _flatten_rpn(arch, obj_map, 2)
-    delta_flat = _flatten_rpn(arch, delta_map, 4)
+    fw = _forward_all(model, images_to_batch(images), stats_mode)
     anchors = generate_anchors(arch)
     proposals = [
-        _propose(arch, anchors, obj_flat[i], delta_flat[i])[0]
+        _propose(arch, anchors, fw["obj_flat"][i], fw["delta_flat"][i])[0]
         for i in range(len(images))
     ]
-    cls_logits, roi_deltas, _ = _roi_head_forward(model, feats, proposals,
+    cls_logits, roi_deltas, _ = _roi_head_forward(model, fw["feats"], proposals,
                                                   need_indices=False)
-    z = cls_logits - cls_logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = _softmax(cls_logits)
 
     results = []
     row = 0
@@ -705,9 +687,9 @@ def forward_inference_batch(model: ModelState, images, score_floor: float = 0.05
         boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
         ok = ((boxes[:, 2] - boxes[:, 0] > 1e-3)
               & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-              & (scores >= score_floor))
+              & (scores >= SCORE_FLOOR))
         dets = B.Detections(boxes[ok], np.repeat(np.arange(k, dtype=np.int64), n)[ok],
                             scores[ok].astype(np.float32))
-        results.append(B.nms(dets, nms_iou)[:max_dets])
+        results.append(B.nms(dets, NMS_IOU)[:MAX_DETS])
     return results
 

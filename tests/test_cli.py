@@ -339,12 +339,14 @@ def test_train_source_rejects_invalid_option(workdir, capsys, flags, option):
     assert not out.exists()
 
 
-def test_train_source_on_malformed_annotation_exits_3(workdir, tmp_path, capsys):
+def assert_train_source_rejects_line_2(workdir, tmp_path, capsys, edit):
+    """train-source on source_train with annotation record 2 replaced by
+    edit(record) exits 3 naming that line and writes no checkpoint."""
     data = tmp_path / "data"
     shutil.copytree(workdir / "data" / "source_train", data / "source_train")
     ann = data / "source_train" / "annotations.jsonl"
     lines = ann.read_text().splitlines()
-    lines[1] = json.dumps({"id": "no_file", "boxes": [], "labels": []})
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
     ann.write_text("\n".join(lines) + "\n")
     out = tmp_path / "source.ckpt"
     rc = cli.main(["train-source", "--data", str(data), "--out", str(out), "--steps", "1"])
@@ -352,6 +354,34 @@ def test_train_source_on_malformed_annotation_exits_3(workdir, tmp_path, capsys)
     (line,) = error_lines(capsys)
     assert line.startswith("ERROR[data]:") and f"{ann}:2" in line
     assert not out.exists()
+
+
+def test_train_source_on_malformed_annotation_exits_3(workdir, tmp_path, capsys):
+    assert_train_source_rejects_line_2(
+        workdir, tmp_path, capsys, lambda _: {"id": "no_file", "boxes": [], "labels": []})
+
+
+@pytest.mark.parametrize("change", [
+    {"boxes": [[10, 10, 20, 20]], "labels": [7]},
+    {"boxes": [[10, 10, 5, float("nan")]], "labels": [0]},
+    {"id": "source_train_00000"},
+], ids=["label", "box", "duplicate_id"])
+def test_train_source_on_invalid_annotation_value_exits_3(workdir, tmp_path, capsys,
+                                                          change):
+    assert_train_source_rejects_line_2(workdir, tmp_path, capsys,
+                                       lambda record: record | change)
+
+
+def test_eval_on_manifest_not_an_object_exits_3(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data" / "target_test", data / "target_test")
+    manifest = data / "target_test" / "manifest.json"
+    manifest.write_text("[1]")
+    rc = cli.main(["eval", "--ckpt", str(workdir / "source.ckpt"), "--data", str(data),
+                   "--split", "target_test"])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and str(manifest) in line
 
 
 # ---------------------------------------------------------------------------

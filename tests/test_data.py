@@ -163,11 +163,36 @@ def test_read_errors(tmp_path):
     for record in [{"id": "x_00001", "boxes": [], "labels": []},         # no file
                    [1, 2],                                              # no object
                    {"file": image, "boxes": [[1, 2, 3, 4], [1, 2]], "labels": [0, 1]},
-                   {"file": image, "boxes": [[1, 2, 3, 4]], "labels": [0, 1]}]:
+                   {"file": image, "boxes": [[1, 2, 3, 4]], "labels": [0, 1]},
+                   {"file": image, "id": [1], "boxes": [], "labels": []},
+                   # labels outside the manifest's three classes
+                   {"file": image, "boxes": [[1, 2, 3, 4]], "labels": [7]},
+                   {"file": image, "boxes": [[1, 2, 3, 4]], "labels": [3]},
+                   {"file": image, "boxes": [[1, 2, 3, 4]], "labels": [-1]},
+                   # boxes that are not finite or have no area
+                   {"file": image, "boxes": [[10, 10, 5, float("nan")]], "labels": [0]},
+                   {"file": image, "boxes": [[1, 2, float("inf"), 4]], "labels": [0]},
+                   {"file": image, "boxes": [[1, 2, 3, 4], [5, 2, 5, 4]], "labels": [0, 1]},
+                   {"file": image, "boxes": [[1, 4, 3, 2]], "labels": [0]},
+                   # the scene id of line 1 again
+                   {"file": image, "id": "x_00000", "boxes": [], "labels": []}]:
         apath.write_text(f"{first}\n{json.dumps(record)}\n")
         with pytest.raises(Dt.DataError) as err:
             Dt.read_dataset(tmp_path / "records")
         assert f"{apath}:2" in str(err.value), record
+    edge = {"file": image, "boxes": [[0, 0, 0.5, 96], [1, 2, 3, 4]], "labels": [2, 0]}
+    apath.write_text(f"{first}\n{json.dumps(edge)}\n")
+    assert Dt.read_dataset(tmp_path / "records")[1].labels.tolist() == [2, 0]
+
+
+@pytest.mark.parametrize("manifest", ["[1]", '"x"', "{}", '{"classes": 3}'])
+def test_manifest_must_be_object_with_classes(tmp_path, manifest):
+    Dt.write_dataset(Dt.generate_split(Dt.DomainSpec(), 1, 0, "x"), tmp_path / "ds")
+    mpath = tmp_path / "ds" / "manifest.json"
+    mpath.write_text(manifest)
+    with pytest.raises(Dt.DataError) as err:
+        Dt.read_dataset(tmp_path / "ds")
+    assert str(mpath) in str(err.value)
 
 
 def test_manifest_bytes_pinned(tmp_path):

@@ -13,7 +13,18 @@ import pytest
 from sfodlab import boxes as B
 from sfodlab import detector as D
 from sfodlab.batchnorm import update_running_statistics
-from sfodlab.ops import NumericsError
+from sfodlab.ops import (
+    NumericsError,
+    conv2d_backward,
+    conv2d_forward,
+    conv2d_forward_cols,
+    linear_backward,
+    linear_forward,
+    relu_backward,
+    relu_forward,
+    smooth_l1,
+    softmax_cross_entropy,
+)
 from conftest import bn_stat_names
 
 
@@ -244,17 +255,18 @@ def test_roi_pool_batch_nan_propagates(rng):
 # perturb a parameter and re-evaluate the loss of an unchanged plan.
 
 def build_train_plan(model, images, targets, rng):
-    fw = D._forward_all(model, images)
+    fw = D._forward_all(model, images, "train")
     return D._plan_from_outputs(model.arch, D.generate_anchors(model.arch),
                                 fw["obj_flat"], fw["delta_flat"], targets, rng)
 
 
 def forward_train_with_plan(model, images, plan, include_reg=True):
-    return D._finish(model, images, D._forward_all(model, images), plan, include_reg)
+    return D._finish(model, images, D._forward_all(model, images, "train"), plan,
+                     include_reg)
 
 
 def training_loss(model, images, plan):
-    fw = D._forward_all(model, images)
+    fw = D._forward_all(model, images, "train")
     cls_logits, roi_deltas, _ = D._roi_head_forward(model, fw["feats"], plan.proposals)
     return D._compute_losses(fw["obj_flat"], fw["delta_flat"], cls_logits,
                              roi_deltas, plan, True)[0]
@@ -338,12 +350,12 @@ def test_backward_consumes_forward_caches(rng):
     arch = small_arch()
     model = D.init_model(arch, 0)
     imgs, targets = random_batch(rng, arch)
-    fw = D._forward_all(model, imgs)
+    fw = D._forward_all(model, imgs, "train")
     assert "rpn_cols" not in fw
-    for c in fw["bb_caches"]:
+    for i, c in enumerate(fw["bb_caches"]):
         assert c["relu_mask"].dtype == bool
-        assert set(c) == {"conv_in", "bn_cache", "relu_mask", "pool_idx",
-                          "pool_in_shape", "pooled"}
+        assert set(c) == {"conv_in", "bn_cache", "relu_mask", "pool_idx"}
+        assert (c["pool_idx"] is None) == (i >= arch.n_pools)
         # no patch matrix: every cached array is at most the conv output's
         # size, while the block's im2col columns are 9 * C_in / C_out times it
         arrays = [v for v in (c["conv_in"], *c["bn_cache"], c["relu_mask"], c["pool_idx"])
@@ -353,7 +365,7 @@ def test_backward_consumes_forward_caches(rng):
                                 fw["delta_flat"], targets, np.random.default_rng(0))
     D._finish(model, imgs, fw, plan, True)
     assert fw["bb_caches"] == []
-    assert not {"hidden", "hidden_pre"} & fw.keys()
+    assert "hidden" not in fw
 
 
 def test_forward_train_nan_aborts(rng):
@@ -426,15 +438,193 @@ def test_gradients_match_finite_differences_20_params(rng):
         assert abs(num - ana) / denom < 1e-3, (name, idx, num, ana)
 
 
+# The training step as it was while it cached every pre-activation, gathered
+# the sampled RPN rows with per-image offset loops and spelled out the ROI
+# cls/delta backward: the live step must give byte-equal results.
+
+def rpn_forward_reference(model, feats):
+    p = model.params
+    hidden_pre = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)[0]
+    hidden = relu_forward(hidden_pre)
+    obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"], 1, 0)
+    delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"], 1, 0)
+    return obj_map, delta_map, hidden_pre, hidden
+
+
+def roi_head_forward_reference(model, feats, proposals):
+    arch, p = model.arch, model.params
+    pooled_parts, scatter = [], []
+    for i, props in enumerate(proposals):
+        boxes = np.asarray(props, np.float64).reshape(-1, 4) / arch.feature_stride
+        pooled, cells = D._roi_pool_batch(feats[i], boxes, arch.roi_pool_size)
+        pooled_parts.append(pooled)
+        scatter.append((cells, len(boxes)))
+    flat = np.concatenate(pooled_parts).reshape(-1, p["roi.fc1.w"].shape[0])
+    h1_pre = linear_forward(flat, p["roi.fc1.w"], p["roi.fc1.b"])
+    h1 = relu_forward(h1_pre)
+    h2_pre = linear_forward(h1, p["roi.fc2.w"], p["roi.fc2.b"])
+    h2 = relu_forward(h2_pre)
+    cls_logits = linear_forward(h2, p["roi.cls.w"], p["roi.cls.b"])
+    deltas = linear_forward(h2, p["roi.delta.w"], p["roi.delta.b"])
+    cache = {"flat": flat, "h1_pre": h1_pre, "h1": h1, "h2_pre": h2_pre,
+             "h2": h2, "scatter": scatter}
+    return cls_logits, deltas, cache
+
+
+def compute_losses_reference(obj_flat, delta_flat, cls_logits, roi_deltas, plan,
+                             include_reg):
+    n_img = obj_flat.shape[0]
+    # the plan no longer lists the positives apart: they are the class-1 rows
+    rpn_pos_idx = [ix[cls == 1] for ix, cls in zip(plan.rpn_idx, plan.rpn_cls)]
+    sel_logits = np.concatenate(
+        [obj_flat[i][plan.rpn_idx[i]] for i in range(n_img)], axis=0)
+    sel_targets = np.concatenate(plan.rpn_cls)
+    rpn_cls, dsel = softmax_cross_entropy(sel_logits, sel_targets)
+    dobj = np.zeros_like(obj_flat)
+    off = 0
+    for i in range(n_img):
+        k = len(plan.rpn_idx[i])
+        dobj[i][plan.rpn_idx[i]] = dsel[off:off + k]
+        off += k
+
+    ddelta = np.zeros_like(delta_flat)
+    n_rpn_pos = sum(len(ix) for ix in rpn_pos_idx)
+    if include_reg and n_rpn_pos > 0:
+        diffs = np.concatenate(
+            [delta_flat[i][rpn_pos_idx[i]] - plan.rpn_reg_targets[i]
+             for i in range(n_img)], axis=0)
+        rpn_reg, ddiffs = smooth_l1(diffs)
+        off = 0
+        for i in range(n_img):
+            k = len(rpn_pos_idx[i])
+            ddelta[i][rpn_pos_idx[i]] = ddiffs[off:off + k]
+            off += k
+    else:
+        rpn_reg = 0.0
+
+    labels = np.concatenate(plan.roi_labels)
+    roi_cls, dcls = softmax_cross_entropy(cls_logits, labels)
+
+    droi_delta = np.zeros_like(roi_deltas)
+    fg = np.where(labels > 0)[0]
+    if include_reg and len(fg) > 0:
+        reg_targets = np.concatenate(plan.roi_reg_targets)[fg]
+        cols = (labels[fg] - 1)[:, None] * 4 + np.arange(4)[None, :]
+        pred = roi_deltas[fg[:, None], cols]
+        roi_reg, dd = smooth_l1(pred - reg_targets)
+        droi_delta[fg[:, None], cols] = dd
+    else:
+        roi_reg = 0.0
+
+    loss = D.LossBreakdown(float(rpn_cls), float(rpn_reg), float(roi_cls), float(roi_reg))
+    return loss, dobj, ddelta, dcls, droi_delta
+
+
+def forward_train_reference(model, images, targets, rng, include_reg):
+    arch, p = model.arch, model.params
+    feats, bb_caches, stats = D._backbone_forward(model, images, "train")
+    obj_map, delta_map, hidden_pre, hidden = rpn_forward_reference(model, feats)
+    obj_flat = D._flatten_rpn(arch, obj_map, 2)
+    delta_flat = D._flatten_rpn(arch, delta_map, 4)
+    plan = D._plan_from_outputs(arch, D.generate_anchors(arch), obj_flat, delta_flat,
+                                targets, rng)
+    cls_logits, roi_deltas, roi_cache = roi_head_forward_reference(
+        model, feats, plan.proposals)
+    loss, dobj, ddelta, dcls, droi_delta = compute_losses_reference(
+        obj_flat, delta_flat, cls_logits, roi_deltas, plan, include_reg)
+
+    grads = {}
+    dh2 = dcls @ p["roi.cls.w"].T + droi_delta @ p["roi.delta.w"].T
+    grads["roi.cls.w"] = roi_cache["h2"].T @ dcls
+    grads["roi.cls.b"] = dcls.sum(axis=0)
+    grads["roi.delta.w"] = roi_cache["h2"].T @ droi_delta
+    grads["roi.delta.b"] = droi_delta.sum(axis=0)
+    dh2 = relu_backward(dh2, roi_cache["h2_pre"])
+    dh1, grads["roi.fc2.w"], grads["roi.fc2.b"] = linear_backward(
+        dh2, roi_cache["h1"], p["roi.fc2.w"])
+    dh1 = relu_backward(dh1, roi_cache["h1_pre"])
+    dflat, grads["roi.fc1.w"], grads["roi.fc1.b"] = linear_backward(
+        dh1, roi_cache["flat"], p["roi.fc1.w"])
+
+    dfeats = np.zeros_like(feats)
+    dpooled = dflat.reshape(-1, arch.channels[-1], arch.roi_pool_size,
+                            arch.roi_pool_size)
+    c, fh, fw = feats.shape[1:]
+    row = 0
+    for i, (cells, count) in enumerate(roi_cache["scatter"]):
+        dfeats[i] += D._roi_scatter_batch(dpooled[row:row + count], cells, c, fh, fw)
+        row += count
+
+    dh, grads["rpn.obj.w"], grads["rpn.obj.b"] = conv2d_backward(
+        D._unflatten_rpn(arch, dobj, 2), hidden, p["rpn.obj.w"], 1, 0)
+    dh_d, grads["rpn.delta.w"], grads["rpn.delta.b"] = conv2d_backward(
+        D._unflatten_rpn(arch, ddelta, 4), hidden, p["rpn.delta.w"], 1, 0)
+    dh = relu_backward(dh + dh_d, hidden_pre)
+    dfeats_rpn, grads["rpn.conv.w"], grads["rpn.conv.b"] = conv2d_backward(
+        dh, feats, p["rpn.conv.w"], 1, 1)
+    dfeats += dfeats_rpn
+
+    D._backbone_backward(model, bb_caches, dfeats, grads)
+    grads = {k: np.asarray(v, images.dtype) for k, v in grads.items()}
+    update_running_statistics(model, stats)
+    return loss, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
+                         ids=["small", "default"])
+def test_forward_train_matches_reference(arch, n, dtype):
+    """Byte-equal loss terms, gradients and folded BN statistics."""
+    rng = np.random.default_rng(n)
+    model = D.init_model(arch, 9)
+    model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+    imgs, _ = random_batch(rng, arch, n=n, dtype=dtype)
+    # objects of 6-14 px on a 32-px frame, scaled to the input, so that
+    # both regression terms have positives on either architecture
+    _, targets = random_batch(rng, small_arch(), n=n)
+    targets = [(b * np.float32(arch.input_size / 32), l) for b, l in targets]
+    for include_reg in (True, False):
+        live, want = model.copy(), model.copy()
+        loss, grads = D.forward_train(live, imgs, targets, np.random.default_rng(5),
+                                      include_reg)
+        ref_loss, ref_grads = forward_train_reference(
+            want, imgs, targets, np.random.default_rng(5), include_reg)
+        assert loss == ref_loss
+        assert (loss.rpn_reg > 0 and loss.roi_reg > 0) == include_reg
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype, name
+            assert g.tobytes() == ref_grads[name].tobytes(), (include_reg, name)
+        for name, v in live.params.items():
+            assert v.tobytes() == want.params[name].tobytes(), name
+
+
+def test_softmax_objectness_matches_reference(rng):
+    """_propose's foreground score: byte-equal to the two-column softmax it
+    used to compute on its own."""
+    def objectness_reference(obj):
+        z = obj - obj.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        return e[:, 1] / e.sum(axis=1)
+
+    for scale in (1.0, 30.0, 1e3):
+        obj = rng.normal(size=(500, 2)) * scale
+        got = D._softmax(obj)[:, 1]
+        assert got.dtype == np.float64
+        assert got.tobytes() == objectness_reference(obj).tobytes(), scale
+
+
 # ---------------------------------------------------------------------------
 # inference
 # ---------------------------------------------------------------------------
 
-def test_inference_contract_untrained(rng):
+def test_inference_contract_untrained(rng, monkeypatch):
     arch = small_arch()
     model = D.init_model(arch, 2)
     img = rng.random((32, 32, 3)).astype(np.float32)
-    (dets,) = D.forward_inference_batch(model, [img], max_dets=20)
+    monkeypatch.setattr(D, "MAX_DETS", 20)
+    (dets,) = D.forward_inference_batch(model, [img])
     assert len(dets) <= 20
     assert ((dets.scores >= 0) & (dets.scores <= 1)).all()
     assert (dets.labels < arch.num_classes).all()
@@ -443,12 +633,14 @@ def test_inference_contract_untrained(rng):
     assert (b[:, 2] > b[:, 0]).all() and (b[:, 3] > b[:, 1]).all()
 
 
-def test_inference_score_floor_monotone(rng):
+def test_inference_score_floor_monotone(rng, monkeypatch):
     arch = small_arch()
     model = D.init_model(arch, 4)
     img = rng.random((32, 32, 3)).astype(np.float32)
-    counts = [len(D.forward_inference_batch(model, [img], score_floor=f)[0])
-              for f in (0.0, 0.05, 0.2, 0.5, 0.9)]
+    counts = []
+    for floor in (0.0, 0.05, 0.2, 0.5, 0.9):
+        monkeypatch.setattr(D, "SCORE_FLOOR", floor)
+        counts.append(len(D.forward_inference_batch(model, [img])[0]))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -480,11 +672,12 @@ def test_inference_eval_mode_pure(rng):
 def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=50,
                         stats_mode="eval"):
     """forward_inference_batch as it was before the class decode was
-    vectorized: one decode, clip and filter pass per class."""
+    vectorized (one decode, clip and filter pass per class), and before it
+    shared _forward_all's backbone/RPN/flatten and the _softmax of _propose."""
     arch = model.arch
     x = D.images_to_batch(images)
     feats, _, _ = D._backbone_forward(model, x, mode=stats_mode)
-    obj_map, delta_map, _, _ = D._rpn_forward(model, feats)
+    obj_map, delta_map, _ = D._rpn_forward(model, feats)
     obj_flat = D._flatten_rpn(arch, obj_map, 2)
     delta_flat = D._flatten_rpn(arch, delta_map, 4)
     anchors = D.generate_anchors(arch)
@@ -521,7 +714,7 @@ def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=5
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 5])
-def test_class_decode_matches_per_class_reference(rng, num_classes):
+def test_class_decode_matches_per_class_reference(rng, num_classes, monkeypatch):
     """Byte-equal Detections; the ROI head is scaled up so scores straddle
     the floors and 7-45% of the decoded boxes clip to nothing."""
     model = D.init_model(small_arch(num_classes=num_classes), 8)
@@ -529,11 +722,36 @@ def test_class_decode_matches_per_class_reference(rng, num_classes):
         model.params[name] *= np.float32(30.0)
     imgs = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(4)]
     for floor, mode in ((0.05, "eval"), (0.0, "eval"), (0.2, "collect")):
-        got = D.forward_inference_batch(model, imgs, floor, stats_mode=mode)
+        monkeypatch.setattr(D, "SCORE_FLOOR", floor)
+        got = D.forward_inference_batch(model, imgs, stats_mode=mode)
         want = inference_reference(model, imgs, floor, stats_mode=mode)
-        for g, w in zip(got, want):
-            for field in ("boxes", "labels", "scores"):
-                a, b = getattr(g, field), getattr(w, field)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes(), (floor, mode, field)
+        assert_same_detections(got, want, (floor, mode))
     assert sum(len(d) for d in got) > 0
+
+
+def assert_same_detections(got, want, what):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for field in ("boxes", "labels", "scores"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (what, field)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
+                         ids=["small", "default"])
+def test_inference_matches_reference(arch, n, dtype):
+    """Byte-equal Detections in both statistics modes, with float32 or
+    float64 parameters."""
+    rng = np.random.default_rng(n)
+    model = D.init_model(arch, 8)
+    model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+    s = arch.input_size
+    imgs = [rng.random((s, s, 3)).astype(np.float32) for _ in range(n)]
+    for mode in ("eval", "collect"):
+        got = D.forward_inference_batch(model, imgs, stats_mode=mode)
+        assert_same_detections(got, inference_reference(model, imgs, stats_mode=mode),
+                               mode)
+        assert sum(len(d) for d in got) > 0
