@@ -187,6 +187,9 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     """Run one self-training configuration against unlabeled target scenes.
 
     Returns the final student, the best student by trace mAP, and the trace.
+    The step-0 model is the initial teacher itself (source, or its AdaBN
+    adaptation), not a copy: it is the best model while no step beats it,
+    and with max_steps = 0 it is both final and best.
     A divergent step is recorded (trace.diverged_at) and ends the run with
     everything up to that step preserved; collapse is an observable here,
     not a crash.
@@ -195,8 +198,9 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     n = len(target_scenes)
 
     # The teacher is never written in place (ema_update builds new arrays,
-    # an alpha = 1 teacher is only read), so it may be source itself; the
-    # student is a copy.
+    # an alpha = 1 teacher is only read), so it may be source itself and
+    # step 0 needs no copy of it; only the student, which training writes,
+    # is a copy.
     if config.adabn_first:
         teacher = collect_target_statistics(
             source, [s.image for s in target_scenes], config.batch_size)
@@ -212,15 +216,14 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
         res = evaluate_model(model, eval_pool)
         return res.map, dict(res.per_class_ap)
 
-    student = teacher.copy()
-
-    cur_map, cur_ap = run_eval(student)
-    best_map, best_model = cur_map, student.copy()
+    cur_map, cur_ap = run_eval(teacher)
+    best_map, best_model = cur_map, teacher
     trace.rows.append(TraceRow(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, cur_map, cur_ap))
 
     if config.max_steps == 0:
-        return AdaptResult(student, best_model, trace)
+        return AdaptResult(teacher, teacher, trace)
 
+    student = teacher.copy()
     pl_set = None
     if config.fixed_pls:
         pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau,

@@ -33,14 +33,17 @@ def bn_apply(x: np.ndarray, mean, var, gamma, beta):
 
     Returns (output, xhat, inv_std); (xhat, inv_std, gamma) is the cache
     bn_backward needs when mean and var are the batch statistics of x.
-    xhat and the output are built in place, so all inputs share one dtype.
+    x is normalized in place and becomes xhat, so the output is the only new
+    array and the caller must own x (the detector passes its conv outputs).
+    All inputs share one dtype, so every step computes what the out-of-place
+    expression does, bit for bit.
     """
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = x - mean[None, :, None, None]
-    xhat *= inv_std[None, :, None, None]
-    out = gamma[None, :, None, None] * xhat
+    x -= mean[None, :, None, None]
+    x *= inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * x
     out += beta[None, :, None, None]
-    return out, xhat, inv_std
+    return out, x, inv_std
 
 
 def bn_backward(dout: np.ndarray, cache):

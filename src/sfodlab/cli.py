@@ -14,8 +14,10 @@ batch-norm temporaries of several MB; with glibc's defaults many of them
 went back to the operating system and the next batch faulted the same pages
 in again. One ``adapt --strategy adabn`` of 32 + 16 images took about 62k
 minor page faults and 0.12-0.16 s of kernel time (``getrusage``; 2 vCPU,
-numpy 2.4.6, glibc 2.36); with this policy and 8-image evaluation chunks
-(``train.evaluate_model``) it takes about 10k faults and 0.03-0.04 s.
+numpy 2.4.6, glibc 2.36); with this policy, 4-image evaluation chunks
+(``train.evaluate_model``) and the backbone's in-place BN and ReLU it takes
+about 6-7k faults and 0.02-0.05 s, at a peak RSS of about 61 MB (75 MB
+with 8-image chunks and out-of-place BN and ReLU).
 Without glibc's mallopt nothing is set; results never depend on the policy.
 """
 
@@ -135,22 +137,29 @@ def _config_hash(config_dict: dict) -> str:
         json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _load_split(data_root, split: str, input_size: int | None = None):
-    """Read a split, which must hold at least one scene; with input_size,
-    every image must be that square size."""
+def _load_split(data_root, split: str, arch: ArchDescriptor | None = None):
+    """(scenes, arch) of a split read for a model of arch, by default the
+    architecture _arch_for sizes to the split's images. The split must hold
+    at least one scene, every image must be arch's square input size and
+    every label below arch.num_classes."""
     path = Path(data_root) / split
     if not path.exists():
         raise DataError(f"missing split directory {path}")
     scenes = read_dataset(path)
     if not scenes:
         raise DataError(f"{path}: the split has no scenes")
-    if input_size is not None:
-        for sc in scenes:
-            if sc.image.shape[:2] != (input_size, input_size):
-                h, w = sc.image.shape[:2]
-                raise DataError(f"{path}: image {sc.id} is {w}x{h}, the model "
-                                f"takes {input_size}x{input_size}")
-    return scenes
+    if arch is None:
+        arch = _arch_for(scenes, split)
+    size = arch.input_size
+    for sc in scenes:
+        if sc.image.shape[:2] != (size, size):
+            h, w = sc.image.shape[:2]
+            raise DataError(f"{path}: image {sc.id} is {w}x{h}, the model "
+                            f"takes {size}x{size}")
+        if sc.labels.size and sc.labels.max() >= arch.num_classes:
+            raise DataError(f"{path}: scene {sc.id} has label {sc.labels.max()}, "
+                            f"the model has {arch.num_classes} classes")
+    return scenes, arch
 
 
 def _arch_for(scenes, split: str) -> ArchDescriptor:
@@ -194,8 +203,8 @@ def cmd_train_source(args) -> int:
                                ("--log-every", args.log_every, 0)):
         if value < low:
             raise DataError(f"{option} must be >= {low}, got {value}")
-    scenes = _load_split(args.data, "source_train")
-    model = init_model(_arch_for(scenes, "source_train"), seed=args.seed)
+    scenes, arch = _load_split(args.data, "source_train")
+    model = init_model(arch, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     history = train_source(model, scenes, args.steps, args.lr,
                            args.batch_size, rng, log_every=args.log_every)
@@ -235,9 +244,8 @@ def _adapt_config(args) -> AdaptConfig:
 def cmd_adapt(args) -> int:
     config = _adapt_config(args)
     source, _ = load_checkpoint(args.source_ckpt)
-    size = source.arch.input_size
-    target_train = _load_split(args.data, "target_train", size)
-    target_test = _load_split(args.data, "target_test", size)
+    target_train, _ = _load_split(args.data, "target_train", source.arch)
+    target_test, _ = _load_split(args.data, "target_test", source.arch)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,7 +292,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    scenes = _load_split(args.data, args.split, model.arch.input_size)
+    scenes, _ = _load_split(args.data, args.split, model.arch)
     res = evaluate_model(model, scenes)
     for i in range(model.arch.num_classes):
         name = CLASS_NAMES[i] if i < len(CLASS_NAMES) else f"class{i}"

@@ -208,11 +208,17 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
     Returns (features, per-block caches, per-layer batch statistics):
     caches only in train mode, no statistics in eval mode.
 
+    BN and ReLU run in place: bn_apply turns each conv output into its xhat
+    and returns the BN output, the block's only other full-size array, which
+    relu_forward then overwrites with the ReLU output. Every mode gives the
+    bytes of the out-of-place expressions.
+
     A train-mode block cache holds the conv input, the BN cache, the
     pooling indices (None where the block does not pool) and the ReLU mask
-    bn_out > 0 as bool: all the ReLU backward reads, at a quarter of the
-    size of the float32 bn_out, and shaped like the pooling input. No im2col
-    patch matrix: conv2d_backward unfolds the conv input again for dw.
+    relu_out > 0 as bool (equal to bn_out > 0, NaN included): all the ReLU
+    backward reads, at a quarter of the size of the float32 activation, and
+    shaped like the pooling input. No im2col patch matrix: conv2d_backward
+    unfolds the conv input again for dw.
     """
     if mode not in ("train", "collect", "eval"):
         raise ValueError(f"unknown backbone mode {mode!r}")
@@ -234,7 +240,7 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
             stats.append((mean, var))
         gamma = p[f"{pre}.bn.gamma"]
         bn_out, xhat, inv_std = bn_apply(conv_out, mean, var, gamma, p[f"{pre}.bn.beta"])
-        relu_out = relu_forward(bn_out)
+        relu_out = relu_forward(bn_out)  # the same array as bn_out
         pool_idx = None
         if i >= arch.n_pools:
             h = relu_out
@@ -244,7 +250,7 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
             h = maxpool2_forward(relu_out)
         if keep:
             caches.append({"conv_in": conv_in, "bn_cache": (xhat, inv_std, gamma),
-                           "relu_mask": bn_out > 0, "pool_idx": pool_idx})
+                           "relu_mask": relu_out > 0, "pool_idx": pool_idx})
     return h, caches, stats
 
 

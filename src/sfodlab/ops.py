@@ -144,7 +144,9 @@ def _dilated_span(offset: int, count: int, stride: int, size: int):
 # ---------------------------------------------------------------------------
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """max(x, 0), written into x and returned: the caller owns x (a conv,
+    linear or BN output). A NaN stays NaN, so (out > 0) equals (x > 0)."""
+    return np.maximum(x, 0, out=x)
 
 
 def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -366,3 +366,43 @@ def test_adapt_never_writes_source(strategy):
                   max_steps=min(preset.max_steps, 2), eval_period=1, seed=5)
     adapt(source, targets, cfg, targets[:2])
     assert {k: v.tobytes() for k, v in source.params.items()} == before
+
+
+@pytest.mark.parametrize("strategy", ["adabn", "fixed_sf_pl"])
+def test_no_steps_final_is_best(strategy):
+    """With max_steps = 0 the step-0 model is returned once as final and best:
+    source's AdaBN adaptation for adabn, source itself otherwise."""
+    source = init_model(small_arch(), 0)
+    targets = tiny_scenes(6, 5, shift="fog")
+    cfg = replace(strategy_presets()[strategy], batch_size=2, max_steps=0, seed=3)
+    res = adapt(source, targets, cfg, targets[:3])
+    assert res.final is res.best
+    assert len(res.trace.rows) == 1
+    assert (res.final is source) == (not cfg.adabn_first)
+
+
+@pytest.mark.parametrize("adabn_first", [False, True], ids=["source", "adabn"])
+def test_step_zero_best_is_the_initial_teacher(monkeypatch, adabn_first):
+    """While no step beats step 0, best holds the bytes of the step-0
+    teacher, although the student trained on from it."""
+    from sfodlab.batchnorm import collect_target_statistics
+    real = adapt_mod.evaluate_model
+    calls = []
+
+    def worse_after_step_0(model, scenes):
+        calls.append(real(model, scenes))
+        return calls[-1] if len(calls) == 1 else replace(calls[-1], map=-1.0)
+
+    monkeypatch.setattr(adapt_mod, "evaluate_model", worse_after_step_0)
+    source = init_model(small_arch(), 0)
+    targets = tiny_scenes(6, 5, shift="fog")
+    step0 = (collect_target_statistics(source, [s.image for s in targets], 2)
+             if adabn_first else source.copy())
+    cfg = tiny_config(alpha=0.0, tau=0.3, adabn_first=adabn_first, max_steps=3,
+                      eval_period=1)
+    res = adapt(source, targets, cfg, targets[:3])
+    assert len(calls) == 4 and res.trace.peak_map() == calls[0].map
+    assert {k: v.tobytes() for k, v in res.best.params.items()} == \
+        {k: v.tobytes() for k, v in step0.params.items()}
+    assert any(res.final.params[k].tobytes() != v.tobytes()
+               for k, v in step0.params.items())

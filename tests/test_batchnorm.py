@@ -21,7 +21,7 @@ def small_arch():
 
 def bn_train(x, gamma=None, beta=None):
     """bn_apply on x's own batch statistics, as the detector trains; returns
-    the output and bn_backward's cache."""
+    the output and bn_backward's cache. x becomes the cache's xhat."""
     c = x.shape[1]
     gamma = np.ones(c, x.dtype) if gamma is None else gamma
     beta = np.zeros(c, x.dtype) if beta is None else beta
@@ -45,7 +45,7 @@ def test_constant_input_returns_beta():
 
 def test_eval_identity_statistics(rng):
     x = rng.normal(size=(2, 3, 5, 5))
-    out, _, _ = bn.bn_apply(x, np.zeros(3), np.ones(3), np.ones(3), np.zeros(3))
+    out, _, _ = bn.bn_apply(x.copy(), np.zeros(3), np.ones(3), np.ones(3), np.zeros(3))
     assert np.abs(out - x / np.sqrt(1 + 1e-5)).max() < 1e-6
     # the detector's eval mode keeps no cache and no batch statistics
     model = init_model(small_arch(), 0)
@@ -56,7 +56,7 @@ def test_eval_identity_statistics(rng):
 def test_train_output_normalized(rng):
     x = (rng.normal(size=(8, 4, 24, 24)) * rng.uniform(0.5, 3, size=(1, 4, 1, 1))
          + rng.uniform(-2, 2, size=(1, 4, 1, 1)))
-    out, _ = bn_train(x)
+    out, _ = bn_train(x.copy())
     for c in range(4):
         assert abs(out[:, c].mean()) <= 1e-5
         assert abs(out[:, c].var() - 1.0) <= 1e-4
@@ -88,7 +88,8 @@ def test_running_update_convention(rng):
 
 
 def bn_apply_reference(x, mean, var, gamma, beta):
-    """bn_apply before it built xhat and the output in place."""
+    """bn_apply as the out-of-place expression: new xhat and output arrays,
+    x untouched."""
     inv_std = 1.0 / np.sqrt(var + bn.BN_EPS)
     xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
@@ -96,17 +97,22 @@ def bn_apply_reference(x, mean, var, gamma, beta):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bn_apply_matches_out_of_place_reference(rng, dtype):
+    """Byte-equal to the out-of-place expression; the input becomes xhat and
+    the output is the only new array."""
     x = (rng.normal(size=(3, 5, 7, 6)) * 4 + 1).astype(dtype)
     x_before = x.tobytes()
     running = (rng.normal(size=5).astype(dtype), rng.uniform(0, 3, 5).astype(dtype))
     for mean, var in (bn.batch_stats(x), running):
         gamma = rng.normal(size=5).astype(dtype)
         beta = rng.normal(size=5).astype(dtype)
-        got = bn.bn_apply(x, mean, var, gamma, beta)
         want = bn_apply_reference(x, mean, var, gamma, beta)
+        x_in = x.copy()
+        got = bn.bn_apply(x_in, mean, var, gamma, beta)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+        out, xhat, _ = got
+        assert xhat is x_in and not np.shares_memory(out, x_in)
     assert x.tobytes() == x_before
 
 
@@ -139,10 +145,10 @@ def test_backward_matches_finite_differences():
         dout = r.normal(size=x.shape)
 
         def loss():
-            out, _ = bn_train(x, gamma, beta)
+            out, _ = bn_train(x.copy(), gamma, beta)
             return float((out * dout).sum())
 
-        _, cache = bn_train(x, gamma, beta)
+        _, cache = bn_train(x.copy(), gamma, beta)
         dx, dg, db = bn.bn_backward(dout, cache)
         assert_grads_close(dx, numerical_grad(loss, x), what=f"bn dx seed {seed}")
         assert_grads_close(dg, numerical_grad(loss, gamma), what=f"bn dgamma seed {seed}")

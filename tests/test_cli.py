@@ -172,14 +172,29 @@ def test_arch_for_rejects_unusable_images(scenes):
     (2, ["disc", "square"]),
     (5, ["disc", "square", "triangle", "class3", "class4"]),
 ])
-def test_eval_prints_one_line_per_model_class(workdir, capsys, num_classes, names):
+def test_eval_prints_one_line_per_model_class(workdir, tmp_path, capsys, num_classes,
+                                              names):
+    """The split keeps only the boxes the model can label: a 2-class model
+    rejects the 3-class split itself."""
     ckpt = workdir / f"classes{num_classes}.ckpt"
     save_checkpoint(ckpt, init_model(ArchDescriptor(num_classes=num_classes), seed=0))
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data" / "target_test", data / "target_test")
+    ann = data / "target_test" / "annotations.jsonl"
+    records = [json.loads(line) for line in ann.read_text().splitlines()]
+    for r in records:
+        keep = [i for i, label in enumerate(r["labels"]) if label < num_classes]
+        r["boxes"] = [r["boxes"][i] for i in keep]
+        r["labels"] = [r["labels"][i] for i in keep]
+    ann.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
-    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data"),
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                      "--split", "target_test"]) == 0
     printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert printed == [f"ap[{n}]" for n in names] + ["map"]
+    expect = 0 if num_classes >= 3 else 3
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(workdir / "data"),
+                     "--split", "target_test"]) == expect
 
 
 def test_cli_import_loads_no_scipy():
@@ -370,6 +385,55 @@ def test_train_source_on_invalid_annotation_value_exits_3(workdir, tmp_path, cap
                                                           change):
     assert_train_source_rejects_line_2(workdir, tmp_path, capsys,
                                        lambda record: record | change)
+
+
+def copy_with_label(workdir, tmp_path, split, label):
+    """The workdir's split under tmp_path/data, its manifest listing 5
+    classes and its second scene relabeled to label; returns the data root
+    and that scene's id."""
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data" / split, data / split)
+    manifest = data / split / "manifest.json"
+    meta = json.loads(manifest.read_text())
+    meta["classes"] = meta["classes"] + ["class3", "class4"]
+    manifest.write_text(json.dumps(meta))
+    ann = data / split / "annotations.jsonl"
+    lines = ann.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["labels"] = [label] * len(record["labels"])
+    lines[1] = json.dumps(record)
+    ann.write_text("\n".join(lines) + "\n")
+    return data, record["id"]
+
+
+@pytest.mark.parametrize("command,split", [
+    ("train-source", "source_train"), ("eval", "target_test"),
+    ("adapt", "target_train"), ("adapt", "target_test")])
+def test_label_past_model_classes_exits_3(workdir, tmp_path, capsys, command, split):
+    """A label the manifest allows but the 3-class model cannot predict is a
+    data error naming the split and the scene; no output is written."""
+    data, scene_id = copy_with_label(workdir, tmp_path, split, 3)
+    out = tmp_path / "out"
+    ckpt = str(workdir / "source.ckpt")
+    if command == "adapt":
+        other = "target_test" if split == "target_train" else "target_train"
+        shutil.copytree(workdir / "data" / other, data / other)
+    argv = {"train-source": ["train-source", "--data", str(data), "--out", str(out),
+                             "--steps", "1"],
+            "eval": ["eval", "--ckpt", ckpt, "--data", str(data), "--split", split],
+            "adapt": ["adapt", "--source-ckpt", ckpt, "--data", str(data),
+                      "--strategy", "adabn", "--out", str(out)]}[command]
+    assert cli.main(argv) == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:")
+    assert str(data / split) in line and scene_id in line and "3 classes" in line
+    assert not out.exists()
+
+
+def test_label_below_model_classes_is_accepted(workdir, tmp_path):
+    data, _ = copy_with_label(workdir, tmp_path, "target_test", 2)
+    assert cli.main(["eval", "--ckpt", str(workdir / "source.ckpt"), "--data", str(data),
+                     "--split", "target_test"]) == 0
 
 
 def test_eval_on_manifest_not_an_object_exits_3(workdir, tmp_path, capsys):

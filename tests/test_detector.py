@@ -12,7 +12,7 @@ import pytest
 
 from sfodlab import boxes as B
 from sfodlab import detector as D
-from sfodlab.batchnorm import update_running_statistics
+from sfodlab.batchnorm import BN_EPS, batch_stats, update_running_statistics
 from sfodlab.ops import (
     NumericsError,
     conv2d_backward,
@@ -21,7 +21,6 @@ from sfodlab.ops import (
     linear_backward,
     linear_forward,
     relu_backward,
-    relu_forward,
     smooth_l1,
     softmax_cross_entropy,
 )
@@ -442,10 +441,15 @@ def test_gradients_match_finite_differences_20_params(rng):
 # the sampled RPN rows with per-image offset loops and spelled out the ROI
 # cls/delta backward: the live step must give byte-equal results.
 
+def relu_reference(x):
+    """relu_forward before it wrote into its input."""
+    return np.maximum(x, 0)
+
+
 def rpn_forward_reference(model, feats):
     p = model.params
     hidden_pre = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)[0]
-    hidden = relu_forward(hidden_pre)
+    hidden = relu_reference(hidden_pre)
     obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"], 1, 0)
     delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"], 1, 0)
     return obj_map, delta_map, hidden_pre, hidden
@@ -461,9 +465,9 @@ def roi_head_forward_reference(model, feats, proposals):
         scatter.append((cells, len(boxes)))
     flat = np.concatenate(pooled_parts).reshape(-1, p["roi.fc1.w"].shape[0])
     h1_pre = linear_forward(flat, p["roi.fc1.w"], p["roi.fc1.b"])
-    h1 = relu_forward(h1_pre)
+    h1 = relu_reference(h1_pre)
     h2_pre = linear_forward(h1, p["roi.fc2.w"], p["roi.fc2.b"])
-    h2 = relu_forward(h2_pre)
+    h2 = relu_reference(h2_pre)
     cls_logits = linear_forward(h2, p["roi.cls.w"], p["roi.cls.b"])
     deltas = linear_forward(h2, p["roi.delta.w"], p["roi.delta.b"])
     cache = {"flat": flat, "h1_pre": h1_pre, "h1": h1, "h2_pre": h2_pre,
@@ -598,6 +602,108 @@ def test_forward_train_matches_reference(arch, n, dtype):
             assert g.tobytes() == ref_grads[name].tobytes(), (include_reg, name)
         for name, v in live.params.items():
             assert v.tobytes() == want.params[name].tobytes(), name
+
+
+def bn_apply_reference(x, mean, var, gamma, beta):
+    """bn_apply before it normalized its input in place: xhat and the output
+    are new arrays and x is untouched."""
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = x - mean[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat
+    out += beta[None, :, None, None]
+    return out, xhat, inv_std
+
+
+def backbone_forward_reference(model, x, mode):
+    """_backbone_forward with the out-of-place BN and ReLU, masking the
+    ReLU backward by the BN output."""
+    p, arch = model.params, model.arch
+    caches, stats, h = [], [], x
+    for i in range(len(arch.channels)):
+        pre = f"backbone.b{i}"
+        conv_out = conv2d_forward(h, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"], 1, 1)
+        if mode == "eval":
+            mean, var = p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"]
+        else:
+            mean, var = batch_stats(conv_out)
+            stats.append((mean, var))
+        gamma = p[f"{pre}.bn.gamma"]
+        bn_out, xhat, inv_std = bn_apply_reference(conv_out, mean, var, gamma,
+                                                   p[f"{pre}.bn.beta"])
+        relu_out = relu_reference(bn_out)
+        conv_in, pool_idx = h, None
+        if i >= arch.n_pools:
+            h = relu_out
+        elif mode == "train":
+            h, pool_idx = D.maxpool2_with_indices(relu_out)
+        else:
+            h = D.maxpool2_forward(relu_out)
+        if mode == "train":
+            caches.append({"conv_in": conv_in, "bn_cache": (xhat, inv_std, gamma),
+                           "relu_mask": bn_out > 0, "pool_idx": pool_idx})
+    return h, caches, stats
+
+
+def _bytes(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
+                         ids=["small", "default"])
+def test_backbone_in_place_matches_reference(arch, dtype):
+    """Byte-equal features, batch statistics and block caches in every mode,
+    with a NaN and exact zeros in the image (the ReLU mask must agree)."""
+    rng = np.random.default_rng(4)
+    model = D.init_model(arch, 9)
+    model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+    s = arch.input_size
+    x = rng.random((3, 3, s, s)).astype(dtype)
+    x[0, :, :4, :4] = 0.0
+    nan_x = x.copy()
+    nan_x[2, 1, s // 2, s // 3] = np.nan
+    for images in (x, nan_x):
+        for mode in ("eval", "collect", "train"):
+            feats, caches, stats = D._backbone_forward(model, images.copy(), mode)
+            want_feats, want_caches, want_stats = backbone_forward_reference(
+                model, images.copy(), mode)
+            assert _bytes(feats) == _bytes(want_feats), mode
+            assert [(_bytes(m), _bytes(v)) for m, v in stats] == \
+                [(_bytes(m), _bytes(v)) for m, v in want_stats], mode
+            assert len(caches) == len(want_caches)
+            for c, w in zip(caches, want_caches):
+                assert c.keys() == w.keys()
+                assert [_bytes(a) for a in c["bn_cache"]] == \
+                    [_bytes(a) for a in w["bn_cache"]]
+                for key in ("conv_in", "relu_mask", "pool_idx"):
+                    assert _bytes(c[key]) == _bytes(w[key]), (mode, key)
+        assert np.isnan(D._backbone_forward(model, nan_x, "eval")[0]).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
+                         ids=["small", "default"])
+def test_forward_train_in_place_matches_reference(arch, dtype, monkeypatch):
+    """Byte-equal loss terms, gradients and folded statistics when the
+    detector runs the out-of-place BN and ReLU instead."""
+    rng = np.random.default_rng(2)
+    model = D.init_model(arch, 9)
+    model.params = {k: v.astype(dtype) for k, v in model.params.items()}
+    imgs, _ = random_batch(rng, arch, n=4, dtype=dtype)
+    _, targets = random_batch(rng, small_arch(), n=4)
+    targets = [(b * np.float32(arch.input_size / 32), l) for b, l in targets]
+    live, want = model.copy(), model.copy()
+    loss, grads = D.forward_train(live, imgs, targets, np.random.default_rng(5))
+    monkeypatch.setattr(D, "bn_apply", bn_apply_reference)
+    monkeypatch.setattr(D, "relu_forward", relu_reference)
+    ref_loss, ref_grads = D.forward_train(want, imgs, targets, np.random.default_rng(5))
+    assert loss == ref_loss and loss.rpn_reg > 0 and loss.roi_reg > 0
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert _bytes(g) == _bytes(ref_grads[name]), name
+    for name, v in live.params.items():
+        assert _bytes(v) == _bytes(want.params[name]), name
 
 
 def test_softmax_objectness_matches_reference(rng):

@@ -286,9 +286,23 @@ def test_conv_backward_non_square_kernel_matches_finite_differences(kshape):
 
 def test_relu_forward_backward():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    assert np.array_equal(ops.relu_forward(x), [0, 0, 0, 0.5, 2.0])
+    assert np.array_equal(ops.relu_forward(x.copy()), [0, 0, 0, 0.5, 2.0])
     dout = np.ones_like(x)
     assert np.array_equal(ops.relu_backward(dout, x), [0, 0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_forward_in_place_matches_reference(rng, dtype):
+    """The output is the input array, holding the bytes of the out-of-place
+    np.maximum(x, 0); a NaN stays NaN, so the mask out > 0 is x > 0."""
+    x = rng.normal(size=(3, 4, 5, 6)).astype(dtype)
+    x[0, 0, 0, :3] = (np.nan, -0.0, 0.0)
+    want = np.maximum(x, 0)
+    x_in = x.copy()
+    out = ops.relu_forward(x_in)
+    assert out is x_in and out.dtype == dtype
+    assert out.tobytes() == want.tobytes()
+    assert np.array_equal(out > 0, x > 0)
 
 
 def test_relu_matches_finite_differences():
@@ -298,7 +312,7 @@ def test_relu_matches_finite_differences():
         dout = r.normal(size=x.shape)
 
         def loss():
-            return float((ops.relu_forward(x) * dout).sum())
+            return float((ops.relu_forward(x.copy()) * dout).sum())
 
         assert_grads_close(ops.relu_backward(dout, x), numerical_grad(loss, x),
                            what=f"relu seed {seed}")
