@@ -44,8 +44,9 @@ class EvalResult:
     per_class_ap: dict
     map: float
 
-    def ap(self, class_id: int, default=float("nan")) -> float:
-        return self.per_class_ap.get(class_id, default)
+    def ap(self, class_id: int) -> float:
+        """AP of class_id; 0.0 for a class without ground truth."""
+        return self.per_class_ap.get(class_id, 0.0)
 
 
 def box_area(boxes: np.ndarray) -> np.ndarray:

@@ -270,9 +270,9 @@ def cmd_adapt(args) -> int:
         "config": cfg_dict,
         "config_hash": meta["config_hash"],
         "final": {"map": final_eval.map,
-                  **{f"ap_class{i}": final_eval.ap(i, 0.0) for i in range(num_classes)}},
+                  **{f"ap_class{i}": final_eval.ap(i) for i in range(num_classes)}},
         "best": {"map": best_eval.map,
-                 **{f"ap_class{i}": best_eval.ap(i, 0.0) for i in range(num_classes)}},
+                 **{f"ap_class{i}": best_eval.ap(i) for i in range(num_classes)}},
         "trace": {"final_map": result.trace.final_map(),
                   "peak_map": result.trace.peak_map(),
                   "rows": len(result.trace.rows)},
@@ -296,7 +296,7 @@ def cmd_eval(args) -> int:
     res = evaluate_model(model, scenes)
     for i in range(model.arch.num_classes):
         name = CLASS_NAMES[i] if i < len(CLASS_NAMES) else f"class{i}"
-        print(f"ap[{name}] {res.ap(i, 0.0):.6f}")
+        print(f"ap[{name}] {res.ap(i):.6f}")
     print(f"map {res.map:.6f}")
     return 0
 

@@ -211,7 +211,10 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
     BN and ReLU run in place: bn_apply turns each conv output into its xhat
     and returns the BN output, the block's only other full-size array, which
     relu_forward then overwrites with the ReLU output. Every mode gives the
-    bytes of the out-of-place expressions.
+    bytes of the out-of-place expressions. A block's activations are
+    unbound at its end, so in eval and collect mode only the block output
+    h is alive while the next block's conv runs (train-mode caches hold
+    their own references).
 
     A train-mode block cache holds the conv input, the BN cache, the
     pooling indices (None where the block does not pool) and the ReLU mask
@@ -232,7 +235,7 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
         pre = f"backbone.b{i}"
         conv_in = h
         w, b = p[f"{pre}.conv.w"], p[f"{pre}.conv.b"]
-        conv_out = conv2d_forward(h, w, b, 1, 1)
+        conv_out = conv2d_forward(h, w, b)
         if mode == "eval":
             mean, var = p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"]
         else:
@@ -251,6 +254,7 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
         if keep:
             caches.append({"conv_in": conv_in, "bn_cache": (xhat, inv_std, gamma),
                            "relu_mask": relu_out > 0, "pool_idx": pool_idx})
+        del conv_out, xhat, bn_out, relu_out  # not alive beside the next conv
     return h, caches, stats
 
 
@@ -270,8 +274,7 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
         d, dgamma, dbeta = bn_backward(d, c["bn_cache"])
         grads[f"{pre}.bn.gamma"] = dgamma
         grads[f"{pre}.bn.beta"] = dbeta
-        d, dw, db = conv2d_backward(d, c["conv_in"], p[f"{pre}.conv.w"], 1, 1,
-                                    need_dx=i > 0)
+        d, dw, db = conv2d_backward(d, c["conv_in"], p[f"{pre}.conv.w"], need_dx=i > 0)
         grads[f"{pre}.conv.w"] = dw
         grads[f"{pre}.conv.b"] = db
 
@@ -279,9 +282,9 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
 def _rpn_forward(model: ModelState, feats: np.ndarray):
     p = model.params
     hidden = relu_forward(
-        conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)[0])
-    obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"], 1, 0)
-    delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"], 1, 0)
+        conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"])[0])
+    obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"])
+    delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"])
     return obj_map, delta_map, hidden
 
 
@@ -608,13 +611,13 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     dobj_map = _unflatten_rpn(arch, dobj, 2)
     ddelta_map = _unflatten_rpn(arch, ddelta, 4)
     hidden = fw.pop("hidden")
-    dh, dw, db = conv2d_backward(dobj_map, hidden, p["rpn.obj.w"], 1, 0)
+    dh, dw, db = conv2d_backward(dobj_map, hidden, p["rpn.obj.w"])
     grads["rpn.obj.w"], grads["rpn.obj.b"] = dw, db
-    dh_d, dw, db = conv2d_backward(ddelta_map, hidden, p["rpn.delta.w"], 1, 0)
+    dh_d, dw, db = conv2d_backward(ddelta_map, hidden, p["rpn.delta.w"])
     grads["rpn.delta.w"], grads["rpn.delta.b"] = dw, db
     dh = relu_backward(dh + dh_d, hidden)
     del hidden
-    dfeats_rpn, dw, db = conv2d_backward(dh, feats, p["rpn.conv.w"], 1, 1)
+    dfeats_rpn, dw, db = conv2d_backward(dh, feats, p["rpn.conv.w"])
     grads["rpn.conv.w"], grads["rpn.conv.b"] = dw, db
     dfeats += dfeats_rpn
 

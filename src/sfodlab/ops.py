@@ -5,6 +5,12 @@ autodiff tape: every layer exposes a forward function and a matching
 backward that consumes the upstream gradient together with the saved
 forward inputs. Kernels are dtype-generic so tests can run a float64
 shadow path for finite-difference checks; training uses float32.
+
+Every convolution has the one form the detector runs: stride 1, an odd
+square k x k kernel, zero padding k // 2 (the output keeps the input's
+height and width) and a bias. In that form the input gradient is a
+convolution of the same form, so dx unfolds the upstream gradient with the
+forward pass's _im2col (im2col: Chellapilla et al., 2006).
 """
 
 from __future__ import annotations
@@ -25,118 +31,87 @@ class NumericsError(FloatingPointError):
 # convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(x, kh, kw, stride, pad):
-    """Unfold NCHW input into (N, C*kh*kw, out_h*out_w) patch columns."""
+def _im2col(x, k):
+    """Unfold NCHW input into (N, C*k*k, H*W) columns: the k x k window
+    centred on each pixel, zero-padded by k // 2 at the border."""
     n, c, h, w = x.shape
-    if kh == kw == 1 and stride == 1 and pad == 0:
-        return x.reshape(n, c, h * w), h, w
-    if pad > 0:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad:pad + h, pad:pad + w] = x
-        x = padded
-    hp, wp = x.shape[2:]
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    view = as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    cols = np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow)
-    return cols, oh, ow
+    if k == 1:
+        return x.reshape(n, c, h * w)
+    pad = k // 2
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad:pad + h, pad:pad + w] = x
+    s0, s1, s2, s3 = padded.strides
+    view = as_strided(padded, shape=(n, c, k, k, h, w),
+                      strides=(s0, s1, s2, s3, s2, s3), writeable=False)
+    return np.ascontiguousarray(view).reshape(n, c * k * k, h * w)
 
 
-def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias, stride: int = 1,
-                   pad: int = 0) -> np.ndarray:
-    """Direct 2D cross-correlation. x: NCHW, kernel: OIHW, bias: (O,) or None.
+def _kernel_size(x, kernel):
+    """Side k of an OIHW kernel, checked to be odd and square and to match
+    the channels of the NCHW input x."""
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects 4D input/kernel, got {x.shape}/{kernel.shape}")
+    _, ci, kh, kw = kernel.shape
+    if ci != x.shape[1]:
+        raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, kernel {ci}")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd square kernel, got {kh}x{kw}")
+    return kh
 
-    Output spatial size is floor((in + 2*pad - k)/stride) + 1.
-    """
-    out, _ = conv2d_forward_cols(x, kernel, bias, stride, pad)
+
+def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """2D cross-correlation of NCHW x with an odd square OIHW kernel, zero
+    padding k // 2, stride 1, plus a (O,) bias: the output is N x O x H x W."""
+    out, _ = conv2d_forward_cols(x, kernel, bias)
     return out
 
 
-def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias, stride: int = 1,
-                        pad: int = 0):
-    """conv2d_forward that also returns its (N, C*kh*kw, out_h*out_w)
-    im2col patch matrix."""
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 4D input/kernel, got {x.shape}/{kernel.shape}")
-    n, c, h, w = x.shape
-    o, ci, kh, kw = kernel.shape
-    if ci != c:
-        raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {ci}")
-    if h + 2 * pad < kh or w + 2 * pad < kw:
-        raise ShapeError(f"conv2d input {h}x{w} + pad {pad} smaller than kernel {kh}x{kw}")
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
-    out = np.matmul(kernel.reshape(o, -1), cols).reshape(n, o, oh, ow)
-    if bias is not None:
-        out += bias.reshape(1, o, 1, 1)
+def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
+    """conv2d_forward that also returns its (N, C*k*k, H*W) im2col patch
+    matrix."""
+    k = _kernel_size(x, kernel)
+    n, _, h, w = x.shape
+    o = kernel.shape[0]
+    cols = _im2col(x, k)
+    out = np.matmul(kernel.reshape(o, -1), cols).reshape(n, o, h, w)
+    out += bias.reshape(1, o, 1, 1)
     return out, cols
 
 
 def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
-                    stride: int = 1, pad: int = 0, need_dx: bool = True):
+                    need_dx: bool = True):
     """Gradients of conv2d_forward w.r.t. (input, kernel, bias).
 
     Returns (dx, dw, db); dx is None when need_dx is False, which skips the
     correlation that dominates the cost of a layer with few input channels
     (the first conv sees the image). dw and db do not depend on need_dx.
 
-    dw unfolds x again, one image at a time, and adds dout_i @ cols_i^T to
-    a zero accumulator in image order: the summation order of a batched
-    matmul summed over the batch, so the bits are the same, but only one
-    image's patch matrix is alive and the caller need not keep the forward
-    pass's columns.
-
-    dx is a same-size correlation of the upstream gradient with the
-    channel-swapped, spatially flipped kernel. The gradient is written with
-    stride-dilation into a zero buffer of x's size plus k-1, at offset
-    k-1-pad (rows and columns falling outside it only ever met padding), so
-    each output is exactly one dx element: nothing is cropped afterwards and
-    no border is zero-filled. The buffer is unfolded one image at a time, so
-    only one image's patch matrix (C_out*kh*kw by H*W) is alive at once; a
-    batched matmul would also run one GEMM per image, so this costs no time.
+    One loop over the images unfolds each image once for dw and, for dx,
+    its upstream gradient once, so only one image's patch matrices are
+    alive and the caller need not keep the forward pass's columns. dw adds
+    dout_i @ cols_i^T to a zero accumulator in image order: the summation
+    order of a batched matmul summed over the batch, so the bits are the
+    same. dx is the same-size correlation of dout with the channel-swapped,
+    spatially flipped kernel: kmat @ _im2col(dout_i, k), whose zero border
+    of k // 2 is exactly where the window leaves x, so each column is one
+    dx pixel and nothing is cropped.
     """
+    k = _kernel_size(x, kernel)
     n, c, h, w = x.shape
-    o, _, kh, kw = kernel.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    if dout.shape != (n, o, oh, ow):
-        raise ShapeError(f"conv2d upstream shape {dout.shape} != {(n, o, oh, ow)}")
+    o = kernel.shape[0]
+    if dout.shape != (n, o, h, w):
+        raise ShapeError(f"conv2d upstream shape {dout.shape} != {(n, o, h, w)}")
 
     db = dout.sum(axis=(0, 2, 3))
-
-    dmat = dout.reshape(n, o, oh * ow)
-    dw = np.zeros((o, c * kh * kw), np.result_type(dout, x))
-    for i in range(n):
-        img_cols, _, _ = _im2col(x[i:i + 1], kh, kw, stride, pad)
-        dw += np.matmul(dmat[i], img_cols[0].T)
-    dw = dw.reshape(kernel.shape)
-    if not need_dx:
-        return None, dw, db
-
-    buf = np.zeros((n, o, h + kh - 1, w + kw - 1), dtype=dout.dtype)
-    row_dst, row_src = _dilated_span(kh - 1 - pad, oh, stride, h + kh - 1)
-    col_dst, col_src = _dilated_span(kw - 1 - pad, ow, stride, w + kw - 1)
-    buf[:, :, row_dst, col_dst] = dout[:, :, row_src, col_src]
+    dmat = dout.reshape(n, o, h * w)
+    dw = np.zeros((o, c * k * k), np.result_type(dout, x))
+    dx = np.empty_like(x) if need_dx else None
     kmat = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    dx = np.empty_like(x)
     for i in range(n):
-        img_cols, _, _ = _im2col(buf[i:i + 1], kh, kw, 1, 0)
-        dx[i] = np.matmul(kmat, img_cols[0]).reshape(c, h, w)
-    return dx, dw, db
-
-
-def _dilated_span(offset: int, count: int, stride: int, size: int):
-    """(destination, source) slices that put element j of a length-count
-    axis at offset + stride*j of a length-size axis, dropping the elements
-    that land outside it."""
-    first = max(0, stride - 1 - offset) // stride
-    last = min(count, (size - offset + stride - 1) // stride)
-    return slice(offset + first * stride, offset + last * stride, stride), slice(first, last)
+        dw += np.matmul(dmat[i], _im2col(x[i:i + 1], k)[0].T)
+        if need_dx:
+            dx[i] = np.matmul(kmat, _im2col(dout[i:i + 1], k)[0]).reshape(c, h, w)
+    return dx, dw.reshape(kernel.shape), db
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,11 @@ def evaluate_model(model: ModelState, scenes) -> EvalResult:
     Eval mode treats every image on its own, so the chunk size changes no
     detection; it only bounds memory. The first conv's im2col buffer of a
     chunk is about 1 MB per 96-px image, so 4 images keep it near 4 MB.
-    With the backbone's in-place BN and ReLU, one evaluation of 16 96-px
-    scenes by the default detector takes a traced transient of about
-    6.1 MiB; 8-image chunks with out-of-place BN and ReLU took 16.6 MiB.
+    With the backbone's in-place BN and ReLU, and each block's activations
+    unbound before the next conv, one evaluation of 16 96-px scenes by the
+    default detector takes a traced transient of about 5.5 MiB, peaking in
+    the first conv; 8-image chunks with out-of-place BN and ReLU took
+    16.6 MiB.
     """
     scenes = list(scenes)
     dets = []

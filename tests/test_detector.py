@@ -448,10 +448,10 @@ def relu_reference(x):
 
 def rpn_forward_reference(model, feats):
     p = model.params
-    hidden_pre = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"], 1, 1)[0]
+    hidden_pre = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"])[0]
     hidden = relu_reference(hidden_pre)
-    obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"], 1, 0)
-    delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"], 1, 0)
+    obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"])
+    delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"])
     return obj_map, delta_map, hidden_pre, hidden
 
 
@@ -560,12 +560,12 @@ def forward_train_reference(model, images, targets, rng, include_reg):
         row += count
 
     dh, grads["rpn.obj.w"], grads["rpn.obj.b"] = conv2d_backward(
-        D._unflatten_rpn(arch, dobj, 2), hidden, p["rpn.obj.w"], 1, 0)
+        D._unflatten_rpn(arch, dobj, 2), hidden, p["rpn.obj.w"])
     dh_d, grads["rpn.delta.w"], grads["rpn.delta.b"] = conv2d_backward(
-        D._unflatten_rpn(arch, ddelta, 4), hidden, p["rpn.delta.w"], 1, 0)
+        D._unflatten_rpn(arch, ddelta, 4), hidden, p["rpn.delta.w"])
     dh = relu_backward(dh + dh_d, hidden_pre)
     dfeats_rpn, grads["rpn.conv.w"], grads["rpn.conv.b"] = conv2d_backward(
-        dh, feats, p["rpn.conv.w"], 1, 1)
+        dh, feats, p["rpn.conv.w"])
     dfeats += dfeats_rpn
 
     D._backbone_backward(model, bb_caches, dfeats, grads)
@@ -622,7 +622,7 @@ def backbone_forward_reference(model, x, mode):
     caches, stats, h = [], [], x
     for i in range(len(arch.channels)):
         pre = f"backbone.b{i}"
-        conv_out = conv2d_forward(h, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"], 1, 1)
+        conv_out = conv2d_forward(h, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"])
         if mode == "eval":
             mean, var = p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"]
         else:

@@ -26,45 +26,57 @@ def test_conv_zero_kernel_gives_bias(rng):
     x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
     k = np.zeros((4, 3, 3, 3), np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    out = ops.conv2d_forward(x, k, b, stride=1, pad=1)
+    out = ops.conv2d_forward(x, k, b)
     assert np.allclose(out, b.reshape(1, 4, 1, 1) * np.ones_like(out))
 
 
 def test_conv_matches_naive_reference(rng):
     x = rng.normal(size=(2, 3, 8, 8))
-    k = rng.normal(size=(4, 3, 3, 3))
     b = rng.normal(size=4)
-    for stride, pad in [(1, 0), (1, 1), (2, 1), (2, 0), (3, 2)]:
-        got = ops.conv2d_forward(x, k, b, stride, pad)
-        want = conv2d_naive(x, k, b, stride, pad)
+    for ksize in (1, 3, 5):
+        k = rng.normal(size=(4, 3, ksize, ksize))
+        got = ops.conv2d_forward(x, k, b)
+        want = conv2d_naive(x, k, b, 1, ksize // 2)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-5
 
 
 def test_conv_output_size_formula(rng):
+    # zero padding k // 2 at stride 1: the output keeps the input's size
     x = rng.normal(size=(1, 2, 9, 7))
-    k = rng.normal(size=(3, 2, 3, 3))
-    out = ops.conv2d_forward(x, k, None, stride=2, pad=1)
-    assert out.shape == (1, 3, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+    for ksize in (1, 3, 5):
+        k = rng.normal(size=(3, 2, ksize, ksize))
+        assert ops.conv2d_forward(x, k, np.zeros(3)).shape == (1, 3, 9, 7)
 
 
 def test_conv_shape_errors(rng):
     x = rng.normal(size=(1, 3, 5, 5))
     with pytest.raises(ops.ShapeError):
-        ops.conv2d_forward(x, rng.normal(size=(2, 4, 3, 3)), None)
-    with pytest.raises(ops.ShapeError):
-        ops.conv2d_forward(x, rng.normal(size=(2, 3, 7, 7)), None)
+        ops.conv2d_forward(x, rng.normal(size=(2, 4, 3, 3)), np.zeros(2))
     with pytest.raises(ops.ShapeError):
         ops.conv2d_backward(np.zeros((1, 2, 9, 9)), x, rng.normal(size=(2, 3, 3, 3)))
+
+
+@pytest.mark.parametrize("kshape", [(2, 2), (1, 3)])
+def test_conv_rejects_even_or_non_square_kernel(rng, kshape):
+    x = rng.normal(size=(1, 3, 5, 5))
+    k = rng.normal(size=(2, 3, *kshape))
+    with pytest.raises(ops.ShapeError, match="odd square"):
+        ops.conv2d_forward(x, k, np.zeros(2))
+    with pytest.raises(ops.ShapeError, match="odd square"):
+        ops.conv2d_forward_cols(x, k, np.zeros(2))
+    with pytest.raises(ops.ShapeError, match="odd square"):
+        ops.conv2d_backward(np.zeros((1, 2, 5, 5)), x, k)
 
 
 def test_conv_linearity(rng):
     x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
     y = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
     k = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+    zero = np.zeros(3, np.float32)
     a, b = 1.7, -0.6
-    lhs = ops.conv2d_forward(a * x + b * y, k, None, 1, 1)
-    rhs = a * ops.conv2d_forward(x, k, None, 1, 1) + b * ops.conv2d_forward(y, k, None, 1, 1)
+    lhs = ops.conv2d_forward(a * x + b * y, k, zero)
+    rhs = a * ops.conv2d_forward(x, k, zero) + b * ops.conv2d_forward(y, k, zero)
     assert np.abs(lhs - rhs).max() < 1e-4
 
 
@@ -75,7 +87,7 @@ def test_conv_linearity(rng):
 def test_conv_backward_zero_upstream(rng):
     x = rng.normal(size=(1, 2, 5, 5))
     k = rng.normal(size=(3, 2, 3, 3))
-    dx, dw, db = ops.conv2d_backward(np.zeros((1, 3, 5, 5)), x, k, 1, 1)
+    dx, dw, db = ops.conv2d_backward(np.zeros((1, 3, 5, 5)), x, k)
     assert not dx.any() and not dw.any() and not db.any()
 
 
@@ -90,16 +102,16 @@ def test_conv_backward_1x1_is_scaling(rng):
 def test_conv_backward_matches_finite_differences():
     for seed in SEEDS:
         r = np.random.default_rng(seed)
-        x = r.normal(size=(2, 2, 6, 6))
-        k = r.normal(size=(3, 2, 3, 3))
+        ksize = (3, 1)[seed % 2]
+        x = r.normal(size=(2, 2, 6, 5))
+        k = r.normal(size=(3, 2, ksize, ksize))
         b = r.normal(size=3)
-        stride, pad = [(1, 1), (2, 1), (1, 0), (2, 0), (3, 2)][seed % 5]
-        dout = r.normal(size=ops.conv2d_forward(x, k, b, stride, pad).shape)
+        dout = r.normal(size=(2, 3, 6, 5))
 
         def loss():
-            return float((ops.conv2d_forward(x, k, b, stride, pad) * dout).sum())
+            return float((ops.conv2d_forward(x, k, b) * dout).sum())
 
-        dx, dw, db = ops.conv2d_backward(dout, x, k, stride, pad)
+        dx, dw, db = ops.conv2d_backward(dout, x, k)
         assert_grads_close(dx, numerical_grad(loss, x), what=f"conv dx seed {seed}")
         assert_grads_close(dw, numerical_grad(loss, k), what=f"conv dw seed {seed}")
         assert_grads_close(db, numerical_grad(loss, b), what=f"conv db seed {seed}")
@@ -107,13 +119,11 @@ def test_conv_backward_matches_finite_differences():
 
 def test_conv_backward_without_dx_identical(rng):
     x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-    k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    for stride, pad in [(1, 1), (2, 0)]:
-        out = ops.conv2d_forward(x, k, None, stride, pad)
-        dout = rng.normal(size=out.shape).astype(np.float32)
-        _, dw, db = ops.conv2d_backward(dout, x, k, stride, pad)
-        dx, dw_only, db_only = ops.conv2d_backward(dout, x, k, stride, pad,
-                                                   need_dx=False)
+    for ksize in (1, 3):
+        k = rng.normal(size=(4, 3, ksize, ksize)).astype(np.float32)
+        dout = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
+        _, dw, db = ops.conv2d_backward(dout, x, k)
+        dx, dw_only, db_only = ops.conv2d_backward(dout, x, k, need_dx=False)
         assert dx is None
         assert dw_only.tobytes() == dw.tobytes()
         assert db_only.tobytes() == db.tobytes()
@@ -123,50 +133,50 @@ def test_conv_backward_cached_cols_identical(rng):
     """dw from the per-image re-unfold equals dw from the patch matrix the
     forward pass returns, summed over the batch as a batched matmul."""
     x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-    k = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    for stride, pad in [(1, 1), (2, 0)]:
-        out, cols = ops.conv2d_forward_cols(x, k, None, stride, pad)
+    for ksize in (1, 3):
+        k = rng.normal(size=(4, 3, ksize, ksize)).astype(np.float32)
+        out, cols = ops.conv2d_forward_cols(x, k, np.zeros(4, np.float32))
         dout = rng.normal(size=out.shape).astype(np.float32)
         dmat = dout.reshape(len(x), 4, -1)
         cached = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape)
-        _, dw, _ = ops.conv2d_backward(dout, x, k, stride, pad)
+        _, dw, _ = ops.conv2d_backward(dout, x, k)
         assert dw.tobytes() == cached.tobytes()
-        assert cols.tobytes() == im2col_reference(x, 3, 3, stride, pad).tobytes()
+        assert cols.tobytes() == im2col_reference(x, ksize, ksize // 2).tobytes()
 
 
-def im2col_reference(x, kh, kw, stride, pad):
-    """Batch-wide unfold through np.pad, as the forward pass did it before
-    padding into a zero buffer."""
+def im2col_reference(x, k, pad):
+    """Batch-wide stride-1 unfold through np.pad, as the forward pass did it
+    before padding into a zero buffer."""
     n, c = x.shape[:2]
     x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (x.shape[2] - kh) // stride + 1
-    ow = (x.shape[3] - kw) // stride + 1
+    oh = x.shape[2] - k + 1
+    ow = x.shape[3] - k + 1
     s0, s1, s2, s3 = x.strides
     view = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
-    return np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow)
+        x, shape=(n, c, k, k, oh, ow), strides=(s0, s1, s2, s3, s2, s3), writeable=False)
+    return np.ascontiguousarray(view).reshape(n, c * k * k, oh * ow)
 
 
-def batched_conv_backward(dout, x, kernel, stride, pad):
-    """conv2d_backward as it was while the forward pass kept its patch
-    matrix: dw from one batch-wide unfold, a batched matmul and a sum over
-    the batch; dx from the same-size correlation, unfolded per image."""
+def batched_conv_backward(dout, x, kernel):
+    """conv2d_backward as it was before dx went through _im2col, at stride 1
+    and pad k // 2: dw from one batch-wide unfold, a batched matmul and a
+    sum over the batch; dx from writing dout at offset k-1-pad into a zero
+    buffer of x's size plus k-1 (the stride-dilation buffer), unfolded per
+    image."""
     n, c, h, w = x.shape
-    o, _, kh, kw = kernel.shape
-    oh, ow = dout.shape[2:]
+    o, _, k, _ = kernel.shape
+    pad = k // 2
     db = dout.sum(axis=(0, 2, 3))
-    cols = im2col_reference(x, kh, kw, stride, pad)
-    dmat = dout.reshape(n, o, oh * ow)
+    cols = im2col_reference(x, k, pad)
+    dmat = dout.reshape(n, o, h * w)
     dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-    buf = np.zeros((n, o, h + kh - 1, w + kw - 1), dtype=dout.dtype)
-    row_dst, row_src = ops._dilated_span(kh - 1 - pad, oh, stride, h + kh - 1)
-    col_dst, col_src = ops._dilated_span(kw - 1 - pad, ow, stride, w + kw - 1)
-    buf[:, :, row_dst, col_dst] = dout[:, :, row_src, col_src]
+    buf = np.zeros((n, o, h + k - 1, w + k - 1), dtype=dout.dtype)
+    off = k - 1 - pad
+    buf[:, :, off:off + h, off:off + w] = dout
     kmat = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
     dx = np.empty_like(x)
     for i in range(n):
-        img_cols = im2col_reference(buf[i:i + 1], kh, kw, 1, 0)
+        img_cols = im2col_reference(buf[i:i + 1], k, 0)
         dx[i] = np.matmul(kmat, img_cols[0]).reshape(c, h, w)
     return dx, dw, db
 
@@ -177,56 +187,54 @@ def assert_same_gradients(got, want, what):
         assert a.tobytes() == b.tobytes(), (name, what)
 
 
-@pytest.mark.parametrize("n", [4, 16])
-@pytest.mark.parametrize("cin, cout, size", [
-    (3, 8, 96), (8, 16, 48), (16, 32, 24), (32, 64, 12), (64, 64, 12)])
-def test_conv_backward_bytes_match_batched_unfold_at_detector_shapes(cin, cout, size, n):
-    # The detector's five 3x3 convs (four backbone blocks and the RPN conv)
-    # at the training batch sizes, on real values: the per-image dw
-    # accumulation keeps the batched matmul's summation order.
-    r = np.random.default_rng(size + cout + n)
-    x = r.normal(size=(n, cin, size, size)).astype(np.float32)
-    k = r.normal(size=(cout, cin, 3, 3)).astype(np.float32)
-    dout = r.normal(size=(n, cout, size, size)).astype(np.float32)
-    assert_same_gradients(ops.conv2d_backward(dout, x, k, 1, 1),
-                          batched_conv_backward(dout, x, k, 1, 1), (cin, cout, n))
+# The detector's seven convs as (in channels, out channels, size, kernel):
+# the four backbone blocks and the RPN conv, all 3x3, then the RPN's 1x1
+# objectness and box heads.
+DETECTOR_CONVS = [(3, 8, 96, 3), (8, 16, 48, 3), (16, 32, 24, 3), (32, 64, 12, 3),
+                  (64, 64, 12, 3), (64, 18, 12, 1), (64, 36, 12, 1)]
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("cin, cout, size, ksize", DETECTOR_CONVS, ids=[
+    f"{cin}-{cout}-{size}" + ("" if ksize == 3 else f"-{ksize}x{ksize}")
+    for cin, cout, size, ksize in DETECTOR_CONVS])
+def test_conv_backward_bytes_match_batched_unfold_at_detector_shapes(
+        cin, cout, size, ksize, n):
+    # Real values at the detector's layer shapes and batch sizes: the
+    # per-image dw accumulation keeps the batched matmul's summation order,
+    # and dx unfolds the same zero-padded buffer as the dilation code.
+    for dtype in (np.float32, np.float64):
+        r = np.random.default_rng(size + cout + n)
+        x = r.normal(size=(n, cin, size, size)).astype(dtype)
+        k = r.normal(size=(cout, cin, ksize, ksize)).astype(dtype)
+        dout = r.normal(size=(n, cout, size, size)).astype(dtype)
+        assert_same_gradients(ops.conv2d_backward(dout, x, k),
+                              batched_conv_backward(dout, x, k), (cin, cout, n, dtype))
 
 
 def test_conv_backward_bytes_match_batched_unfold_small_integers():
     r = np.random.default_rng(1)
-    for stride in (1, 2, 3):
-        for pad in (0, 1, 2):
-            for ksize in (1, 3):
-                for n in range(1, 6):
-                    x = r.integers(-3, 4, size=(n, 3, 7, 8)).astype(np.float32)
-                    k = r.integers(-3, 4, size=(4, 3, ksize, ksize)).astype(np.float32)
-                    shape = ops.conv2d_forward(x, k, None, stride, pad).shape
-                    dout = r.integers(-3, 4, size=shape).astype(np.float32)
-                    assert_same_gradients(
-                        ops.conv2d_backward(dout, x, k, stride, pad),
-                        batched_conv_backward(dout, x, k, stride, pad),
-                        (stride, pad, ksize, n))
+    for ksize in (1, 3, 5):
+        for n in range(1, 6):
+            x = r.integers(-3, 4, size=(n, 3, 7, 8)).astype(np.float32)
+            k = r.integers(-3, 4, size=(4, 3, ksize, ksize)).astype(np.float32)
+            dout = r.integers(-3, 4, size=(n, 4, 7, 8)).astype(np.float32)
+            assert_same_gradients(ops.conv2d_backward(dout, x, k),
+                                  batched_conv_backward(dout, x, k), (ksize, n))
 
 
-def full_correlation_dx(dout, x, kernel, stride, pad):
-    """The input gradient as conv2d_backward used to compute it: a full
-    correlation of the stride-dilated upstream gradient over the whole
-    batch, cropped to x and zero-filled where it falls short. Square
-    kernels only (it pads both axes by max(kh, kw) - 1)."""
+def full_correlation_dx(dout, x, kernel):
+    """The input gradient as conv2d_backward computed it before it unfolded
+    a same-size buffer: a full correlation (zero padding k-1) of the
+    upstream gradient with the flipped kernel over the whole batch, cropped
+    to x."""
     n, c, h, w = x.shape
-    o, _, kh, kw = kernel.shape
-    oh, ow = dout.shape[2:]
-    if stride > 1:
-        dd = np.zeros((n, o, (oh - 1) * stride + 1, (ow - 1) * stride + 1), dtype=dout.dtype)
-        dd[:, :, ::stride, ::stride] = dout
-    else:
-        dd = dout
-    kflip = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    full = ops.conv2d_forward(dd, kflip, None, stride=1, pad=max(kh, kw) - 1)
-    dx = np.zeros_like(x)
-    region = full[:, :, pad:pad + h, pad:pad + w]
-    dx[:, :, : region.shape[2], : region.shape[3]] = region
-    return dx
+    k = kernel.shape[2]
+    kmat = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, -1)
+    full = np.matmul(kmat, im2col_reference(dout, k, k - 1))
+    full = full.reshape(n, c, h + k - 1, w + k - 1)
+    pad = k // 2
+    return np.ascontiguousarray(full[:, :, pad:pad + h, pad:pad + w])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -235,18 +243,15 @@ def test_conv_dx_equals_full_correlation_and_crop(dtype):
     # summation order gives the same bits and the check is on where each
     # gradient lands; a positive kernel rules out -0.0 from padding.
     r = np.random.default_rng(0)
-    for stride in (1, 2, 3):
-        for pad in (0, 1, 2):
-            for ksize in (1, 3):
-                for n in range(1, 6):
-                    x = np.zeros((n, 3, 7, 8), dtype)
-                    k = r.integers(1, 4, size=(4, 3, ksize, ksize)).astype(dtype)
-                    shape = ops.conv2d_forward(x, k, None, stride, pad).shape
-                    dout = r.integers(-3, 4, size=shape).astype(dtype)
-                    dx, _, _ = ops.conv2d_backward(dout, x, k, stride, pad)
-                    want = full_correlation_dx(dout, x, k, stride, pad)
-                    assert dx.dtype == want.dtype
-                    assert dx.tobytes() == want.tobytes(), (stride, pad, ksize, n)
+    for ksize in (1, 3, 5):
+        for n in range(1, 6):
+            x = np.zeros((n, 3, 7, 8), dtype)
+            k = r.integers(1, 4, size=(4, 3, ksize, ksize)).astype(dtype)
+            dout = r.integers(-3, 4, size=(n, 4, 7, 8)).astype(dtype)
+            dx, _, _ = ops.conv2d_backward(dout, x, k)
+            want = full_correlation_dx(dout, x, k)
+            assert dx.dtype == want.dtype
+            assert dx.tobytes() == want.tobytes(), (ksize, n)
 
 
 @pytest.mark.parametrize("cin, cout, size, ksize, pad", [
@@ -256,28 +261,13 @@ def test_conv_dx_bytes_at_detector_layer_shapes(cin, cout, size, ksize, pad):
     # On real values the two GEMMs may round differently in general; at the
     # layer shapes the detector runs they do not, which is what keeps every
     # training trace bit-identical to the full-correlation code.
+    assert pad == ksize // 2
     r = np.random.default_rng(size + cout)
     x = r.normal(size=(4, cin, size, size)).astype(np.float32)
     k = r.normal(size=(cout, cin, ksize, ksize)).astype(np.float32)
     dout = r.normal(size=(4, cout, size, size)).astype(np.float32)
-    dx, _, _ = ops.conv2d_backward(dout, x, k, 1, pad)
-    assert dx.tobytes() == full_correlation_dx(dout, x, k, 1, pad).tobytes()
-
-
-@pytest.mark.parametrize("kshape", [(1, 3), (3, 1), (2, 3)])
-def test_conv_backward_non_square_kernel_matches_finite_differences(kshape):
-    r = np.random.default_rng(7)
-    for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-        x = r.normal(size=(2, 2, 6, 7))
-        k = r.normal(size=(3, 2, *kshape))
-        dout = r.normal(size=ops.conv2d_forward(x, k, None, stride, pad).shape)
-
-        def loss():
-            return float((ops.conv2d_forward(x, k, None, stride, pad) * dout).sum())
-
-        dx, _, _ = ops.conv2d_backward(dout, x, k, stride, pad)
-        assert_grads_close(dx, numerical_grad(loss, x),
-                           what=f"conv dx kernel {kshape} stride {stride} pad {pad}")
+    dx, _, _ = ops.conv2d_backward(dout, x, k)
+    assert dx.tobytes() == full_correlation_dx(dout, x, k).tobytes()
 
 
 # ---------------------------------------------------------------------------
