@@ -133,7 +133,7 @@ def ema_update(teacher: ModelState, student: ModelState, alpha: float) -> ModelS
 
 
 def generate_pseudo_labels(labeler: ModelState, scenes, tau: float,
-                           batch_stats: bool = False) -> dict:
+                           batch_stats: bool) -> dict:
     """Run full inference per scene and keep detections scoring >= tau.
 
     Class confidence is the sole filter. Returns {scene id: Detections}.

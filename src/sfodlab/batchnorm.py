@@ -75,7 +75,7 @@ def update_running_statistics(model, stats):
             p[name] = (m * p[name] + (1 - m) * batch).astype(np.float32)
 
 
-def collect_target_statistics(model, images, batch_size: int = 4):
+def collect_target_statistics(model, images, batch_size: int):
     """AdaBN: one pass over the image set, replacing every BN layer's
     running statistics with the equal-weight average of per-batch statistics.
 

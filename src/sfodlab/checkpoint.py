@@ -26,12 +26,12 @@ class CheckpointError(Exception):
     """Malformed, truncated or incompatible checkpoint file."""
 
 
-def save_checkpoint(path, model: ModelState, metadata: dict | None = None):
+def save_checkpoint(path, model: ModelState, metadata: dict):
     names = list(model.params)
     header = {
         "arch": asdict(model.arch),
         "arrays": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
-        "metadata": metadata or {},
+        "metadata": metadata,
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as f:

@@ -48,8 +48,6 @@ from .data import (
 from .detector import ArchDescriptor, init_model
 from .ops import NumericsError
 from .report import (
-    comparison_table,
-    read_run_report,
     read_trace_csv,
     write_comparison_csv,
     write_loss_csv,
@@ -224,18 +222,8 @@ def _adapt_config(args) -> AdaptConfig:
     if args.strategy not in presets:
         raise DataError(f"unknown strategy {args.strategy!r}; "
                         f"choose from {sorted(presets)}")
-    flags = {}
-    for flag, name in [("alpha", "alpha"), ("tau", "tau"), ("steps", "max_steps"),
-                       ("lr", "lr"), ("batch_size", "batch_size"),
-                       ("eval_period", "eval_period"), ("eval_subset", "eval_subset"),
-                       ("seed", "seed")]:
-        value = getattr(args, flag)
-        if value is not None:
-            flags[name] = value
-    if args.mosaic:
-        flags["mosaic"] = True
-    if args.no_reg:
-        flags["include_reg"] = False
+    names = {f.name for f in fields(AdaptConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     entries = parse_config_file(args.config) if args.config else {}
     return _with_entries(presets[args.strategy], "adapt config", entries, flags,
                          exclude=("strategy", "strong"))
@@ -309,13 +297,17 @@ def _read_run(run_dir):
     if not rpath.exists():
         raise DataError(f"missing run report {rpath}")
     try:
-        rep = read_run_report(rpath)
+        with open(rpath, encoding="utf-8") as f:
+            rep = json.load(f)
     except (ValueError, OSError) as e:
         raise DataError(f"{rpath}: not a JSON run report ({e})") from e
     if not (isinstance(rep, dict) and all(
             isinstance(rep.get(k), dict) and "map" in rep[k] for k in ("final", "best"))):
         raise DataError(f"{rpath}: needs 'final' and 'best' entries with a 'map'")
-    tpath = Path(run_dir) / rep.get("trace_csv", "trace.csv")
+    trace_csv = rep.get("trace_csv", "trace.csv")
+    if not isinstance(trace_csv, str):
+        raise DataError(f"{rpath}: 'trace_csv' must be a file name, got {trace_csv!r}")
+    tpath = Path(run_dir) / trace_csv
     if not tpath.exists():
         return rep, None
     try:
@@ -334,7 +326,7 @@ def cmd_report(args) -> int:
             traces[run_dir] = trace
     out = Path(args.out)
     if out.suffix == ".csv":
-        write_comparison_csv(comparison_table(reports), out)
+        write_comparison_csv(reports, out)
     elif out.suffix == ".svg":
         write_trace_svg(traces, out)
     else:
@@ -374,16 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--strategy", required=True)
     ad.add_argument("--out", required=True)
     ad.add_argument("--config", default=None, help="key = value overrides")
-    ad.add_argument("--alpha", type=float, default=None)
-    ad.add_argument("--tau", type=float, default=None)
-    ad.add_argument("--steps", type=int, default=None)
-    ad.add_argument("--lr", type=float, default=None)
-    ad.add_argument("--batch-size", type=int, default=None)
-    ad.add_argument("--eval-period", type=int, default=None)
-    ad.add_argument("--eval-subset", type=int, default=None)
-    ad.add_argument("--seed", type=int, default=None)
-    ad.add_argument("--mosaic", action="store_true")
-    ad.add_argument("--no-reg", action="store_true")
+    # each flag's dest is the AdaptConfig field it sets; None leaves it unset
+    ad.add_argument("--alpha", type=float)
+    ad.add_argument("--tau", type=float)
+    ad.add_argument("--steps", type=int, dest="max_steps")
+    ad.add_argument("--lr", type=float)
+    ad.add_argument("--batch-size", type=int)
+    ad.add_argument("--eval-period", type=int)
+    ad.add_argument("--eval-subset", type=int)
+    ad.add_argument("--seed", type=int)
+    ad.add_argument("--mosaic", action="store_const", const=True)
+    ad.add_argument("--no-reg", dest="include_reg", action="store_const", const=False)
     ad.set_defaults(func=cmd_adapt)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a split")

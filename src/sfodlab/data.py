@@ -119,7 +119,7 @@ def _background(spec: DomainSpec, rng: np.random.Generator):
 
 
 def generate_scene(spec: DomainSpec, rng: np.random.Generator,
-                   scene_id: str = "") -> Scene:
+                   scene_id: str) -> Scene:
     """Render one scene; boxes are exact shape bounds clipped to the image.
 
     Shapes whose visible part would be degenerate (under 2 px a side) are
@@ -262,8 +262,7 @@ def _read_ppm(path: Path) -> np.ndarray:
     return (q.astype(np.float32) / 255.0)
 
 
-def write_dataset(scenes, out_dir, spec: DomainSpec | None = None,
-                  seed: int | None = None):
+def write_dataset(scenes, out_dir, spec: DomainSpec, seed: int):
     """Write scenes to out_dir: images/*.ppm + annotations.jsonl + manifest.json."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -281,7 +280,7 @@ def write_dataset(scenes, out_dir, spec: DomainSpec | None = None,
         "format": "sfodlab-dataset-v1",
         "count": len(scenes),
         "classes": list(CLASS_NAMES),
-        "spec": asdict(spec) if spec is not None else None,
+        "spec": asdict(spec),
         "seed": seed,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:

@@ -65,7 +65,7 @@ class ArchDescriptor:
     proposal_nms_iou: float = 0.7
 
     def __post_init__(self):
-        if 2 ** self.n_pools != self.feature_stride:
+        if self.feature_stride < 1 or 2 ** self.n_pools != self.feature_stride:
             raise ValueError("feature_stride must be a power of two")
         if self.input_size % self.feature_stride:
             raise ValueError("feature_stride must divide input_size")
@@ -151,7 +151,7 @@ class ModelState:
         return ModelState(self.arch, {k: v.copy() for k, v in self.params.items()})
 
 
-def init_model(arch: ArchDescriptor, seed: int = 0) -> ModelState:
+def init_model(arch: ArchDescriptor, seed: int) -> ModelState:
     """He-initialized weights, zero biases, identity BN, small head weights."""
     rng = np.random.default_rng(seed)
     params = {}
@@ -346,7 +346,7 @@ def _roi_cell_edges(lo: np.ndarray, hi: np.ndarray, out: int, size: int):
 
 
 def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
-                    need_indices: bool = True):
+                    need_indices: bool):
     """Max-pool all proposals of one image at once.
 
     feats_img: (C, F, F); boxes_feat: (P, 4) in feature coordinates.

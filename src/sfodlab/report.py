@@ -12,14 +12,14 @@ TRACE_COLUMNS = ["step", "total_loss", "rpn_cls", "rpn_reg", "roi_cls", "roi_reg
                  "num_pls", "map"]
 
 
-def _ap_columns(num_classes: int, prefix: str = "") -> list:
-    return [f"{prefix}ap_class{i}" for i in range(num_classes)]
+def _ap_columns(num_classes: int) -> list:
+    return [f"ap_class{i}" for i in range(num_classes)]
 
 
-def _num_ap_columns(names, prefix: str = "") -> int:
+def _num_ap_columns(names) -> int:
     """Count of leading ap_class0, ap_class1, ... among names."""
     k = 0
-    while f"{prefix}ap_class{k}" in names:
+    while f"ap_class{k}" in names:
         k += 1
     return k
 
@@ -81,40 +81,23 @@ def write_run_report(path, report: dict):
         json.dump(report, f, indent=1, sort_keys=True)
 
 
-def read_run_report(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def comparison_table(reports: dict) -> list:
+def write_comparison_csv(reports: dict, path):
     """One row per run: its name (the key of reports, a run directory in
-    ``sfodlab report``), strategy, seed, per-class AP50 and mAP (final and
-    best)."""
-    rows = []
-    for run, rep in reports.items():
-        row = {
-            "run": run,
-            "strategy": rep.get("strategy", "?"),
-            "seed": rep.get("seed", ""),
-            "final_map": rep["final"]["map"],
-            "best_map": rep["best"]["map"],
-        }
-        for which in ("final", "best"):
-            for col in _ap_columns(_num_ap_columns(rep[which])):
-                row[f"{which}_{col}"] = rep[which][col]
-        rows.append(row)
-    return rows
-
-
-def write_comparison_csv(rows: list, path):
-    k = max((_num_ap_columns(row, "final_") for row in rows), default=0)
-    cols = (["run", "strategy", "seed"] + _ap_columns(k, "final_") + ["final_map"]
-            + _ap_columns(k, "best_") + ["best_map"])
+    ``sfodlab report``), strategy, seed, then per-class AP50 and mAP of the
+    final and of the best model. The class columns are those of the run with
+    the most final ones; a run that lacks one leaves it empty."""
+    k = max((_num_ap_columns(rep["final"]) for rep in reports.values()), default=0)
+    aps = _ap_columns(k)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([row.get(c, "") for c in cols])
+        w.writerow(["run", "strategy", "seed"]
+                   + [f"{which}_{c}" for which in ("final", "best") for c in aps + ["map"]])
+        for run, rep in reports.items():
+            row = [run, rep.get("strategy", "?"), rep.get("seed", "")]
+            for part in (rep["final"], rep["best"]):
+                n = _num_ap_columns(part)
+                row += [part[c] if i < n else "" for i, c in enumerate(aps)] + [part["map"]]
+            w.writerow(row)
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",

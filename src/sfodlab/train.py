@@ -16,7 +16,7 @@ from .ops import sgd_step
 
 
 def train_source(model: ModelState, scenes, steps: int, lr: float,
-                 batch_size: int, rng: np.random.Generator, log_every: int = 0):
+                 batch_size: int, rng: np.random.Generator, log_every: int):
     """SGD at a constant learning rate on labeled scenes with weak (flip)
     augmentation, mutating model.
 

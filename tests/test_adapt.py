@@ -2,13 +2,14 @@
 alpha=1 / fixed-pseudo-label equivalence, AdaBN initialization, and the
 strategy preset grid."""
 
-import importlib
+import inspect
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-adapt_mod = importlib.import_module("sfodlab.adapt")
+import sfodlab
+import sfodlab.adapt as adapt_mod
 from sfodlab import cli
 from sfodlab.adapt import (
     AdaptConfig,
@@ -41,6 +42,12 @@ def tiny_config(**kw):
     base = dict(lr=0.002, batch_size=2, max_steps=4, eval_period=2, seed=3)
     base.update(kw)
     return AdaptConfig(**base)
+
+
+def test_package_names_the_module():
+    """sfodlab.adapt is the module, which the monkeypatches below rely on,
+    not the function of the same name."""
+    assert inspect.ismodule(adapt_mod) and sfodlab.adapt is adapt_mod
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +133,7 @@ def test_pseudo_label_threshold_boundary(monkeypatch):
     monkeypatch.setattr(adapt_mod, "forward_inference_batch",
                         lambda model, images, **kw: [canned] * len(images))
     scenes = tiny_scenes(2, 0)
-    out = generate_pseudo_labels(init_model(small_arch(), 0), scenes, tau=0.8)
+    out = generate_pseudo_labels(init_model(small_arch(), 0), scenes, 0.8, False)
     for sc in scenes:
         kept = out[sc.id]
         assert kept.scores.tolist() == [np.float32(0.9), np.float32(0.8)]
@@ -135,13 +142,14 @@ def test_pseudo_label_threshold_boundary(monkeypatch):
 def test_pseudo_label_tau_extremes_and_monotone():
     model = init_model(small_arch(), 1)
     scenes = tiny_scenes(4, 1)
-    everything = generate_pseudo_labels(model, scenes, tau=0.0)
-    nothing = generate_pseudo_labels(model, scenes, tau=1.0 - 1e-9)
+    everything = generate_pseudo_labels(model, scenes, 0.0, False)
+    nothing = generate_pseudo_labels(model, scenes, 1.0 - 1e-9, False)
     assert all(len(v) == 0 for v in nothing.values()) or all(
         (v.scores >= 1.0 - 1e-9).all() for v in nothing.values())
     prev = None
     for tau in (0.0, 0.2, 0.5, 0.8, 0.95):
-        counts = sum(len(v) for v in generate_pseudo_labels(model, scenes, tau).values())
+        labels = generate_pseudo_labels(model, scenes, tau, False)
+        counts = sum(len(v) for v in labels.values())
         if prev is not None:
             assert counts <= prev
         prev = counts

@@ -162,7 +162,7 @@ def test_backward_matches_finite_differences():
 def test_collect_requires_images():
     model = init_model(small_arch(), 0)
     with pytest.raises(ValueError):
-        bn.collect_target_statistics(model, [])
+        bn.collect_target_statistics(model, [], 4)
 
 
 def test_collect_freezes_weights(rng):

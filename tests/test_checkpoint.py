@@ -105,7 +105,7 @@ def test_missing_file(tmp_path):
 def test_wrong_names(tmp_path):
     model = small_model()
     model.params["roi.fc1.bias"] = model.params.pop("roi.fc1.b")
-    save_checkpoint(tmp_path / "m.ckpt", model)
+    save_checkpoint(tmp_path / "m.ckpt", model, {})
     with pytest.raises(CheckpointError, match="names"):
         load_checkpoint(tmp_path / "m.ckpt")
 
@@ -113,7 +113,7 @@ def test_wrong_names(tmp_path):
 def test_wrong_shape(tmp_path):
     model = small_model()
     model.params["roi.fc1.b"] = np.zeros(7, np.float32)
-    save_checkpoint(tmp_path / "m.ckpt", model)
+    save_checkpoint(tmp_path / "m.ckpt", model, {})
     with pytest.raises(CheckpointError, match="roi.fc1.b"):
         load_checkpoint(tmp_path / "m.ckpt")
 

@@ -10,7 +10,7 @@ import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,16 +105,17 @@ def test_diverging_training_exits_4(workdir, capsys):
 def test_bad_header_checkpoint_exits_3(workdir, capsys):
     raw = (workdir / "source.ckpt").read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, 12)
-    header = json.loads(raw[20:20 + hlen])
-    header["arch"]["bogus"] = 1
-    blob = json.dumps(header).encode("utf-8")
-    bad = workdir / "bad_header.ckpt"
-    bad.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
-    rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(workdir / "data"),
-                   "--split", "target_test"])
-    assert rc == 3
-    (line,) = error_lines(capsys)
-    assert line.startswith("ERROR[data]:") and "bogus" in line
+    for key, value in [("bogus", 1), ("feature_stride", 0)]:
+        header = json.loads(raw[20:20 + hlen])
+        header["arch"][key] = value
+        blob = json.dumps(header).encode("utf-8")
+        bad = workdir / "bad_header.ckpt"
+        bad.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+        rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(workdir / "data"),
+                       "--split", "target_test"])
+        assert rc == 3
+        (line,) = error_lines(capsys)
+        assert line.startswith("ERROR[data]:") and key in line
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +178,7 @@ def test_eval_prints_one_line_per_model_class(workdir, tmp_path, capsys, num_cla
     """The split keeps only the boxes the model can label: a 2-class model
     rejects the 3-class split itself."""
     ckpt = workdir / f"classes{num_classes}.ckpt"
-    save_checkpoint(ckpt, init_model(ArchDescriptor(num_classes=num_classes), seed=0))
+    save_checkpoint(ckpt, init_model(ArchDescriptor(num_classes=num_classes), seed=0), {})
     data = tmp_path / "data"
     shutil.copytree(workdir / "data" / "target_test", data / "target_test")
     ann = data / "target_test" / "annotations.jsonl"
@@ -307,6 +308,31 @@ def test_adapt_rejects_invalid_option(workdir, capsys, flags, name):
     (line,) = error_lines(capsys)
     assert line.startswith("ERROR[data]:") and name in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,field,value,entry", [
+    (["--alpha", "0.5"], "alpha", 0.5, "0.25"),
+    (["--tau", "0.6"], "tau", 0.6, "0.7"),
+    (["--steps", "7"], "max_steps", 7, "9"),
+    (["--lr", "0.02"], "lr", 0.02, "0.03"),
+    (["--batch-size", "3"], "batch_size", 3, "5"),
+    (["--eval-period", "6"], "eval_period", 6, "8"),
+    (["--eval-subset", "2"], "eval_subset", 2, "4"),
+    (["--seed", "11"], "seed", 11, "12"),
+    (["--mosaic"], "mosaic", True, "false"),
+    (["--no-reg"], "include_reg", False, "true"),
+], ids=["alpha", "tau", "steps", "lr", "batch-size", "eval-period", "eval-subset", "seed",
+        "mosaic", "no-reg"])
+def test_adapt_flag_sets_its_field_over_config(tmp_path, flags, field, value, entry):
+    config = tmp_path / "adapt.cfg"
+    config.write_text(f"{field} = {entry}\n")
+    argv = ["adapt", "--source-ckpt", "source.ckpt", "--data", "data",
+            "--strategy", "sf_pl", "--out", "out", "--config", str(config)]
+    parser = cli.build_parser()
+    from_file = cli._adapt_config(parser.parse_args(argv))
+    assert getattr(from_file, field) != value
+    assert cli._adapt_config(parser.parse_args(argv + flags)) == replace(
+        from_file, **{field: value})
 
 
 @pytest.mark.parametrize("entry", ["eval_period = 0", "alpha = high"])
@@ -517,10 +543,14 @@ def _not_json(run):
     return "report.json"
 
 
-def _drop(key):
+def _edit(key, value=None):
+    """Damage that drops key from report.json, or sets it to a non-None value."""
     def damage(run):
         rep = json.loads((run / "report.json").read_text())
-        del rep[key]
+        if value is None:
+            del rep[key]
+        else:
+            rep[key] = value
         (run / "report.json").write_text(json.dumps(rep))
         return "report.json"
     return damage
@@ -533,9 +563,10 @@ def _rename_trace_column(run):
     return "trace.csv"
 
 
-@pytest.mark.parametrize("damage", [_not_json, _drop("final"), _drop("best"),
-                                    _rename_trace_column],
-                         ids=["not-json", "no-final", "no-best", "trace-columns"])
+@pytest.mark.parametrize("damage", [_not_json, _edit("final"), _edit("best"),
+                                    _edit("trace_csv", 5), _rename_trace_column],
+                         ids=["not-json", "no-final", "no-best", "trace-csv-not-a-name",
+                              "trace-columns"])
 @pytest.mark.parametrize("suffix", [".csv", ".svg"])
 def test_report_on_malformed_run_exits_3(runs, tmp_path, capsys, damage, suffix):
     run = tmp_path / "run"

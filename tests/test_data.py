@@ -23,7 +23,7 @@ def test_generation_deterministic():
 def test_generation_counts_and_bounds():
     spec = Dt.DomainSpec(min_objects=2, max_objects=8)
     for seed in range(10):
-        sc = Dt.generate_scene(spec, np.random.default_rng(seed))
+        sc = Dt.generate_scene(spec, np.random.default_rng(seed), "a")
         assert 2 <= len(sc.boxes) <= 8
         assert sc.image.shape == (96, 96, 3)
         assert sc.image.min() >= 0 and sc.image.max() <= 1
@@ -37,7 +37,7 @@ def test_generation_counts_and_bounds():
 
 def test_zero_objects_scene():
     spec = Dt.DomainSpec(min_objects=0, max_objects=0)
-    sc = Dt.generate_scene(spec, np.random.default_rng(0))
+    sc = Dt.generate_scene(spec, np.random.default_rng(0), "a")
     assert len(sc.boxes) == 0 and len(sc.labels) == 0
 
 
@@ -47,7 +47,7 @@ def test_disc_annotation_geometry():
                          noise_amplitude=0.0)
     found = 0
     for seed in range(40):
-        sc = Dt.generate_scene(spec, np.random.default_rng(seed))
+        sc = Dt.generate_scene(spec, np.random.default_rng(seed), "a")
         if len(sc.labels) == 1 and sc.labels[0] == 0:
             x1, y1, x2, y2 = sc.boxes[0]
             if x2 - x1 < 19 or y2 - y1 < 19:
@@ -78,7 +78,7 @@ def test_fog_saturates_to_haze_at_top(rng):
 def test_fog_contrast_strictly_decreases():
     spec = Dt.DomainSpec()
     for seed in range(10):
-        sc = Dt.generate_scene(spec, np.random.default_rng(seed))
+        sc = Dt.generate_scene(spec, np.random.default_rng(seed), "a")
         stds = [Dt.apply_fog(sc.image, s, (0.92, 0.92, 0.95)).std()
                 for s in (0.0, 0.3, 0.6)]
         assert stds[0] > stds[1] > stds[2], (seed, stds)
@@ -87,15 +87,15 @@ def test_fog_contrast_strictly_decreases():
 def test_fog_shift_matches_none_at_zero():
     base = Dt.DomainSpec(shift="none")
     fogged = Dt.DomainSpec(shift="fog", fog_strength=0.0)
-    a = Dt.generate_scene(base, np.random.default_rng(3))
-    b = Dt.generate_scene(fogged, np.random.default_rng(3))
+    a = Dt.generate_scene(base, np.random.default_rng(3), "a")
+    b = Dt.generate_scene(fogged, np.random.default_rng(3), "a")
     assert a.image.tobytes() == b.image.tobytes()
 
 
 def test_color_and_scale_shifts():
     spec = Dt.DomainSpec(shift="color", color_cast=(1.0, 0.5, 0.5))
-    sc = Dt.generate_scene(spec, np.random.default_rng(1))
-    base = Dt.generate_scene(Dt.DomainSpec(shift="none"), np.random.default_rng(1))
+    sc = Dt.generate_scene(spec, np.random.default_rng(1), "a")
+    base = Dt.generate_scene(Dt.DomainSpec(shift="none"), np.random.default_rng(1), "a")
     assert np.allclose(sc.image[..., 0], base.image[..., 0])
     assert np.allclose(sc.image[..., 1], np.clip(base.image[..., 1] * 0.5, 0, 1),
                        atol=1e-6)
@@ -132,14 +132,14 @@ def test_dataset_round_trip(tmp_path):
         assert np.array_equal(a.labels, b.labels)
         assert np.abs(a.image - b.image).max() <= 1 / 255  # 8-bit quantization
     # a second write/read cycle is bit-exact (stable fixed point)
-    Dt.write_dataset(back, tmp_path / "ds2")
+    Dt.write_dataset(back, tmp_path / "ds2", spec, 42)
     again = Dt.read_dataset(tmp_path / "ds2")
     for b, c in zip(back, again):
         assert b.image.tobytes() == c.image.tobytes()
 
 
 def test_empty_dataset(tmp_path):
-    Dt.write_dataset([], tmp_path / "empty")
+    Dt.write_dataset([], tmp_path / "empty", Dt.DomainSpec(), 0)
     assert (tmp_path / "empty" / "manifest.json").exists()
     assert Dt.read_dataset(tmp_path / "empty") == []
 
@@ -149,14 +149,14 @@ def test_read_errors(tmp_path):
         Dt.read_dataset(tmp_path / "missing")
     spec = Dt.DomainSpec()
     scenes = Dt.generate_split(spec, 2, 0, "x")
-    Dt.write_dataset(scenes, tmp_path / "broken")
+    Dt.write_dataset(scenes, tmp_path / "broken", spec, 0)
     (tmp_path / "broken" / "images" / "x_00000.ppm").write_bytes(b"P5 nonsense")
     with pytest.raises(Dt.DataError) as err:
         Dt.read_dataset(tmp_path / "broken")
     assert "x_00000" in str(err.value)
 
     # a malformed second annotation record is a DataError naming file:line
-    Dt.write_dataset(scenes, tmp_path / "records")
+    Dt.write_dataset(scenes, tmp_path / "records", spec, 0)
     apath = tmp_path / "records" / "annotations.jsonl"
     first = apath.read_text().splitlines()[0]
     image = "images/x_00001.ppm"
@@ -187,7 +187,8 @@ def test_read_errors(tmp_path):
 
 @pytest.mark.parametrize("manifest", ["[1]", '"x"', "{}", '{"classes": 3}'])
 def test_manifest_must_be_object_with_classes(tmp_path, manifest):
-    Dt.write_dataset(Dt.generate_split(Dt.DomainSpec(), 1, 0, "x"), tmp_path / "ds")
+    Dt.write_dataset(Dt.generate_split(Dt.DomainSpec(), 1, 0, "x"), tmp_path / "ds",
+                     Dt.DomainSpec(), 0)
     mpath = tmp_path / "ds" / "manifest.json"
     mpath.write_text(manifest)
     with pytest.raises(Dt.DataError) as err:

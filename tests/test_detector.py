@@ -57,8 +57,9 @@ def random_batch(rng, arch, n=2, dtype=np.float32):
 def test_arch_validation():
     with pytest.raises(ValueError):
         D.ArchDescriptor(input_size=50, feature_stride=8)
-    with pytest.raises(ValueError):
-        D.ArchDescriptor(feature_stride=3)
+    for stride in (3, 0, -8):
+        with pytest.raises(ValueError, match="feature_stride"):
+            D.ArchDescriptor(feature_stride=stride)
     with pytest.raises(ValueError):
         D.ArchDescriptor(anchor_scales=(), anchor_aspects=())
     a = D.ArchDescriptor()
@@ -153,7 +154,8 @@ def mixed_boxes(rng, n, size):
 
 def roi_pool_one(feats, box, out):
     """_roi_pool_batch on a single box: pooled (C, out, out) and the cells."""
-    pooled, cells = D._roi_pool_batch(feats, np.asarray(box, np.float64).reshape(1, 4), out)
+    pooled, cells = D._roi_pool_batch(feats, np.asarray(box, np.float64).reshape(1, 4), out,
+                                      True)
     return pooled[0], cells
 
 
@@ -213,7 +215,7 @@ def test_roi_pool_batch_ties_match_reference(rng):
         for out in (2, 3, 5):
             boxes = mixed_boxes(rng, 12, f)
             want, yy, xx = roi_pool_batch_reference(feats, boxes, out)
-            pooled, cells = D._roi_pool_batch(feats, boxes, out)
+            pooled, cells = D._roi_pool_batch(feats, boxes, out, True)
             assert pooled.dtype == feats.dtype and cells.dtype == np.int64
             assert np.array_equal(pooled, want)
             assert np.array_equal(cells, (yy * f + xx).transpose(1, 2, 3, 0))
@@ -231,7 +233,7 @@ def test_roi_pool_batch_nan_propagates(rng):
     feats[1, 4, 1] = np.nan
     boxes = np.array([[0.0, 0.0, 6.0, 6.0], [3.0, 2.0, 5.0, 3.0], [0.0, 0.0, 1.5, 1.5]])
     want, yy, xx = roi_pool_batch_reference(feats, boxes, 3)
-    pooled, cells = D._roi_pool_batch(feats, boxes, 3)
+    pooled, cells = D._roi_pool_batch(feats, boxes, 3, True)
     plain, _ = D._roi_pool_batch(feats, boxes, 3, need_indices=False)
     for got in (pooled, plain):
         assert np.array_equal(got, want, equal_nan=True)
@@ -460,7 +462,7 @@ def roi_head_forward_reference(model, feats, proposals):
     pooled_parts, scatter = [], []
     for i, props in enumerate(proposals):
         boxes = np.asarray(props, np.float64).reshape(-1, 4) / arch.feature_stride
-        pooled, cells = D._roi_pool_batch(feats[i], boxes, arch.roi_pool_size)
+        pooled, cells = D._roi_pool_batch(feats[i], boxes, arch.roi_pool_size, True)
         pooled_parts.append(pooled)
         scatter.append((cells, len(boxes)))
     flat = np.concatenate(pooled_parts).reshape(-1, p["roi.fc1.w"].shape[0])
