@@ -29,8 +29,9 @@ import numpy as np
 
 from .augment import StrongAugParams, mosaic, strong_augment, weak_augment
 from .batchnorm import collect_target_statistics
-from .boxes import Detections
+from .boxes import Detections, EvalResult
 from .detector import (
+    LossBreakdown,
     ModelState,
     forward_inference_batch,
     forward_train,
@@ -66,8 +67,10 @@ class AdaptConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0 <= self.tau <= 1:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         for name, low in (("batch_size", 1), ("max_steps", 0), ("eval_period", 1),
-                          ("eval_subset", 0)):
+                          ("eval_subset", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -75,43 +78,24 @@ class AdaptConfig:
 @dataclass
 class TraceRow:
     step: int
-    total_loss: float
-    rpn_cls: float
-    rpn_reg: float
-    roi_cls: float
-    roi_reg: float
+    loss: LossBreakdown        # all zero at step 0, before any training
     num_pls: int
-    map: float                 # last evaluated mAP, carried between evals
-    per_class_ap: dict
+    evaluation: EvalResult     # the last evaluation, carried between evals
     evaluated: bool = True     # whether an evaluation ran at this step
-
-
-@dataclass
-class AdaptTrace:
-    rows: list = field(default_factory=list)
-    diverged_at: int | None = None
-
-    def steps(self):
-        return np.array([r.step for r in self.rows])
-
-    def eval_rows(self):
-        """Rows where an evaluation actually ran (mAP not carried forward)."""
-        return [r for r in self.rows if r.evaluated]
-
-    def peak_map(self) -> float:
-        rows = self.eval_rows()
-        return max(r.map for r in rows) if rows else 0.0
-
-    def final_map(self) -> float:
-        rows = self.eval_rows()
-        return rows[-1].map if rows else 0.0
 
 
 @dataclass
 class AdaptResult:
     final: ModelState
     best: ModelState
-    trace: AdaptTrace
+    rows: list                 # one TraceRow per step, step 0 included
+    diverged_at: int | None = None
+
+    def peak_map(self) -> float:
+        return max((r.evaluation.map for r in self.rows if r.evaluated), default=0.0)
+
+    def final_map(self) -> float:
+        return next((r.evaluation.map for r in reversed(self.rows) if r.evaluated), 0.0)
 
 
 def ema_update(teacher: ModelState, student: ModelState, alpha: float) -> ModelState:
@@ -186,11 +170,12 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
           eval_scenes) -> AdaptResult:
     """Run one self-training configuration against unlabeled target scenes.
 
-    Returns the final student, the best student by trace mAP, and the trace.
+    Returns the final student, the best student by trace mAP, and one trace
+    row per step.
     The step-0 model is the initial teacher itself (source, or its AdaBN
     adaptation), not a copy: it is the best model while no step beats it,
     and with max_steps = 0 it is both final and best.
-    A divergent step is recorded (trace.diverged_at) and ends the run with
+    A divergent step is recorded (diverged_at) and ends the run with
     everything up to that step preserved; collapse is an observable here,
     not a crash.
     """
@@ -207,21 +192,12 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     else:
         teacher = source
 
-    trace = AdaptTrace()
-    eval_pool = list(eval_scenes)
-    if config.eval_subset and config.eval_subset < len(eval_pool):
-        eval_pool = eval_pool[: config.eval_subset]
-
-    def run_eval(model):
-        res = evaluate_model(model, eval_pool)
-        return res.map, dict(res.per_class_ap)
-
-    cur_map, cur_ap = run_eval(teacher)
-    best_map, best_model = cur_map, teacher
-    trace.rows.append(TraceRow(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, cur_map, cur_ap))
-
+    eval_pool = list(eval_scenes)[: config.eval_subset or None]
+    evaluation = evaluate_model(teacher, eval_pool)
+    rows = [TraceRow(0, LossBreakdown(0.0, 0.0, 0.0, 0.0), 0, evaluation)]
     if config.max_steps == 0:
-        return AdaptResult(teacher, teacher, trace)
+        return AdaptResult(teacher, teacher, rows)
+    best_map, best_model = evaluation.map, teacher
 
     student = teacher.copy()
     pl_set = None
@@ -262,8 +238,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
             loss, grads = forward_train(student, images, targets, rng,
                                         config.include_reg)
         except NumericsError:
-            trace.diverged_at = step
-            break
+            return AdaptResult(student, best_model, rows, diverged_at=step)
         sgd_step(student.params, grads, config.lr)
         del grads  # not alive beside the next step's forward caches
         if not config.fixed_pls:
@@ -271,11 +246,9 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
 
         evaluated = step % config.eval_period == 0 or step == config.max_steps
         if evaluated:
-            cur_map, cur_ap = run_eval(student)
-            if cur_map > best_map:
-                best_map, best_model = cur_map, student.copy()
-        trace.rows.append(TraceRow(step, loss.total, loss.rpn_cls, loss.rpn_reg,
-                                   loss.roi_cls, loss.roi_reg, num_pls,
-                                   cur_map, cur_ap, evaluated))
+            evaluation = evaluate_model(student, eval_pool)
+            if evaluation.map > best_map:
+                best_map, best_model = evaluation.map, student.copy()
+        rows.append(TraceRow(step, loss, num_pls, evaluation, evaluated))
 
-    return AdaptResult(student, best_model, trace)
+    return AdaptResult(student, best_model, rows)

@@ -48,6 +48,7 @@ from .data import (
 from .detector import ArchDescriptor, init_model
 from .ops import NumericsError
 from .report import (
+    eval_record,
     read_trace_csv,
     write_comparison_csv,
     write_loss_csv,
@@ -180,6 +181,8 @@ def _arch_for(scenes, split: str) -> ArchDescriptor:
 # ---------------------------------------------------------------------------
 
 def cmd_make_data(args) -> int:
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     entries = parse_config_file(args.spec) if args.spec else {}
     splits = [f.name for f in fields(SplitCounts)]
     counts = _with_entries(SplitCounts(), "split count",
@@ -198,9 +201,12 @@ def cmd_make_data(args) -> int:
 def cmd_train_source(args) -> int:
     for option, value, low in (("--steps", args.steps, 0),
                                ("--batch-size", args.batch_size, 1),
-                               ("--log-every", args.log_every, 0)):
+                               ("--log-every", args.log_every, 0),
+                               ("--seed", args.seed, 0)):
         if value < low:
             raise DataError(f"{option} must be >= {low}, got {value}")
+    if not 0 < args.lr < np.inf:
+        raise DataError(f"--lr must be finite and > 0, got {args.lr}")
     scenes, arch = _load_split(args.data, "source_train")
     model = init_model(arch, seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -248,7 +254,7 @@ def cmd_adapt(args) -> int:
             "config_hash": _config_hash(cfg_dict)}
     save_checkpoint(out / "final.ckpt", result.final, {**meta, "which": "final"})
     save_checkpoint(out / "best.ckpt", result.best, {**meta, "which": "best"})
-    write_trace_csv(result.trace, out / "trace.csv", num_classes)
+    write_trace_csv(result.rows, out / "trace.csv", num_classes)
 
     final_eval = evaluate_model(result.final, target_test)
     best_eval = evaluate_model(result.best, target_test)
@@ -257,14 +263,12 @@ def cmd_adapt(args) -> int:
         "seed": config.seed,
         "config": cfg_dict,
         "config_hash": meta["config_hash"],
-        "final": {"map": final_eval.map,
-                  **{f"ap_class{i}": final_eval.ap(i) for i in range(num_classes)}},
-        "best": {"map": best_eval.map,
-                 **{f"ap_class{i}": best_eval.ap(i) for i in range(num_classes)}},
-        "trace": {"final_map": result.trace.final_map(),
-                  "peak_map": result.trace.peak_map(),
-                  "rows": len(result.trace.rows)},
-        "diverged_at": result.trace.diverged_at,
+        "final": eval_record(final_eval, num_classes),
+        "best": eval_record(best_eval, num_classes),
+        "trace": {"final_map": result.final_map(),
+                  "peak_map": result.peak_map(),
+                  "rows": len(result.rows)},
+        "diverged_at": result.diverged_at,
         "wall_clock_sec": round(wall, 3),
         "trace_csv": "trace.csv",
         "checkpoints": {"final": "final.ckpt", "best": "best.ckpt"},
@@ -272,8 +276,8 @@ def cmd_adapt(args) -> int:
     write_run_report(out / "report.json", report)
     print(f"{config.strategy}: final mAP {final_eval.map:.4f}  "
           f"best mAP {best_eval.map:.4f}  ({out})")
-    if result.trace.diverged_at is not None:
-        print(f"note: run diverged at step {result.trace.diverged_at} "
+    if result.diverged_at is not None:
+        print(f"note: run diverged at step {result.diverged_at} "
               "(trace preserved)")
     return 0
 
@@ -290,7 +294,7 @@ def cmd_eval(args) -> int:
 
 
 def _read_run(run_dir):
-    """(report dict, AdaptTrace or None) of one adapt run directory; a
+    """(report dict, trace rows or None) of one adapt run directory; a
     missing, non-JSON or incomplete report.json, or a trace.csv that does
     not parse, is a DataError naming the file."""
     rpath = Path(run_dir) / "report.json"
@@ -320,10 +324,10 @@ def cmd_report(args) -> int:
     # keyed by run directory: strategy and seed alone do not name a run
     reports, traces = {}, {}
     for run_dir in args.runs:
-        rep, trace = _read_run(run_dir)
+        rep, rows = _read_run(run_dir)
         reports[run_dir] = rep
-        if trace is not None:
-            traces[run_dir] = trace
+        if rows is not None:
+            traces[run_dir] = rows
     out = Path(args.out)
     if out.suffix == ".csv":
         write_comparison_csv(reports, out)

@@ -73,6 +73,27 @@ class DomainSpec:
             raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
         if self.min_objects > self.max_objects:
             raise ValueError("min_objects > max_objects")
+        for name in ("image_size", "noise_cells"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.min_size <= self.max_size:
+            raise ValueError(f"need 0 < min_size <= max_size, got {self.min_size} "
+                             f"and {self.max_size}")
+        for name, n in (("base_color_range", 2), ("haze_color", 3), ("color_cast", 3)):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} needs {n} values, got {getattr(self, name)}")
+        lo, hi = self.base_color_range
+        if not 0 <= lo <= hi <= 1:
+            raise ValueError(f"base_color_range must lie in [0, 1] with low <= high, "
+                             f"got {self.base_color_range}")
+        # A fill colour is drawn uniformly from the unit cube until it lies
+        # min_contrast from the base colour b. The farthest corner lies
+        # sqrt(sum_k max(b_k, 1 - b_k)^2) from b, least for every b_k = m.
+        m = min(max(0.5, lo), hi)
+        reach = 3 ** 0.5 * max(m, 1 - m)
+        if self.min_contrast >= reach:
+            raise ValueError(f"min_contrast must be < {reach:.4f} for base_color_range "
+                             f"{self.base_color_range}, got {self.min_contrast}")
 
 
 # ---------------------------------------------------------------------------

@@ -501,7 +501,8 @@ def _roi_head_forward(model: ModelState, feats: np.ndarray, proposals,
         scatter.append((cells, len(boxes)))
     pooled = np.concatenate(pooled_parts) if pooled_parts else np.zeros(
         (0, arch.channels[-1], arch.roi_pool_size, arch.roi_pool_size), feats.dtype)
-    flat = pooled.reshape(len(pooled), -1)
+    # an explicit width, as a chunk in which no image has a proposal pools no row
+    flat = pooled.reshape(len(pooled), p["roi.fc1.w"].shape[0])
     h1 = relu_forward(linear_forward(flat, p["roi.fc1.w"], p["roi.fc1.b"]))
     h2 = relu_forward(linear_forward(h1, p["roi.fc2.w"], p["roi.fc2.b"]))
     cls_logits = linear_forward(h2, p["roi.cls.w"], p["roi.cls.b"])

@@ -4,24 +4,42 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
-from .adapt import AdaptTrace, TraceRow
+from .adapt import TraceRow
+from .boxes import EvalResult
+from .detector import LossBreakdown
 
-TRACE_COLUMNS = ["step", "total_loss", "rpn_cls", "rpn_reg", "roi_cls", "roi_reg",
-                 "num_pls", "map"]
-
-
-def _ap_columns(num_classes: int) -> list:
-    return [f"ap_class{i}" for i in range(num_classes)]
+LOSS_TERMS = [f.name for f in fields(LossBreakdown)]
 
 
-def _num_ap_columns(names) -> int:
-    """Count of leading ap_class0, ap_class1, ... among names."""
+def _loss_cells(loss: LossBreakdown) -> list:
+    """The total and then each of LOSS_TERMS, to 6 decimals."""
+    return [f"{v:.6f}" for v in (loss.total, *(getattr(loss, t) for t in LOSS_TERMS))]
+
+
+def eval_record(res: EvalResult, num_classes: int) -> dict:
+    """The mAP and then the AP of each class (0.0 for a class without ground
+    truth), keyed by the column names of trace.csv and of report.json's
+    final and best entries."""
+    return {"map": res.map, **{f"ap_class{i}": res.ap(i) for i in range(num_classes)}}
+
+
+def _record_columns(num_classes: int) -> list:
+    return list(eval_record(EvalResult({}, 0.0), num_classes))
+
+
+def _num_classes(names) -> int:
+    """The largest class count whose evaluation columns are all in names."""
     k = 0
-    while f"ap_class{k}" in names:
+    while set(_record_columns(k + 1)) <= set(names):
         k += 1
     return k
+
+
+def _trace_columns(num_classes: int) -> list:
+    return ["step", "total_loss", *LOSS_TERMS, "num_pls", *_record_columns(num_classes)]
 
 
 def write_loss_csv(history, path):
@@ -31,49 +49,43 @@ def write_loss_csv(history, path):
     """
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["step", "total", "rpn_cls", "rpn_reg", "roi_cls", "roi_reg"])
+        w.writerow(["step", "total", *LOSS_TERMS])
         for step, loss in history:
-            w.writerow([step, f"{loss.total:.6f}", f"{loss.rpn_cls:.6f}",
-                        f"{loss.rpn_reg:.6f}", f"{loss.roi_cls:.6f}",
-                        f"{loss.roi_reg:.6f}"])
+            w.writerow([step, *_loss_cells(loss)])
 
 
-def write_trace_csv(trace: AdaptTrace, path, num_classes: int):
-    """One row per trace step, with one AP column per class (0.0 where a
-    class had no ground truth)."""
+def write_trace_csv(rows, path, num_classes: int):
+    """One row per TraceRow: the step, the total and each loss term, the
+    pseudo-label count and the step's eval_record."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(TRACE_COLUMNS + _ap_columns(num_classes))
-        for r in trace.rows:
-            w.writerow([
-                r.step, f"{r.total_loss:.6f}", f"{r.rpn_cls:.6f}", f"{r.rpn_reg:.6f}",
-                f"{r.roi_cls:.6f}", f"{r.roi_reg:.6f}", r.num_pls, f"{r.map:.6f}",
-                *(f"{r.per_class_ap.get(i, 0.0):.6f}" for i in range(num_classes)),
-            ])
+        w.writerow(_trace_columns(num_classes))
+        for r in rows:
+            record = eval_record(r.evaluation, num_classes)
+            w.writerow([r.step, *_loss_cells(r.loss), r.num_pls,
+                        *(f"{v:.6f}" for v in record.values())])
 
 
-def read_trace_csv(path) -> AdaptTrace:
-    """Inverse of write_trace_csv; the class count comes from the header."""
-    trace = AdaptTrace()
+def read_trace_csv(path) -> list:
+    """Inverse of write_trace_csv, as a list of TraceRow; the class count
+    comes from the header and each total from the loss terms."""
+    rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         names = reader.fieldnames or []
-        k = _num_ap_columns(names)
-        if names != TRACE_COLUMNS + _ap_columns(k):
+        k = _num_classes(names)
+        if names != _trace_columns(k):
             raise ValueError(f"{path}: unexpected trace columns {reader.fieldnames}")
+        map_col, *ap_cols = _record_columns(k)
         for row in reader:
-            trace.rows.append(TraceRow(
+            rows.append(TraceRow(
                 step=int(row["step"]),
-                total_loss=float(row["total_loss"]),
-                rpn_cls=float(row["rpn_cls"]),
-                rpn_reg=float(row["rpn_reg"]),
-                roi_cls=float(row["roi_cls"]),
-                roi_reg=float(row["roi_reg"]),
+                loss=LossBreakdown(*(float(row[t]) for t in LOSS_TERMS)),
                 num_pls=int(row["num_pls"]),
-                map=float(row["map"]),
-                per_class_ap={i: float(row[f"ap_class{i}"]) for i in range(k)},
+                evaluation=EvalResult({i: float(row[c]) for i, c in enumerate(ap_cols)},
+                                      float(row[map_col])),
             ))
-    return trace
+    return rows
 
 
 def write_run_report(path, report: dict):
@@ -86,17 +98,19 @@ def write_comparison_csv(reports: dict, path):
     ``sfodlab report``), strategy, seed, then per-class AP50 and mAP of the
     final and of the best model. The class columns are those of the run with
     the most final ones; a run that lacks one leaves it empty."""
-    k = max((_num_ap_columns(rep["final"]) for rep in reports.values()), default=0)
-    aps = _ap_columns(k)
+    k = max((_num_classes(rep["final"]) for rep in reports.values()), default=0)
+    map_col, *aps = _record_columns(k)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["run", "strategy", "seed"]
-                   + [f"{which}_{c}" for which in ("final", "best") for c in aps + ["map"]])
+                   + [f"{which}_{c}" for which in ("final", "best")
+                      for c in aps + [map_col]])
         for run, rep in reports.items():
             row = [run, rep.get("strategy", "?"), rep.get("seed", "")]
             for part in (rep["final"], rep["best"]):
-                n = _num_ap_columns(part)
-                row += [part[c] if i < n else "" for i, c in enumerate(aps)] + [part["map"]]
+                n = _num_classes(part)
+                row += [part[c] if i < n else "" for i, c in enumerate(aps)]
+                row.append(part[map_col])
             w.writerow(row)
 
 
@@ -104,17 +118,17 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#333333"]
 
 
-def write_trace_svg(named_traces: dict, path):
+def write_trace_svg(named_rows: dict, path):
     """Render one mAP-vs-step polyline per run into a 720x420 SVG with axes.
 
-    named_traces maps a run name to an AdaptTrace; every trace row becomes
+    named_rows maps a run name to its list of TraceRow; every row becomes
     one polyline point. Run names are escaped for the legend.
     """
     from html import escape  # only here: keeps the CLI's cold import lean
 
     width, height, margin = 720, 420, 50
     pw, ph = width - 2 * margin, height - 2 * margin
-    max_step = max((max(t.steps(), default=0) for t in named_traces.values()),
+    max_step = max((r.step for rows in named_rows.values() for r in rows),
                    default=1) or 1
     max_y = 1.0
 
@@ -148,10 +162,9 @@ def write_trace_svg(named_traces: dict, path):
                      f'y2="{margin + ph + 4}" stroke="black"/>')
         parts.append(f'<text x="{x:.1f}" y="{margin + ph + 18}" font-size="11" '
                      f'text-anchor="middle">{frac * max_step:.0f}</text>')
-    for k, (name, trace) in enumerate(sorted(named_traces.items())):
+    for k, (name, rows) in enumerate(sorted(named_rows.items())):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{sx(r.step):.1f},{sy(r.map):.1f}"
-                       for r in trace.rows)
+        pts = " ".join(f"{sx(r.step):.1f},{sy(r.evaluation.map):.1f}" for r in rows)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
         ty = margin + 16 + 14 * k

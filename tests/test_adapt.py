@@ -215,7 +215,7 @@ def test_adabn_strategy_changes_only_statistics():
         assert res.final.params[name].tobytes() == source.params[name].tobytes()
     assert any(res.final.params[n].tobytes() != source.params[n].tobytes()
                for n in stats)
-    assert len(res.trace.rows) == 1 and res.trace.rows[0].step == 0
+    assert len(res.rows) == 1 and res.rows[0].step == 0
 
 
 def test_fixed_pls_generated_exactly_once(monkeypatch):
@@ -272,8 +272,8 @@ def test_alpha_one_equals_fixed_pls():
                           weak_strong=True, seed=11)
         runs.append(adapt(source.copy(), targets, cfg, eval_scenes))
     a, b = runs
-    assert len(a.trace.rows) == len(b.trace.rows)
-    for ra, rb in zip(a.trace.rows, b.trace.rows):
+    assert len(a.rows) == len(b.rows)
+    for ra, rb in zip(a.rows, b.rows):
         assert ra == rb
     for name in a.final.params:
         assert a.final.params[name].tobytes() == b.final.params[name].tobytes()
@@ -331,21 +331,44 @@ def test_divergence_preserves_trace(monkeypatch):
 
     monkeypatch.setattr(adapt_mod, "forward_train", exploding)
     res = adapt(source, targets, tiny_config(max_steps=10, eval_period=1), targets[:3])
-    assert res.trace.diverged_at == 3
-    assert res.trace.rows[-1].step == 2
+    assert res.diverged_at == 3
+    assert res.rows[-1].step == 2
     assert res.final is not None and res.best is not None
+
+
+def test_collapse_is_recorded(monkeypatch):
+    """A step that turns the student into NaN is evaluated (mAP 0, no
+    proposals) and recorded; the next step's NumericsError ends the run, and
+    best stays the step-0 teacher."""
+    real = adapt_mod.sgd_step
+
+    def collapsing(params, grads, lr):
+        real(params, grads, lr)
+        for v in params.values():
+            v[...] = np.nan
+
+    monkeypatch.setattr(adapt_mod, "sgd_step", collapsing)
+    source = init_model(small_arch(), 4)
+    targets = tiny_scenes(6, 11)
+    with np.errstate(invalid="ignore"):
+        res = adapt(source, targets, tiny_config(max_steps=3, eval_period=1),
+                    targets[:3])
+    assert res.diverged_at == 2
+    assert [(r.step, r.evaluated) for r in res.rows] == [(0, True), (1, True)]
+    assert res.rows[1].evaluation.map == 0.0 and res.final_map() == 0.0
+    assert res.best is source
 
 
 def test_trace_rows_and_argmax_best():
     source = init_model(small_arch(), 5)
     targets = tiny_scenes(6, 12)
     res = adapt(source, targets, tiny_config(max_steps=4, eval_period=2), targets[:3])
-    steps = [r.step for r in res.trace.rows]
+    steps = [r.step for r in res.rows]
     assert steps == [0, 1, 2, 3, 4]
-    assert [r.evaluated for r in res.trace.rows] == [True, False, True, False, True]
-    assert res.trace.peak_map() >= res.trace.final_map()
-    assert evaluate_model(res.best, targets[:3]).map == res.trace.peak_map()
-    assert evaluate_model(res.final, targets[:3]).map == res.trace.final_map()
+    assert [r.evaluated for r in res.rows] == [True, False, True, False, True]
+    assert res.peak_map() >= res.final_map()
+    assert evaluate_model(res.best, targets[:3]).map == res.peak_map()
+    assert evaluate_model(res.final, targets[:3]).map == res.final_map()
 
 
 @pytest.mark.parametrize("strategy", ["sf_ut", "mean_teacher", "fixed_sf_pl"])
@@ -385,7 +408,7 @@ def test_no_steps_final_is_best(strategy):
     cfg = replace(strategy_presets()[strategy], batch_size=2, max_steps=0, seed=3)
     res = adapt(source, targets, cfg, targets[:3])
     assert res.final is res.best
-    assert len(res.trace.rows) == 1
+    assert len(res.rows) == 1
     assert (res.final is source) == (not cfg.adabn_first)
 
 
@@ -409,7 +432,7 @@ def test_step_zero_best_is_the_initial_teacher(monkeypatch, adabn_first):
     cfg = tiny_config(alpha=0.0, tau=0.3, adabn_first=adabn_first, max_steps=3,
                       eval_period=1)
     res = adapt(source, targets, cfg, targets[:3])
-    assert len(calls) == 4 and res.trace.peak_map() == calls[0].map
+    assert len(calls) == 4 and res.peak_map() == calls[0].map
     assert {k: v.tobytes() for k, v in res.best.params.items()} == \
         {k: v.tobytes() for k, v in step0.params.items()}
     assert any(res.final.params[k].tobytes() != v.tobytes()

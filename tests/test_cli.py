@@ -298,7 +298,12 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch, lookup):
     (["--batch-size", "0"], "batch_size"),
     (["--eval-subset", "-1"], "eval_subset"),
     (["--steps", "-1"], "max_steps"),
-], ids=["alpha", "tau", "eval-period", "batch-size", "eval-subset", "steps"])
+    (["--seed", "-1"], "seed"),
+    (["--lr", "nan"], "lr"),
+    (["--lr", "0"], "lr"),
+    (["--lr", "inf"], "lr"),
+], ids=["alpha", "tau", "eval-period", "batch-size", "eval-subset", "steps", "seed",
+        "lr-nan", "lr-zero", "lr-inf"])
 def test_adapt_rejects_invalid_option(workdir, capsys, flags, name):
     out = workdir / f"invalid_{name}"
     rc = cli.main(["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
@@ -335,7 +340,8 @@ def test_adapt_flag_sets_its_field_over_config(tmp_path, flags, field, value, en
         from_file, **{field: value})
 
 
-@pytest.mark.parametrize("entry", ["eval_period = 0", "alpha = high"])
+@pytest.mark.parametrize("entry", ["eval_period = 0", "alpha = high", "seed = -1",
+                                   "lr = nan"])
 def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
     config = tmp_path / "adapt.cfg"
     config.write_text(entry + "\n")
@@ -352,7 +358,8 @@ def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
     ("source_train = abc", "source_train"),
     ("fog_strength = 2", "fog_strength"),
     ("target_test = -1", "target_test"),
-], ids=["not-an-int", "fog-out-of-range", "negative-count"])
+    ("noise_cells = 0", "noise_cells"),
+], ids=["not-an-int", "fog-out-of-range", "negative-count", "noise-cells-zero"])
 def test_make_data_rejects_invalid_spec_entry(tmp_path, capsys, entry, key):
     spec = tmp_path / "spec.txt"
     # the last entry for a key wins
@@ -365,11 +372,26 @@ def test_make_data_rejects_invalid_spec_entry(tmp_path, capsys, entry, key):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_make_data_rejects_negative_seed(tmp_path, capsys, seed):
+    rc = cli.main(["make-data", "--out", str(tmp_path / "data"), "--seed", seed])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and "--seed" in line
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("flags,option", [
     (["--batch-size", "0"], "--batch-size"),
     (["--steps", "-1"], "--steps"),
     (["--log-every", "-1"], "--log-every"),
-], ids=["batch-size", "steps", "log-every"])
+    (["--seed", "-1"], "--seed"),
+    (["--lr", "nan"], "--lr"),
+    (["--lr", "0"], "--lr"),
+    (["--lr", "-0.01"], "--lr"),
+    (["--lr", "inf"], "--lr"),
+], ids=["batch-size", "steps", "log-every", "seed", "lr-nan", "lr-zero", "lr-negative",
+        "lr-inf"])
 def test_train_source_rejects_invalid_option(workdir, capsys, flags, option):
     out = workdir / f"invalid{option}.ckpt"
     rc = cli.main(["train-source", "--data", str(workdir / "data"), "--out", str(out),

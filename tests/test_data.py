@@ -116,6 +116,40 @@ def test_spec_validation():
         Dt.DomainSpec(scale_factor=0.0)
 
 
+@pytest.mark.parametrize("kw,name", [
+    (dict(image_size=-8), "image_size"),
+    (dict(image_size=0), "image_size"),
+    (dict(noise_cells=0), "noise_cells"),
+    (dict(min_size=50.0), "min_size"),
+    (dict(max_size=0.0), "max_size"),
+    (dict(base_color_range=(0.5,)), "base_color_range"),
+    (dict(base_color_range=(0.7, 0.3)), "base_color_range"),
+    (dict(haze_color=(0.9, 0.9)), "haze_color"),
+    (dict(color_cast=(1.0, 0.5)), "color_cast"),
+    (dict(min_contrast=0.9), "min_contrast"),
+    (dict(min_contrast=1.6, base_color_range=(0.0, 0.1)), "min_contrast"),
+], ids=["image-size-negative", "image-size-zero", "noise-cells-zero", "min-above-max",
+        "max-size-zero", "base-range-one-value", "base-range-reversed",
+        "haze-two-values", "cast-two-values", "contrast-unreachable",
+        "contrast-unreachable-dark-base"])
+def test_spec_rejects_unrenderable_value(kw, name):
+    """Values that make-data cannot render: a resample loop that never ends,
+    a shape no array takes, or an empty image."""
+    with pytest.raises(ValueError, match=name):
+        Dt.DomainSpec(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(image_size=1),
+    dict(min_contrast=0.86),
+    dict(min_contrast=1.4, base_color_range=(0.0, 0.1)),
+    dict(min_size=30.0, max_size=30.0),
+], ids=["one-pixel", "contrast-below-bound", "contrast-dark-base", "one-size"])
+def test_spec_accepts_renderable_edge(kw):
+    scene = Dt.generate_split(Dt.DomainSpec(**kw), 1, 0, "x")[0]
+    assert scene.image.shape == (Dt.DomainSpec(**kw).image_size,) * 2 + (3,)
+
+
 # ---------------------------------------------------------------------------
 # dataset round trips
 # ---------------------------------------------------------------------------

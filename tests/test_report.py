@@ -5,38 +5,40 @@ import csv
 import pytest
 
 from sfodlab import report as R
-from sfodlab.adapt import AdaptTrace, TraceRow
-from sfodlab.detector import ArchDescriptor
+from sfodlab.adapt import TraceRow
+from sfodlab.boxes import EvalResult
+from sfodlab.detector import ArchDescriptor, LossBreakdown
 
 
-def make_trace(num_classes):
-    trace = AdaptTrace()
+def make_rows(num_classes):
+    rows = []
     for step in range(3):
         ap = {i: round(0.1 * (step + i), 6) for i in range(num_classes)}
-        trace.rows.append(TraceRow(step, 1.5 - 0.25 * step, 0.5, 0.25, 0.5, 0.25,
-                                   4 * step, round(sum(ap.values()) / len(ap), 6), ap))
-    return trace
+        evaluation = EvalResult(ap, round(sum(ap.values()) / len(ap), 6))
+        rows.append(TraceRow(step, LossBreakdown(0.5 - 0.25 * step, 0.25, 0.5, 0.25),
+                             4 * step, evaluation))
+    return rows
 
 
 def test_trace_csv_round_trip_two_classes(tmp_path):
     arch = ArchDescriptor(num_classes=2)
-    trace = make_trace(arch.num_classes)
+    rows = make_rows(arch.num_classes)
     path = tmp_path / "trace.csv"
-    R.write_trace_csv(trace, path, arch.num_classes)
+    R.write_trace_csv(rows, path, arch.num_classes)
     with open(path, newline="") as f:
         header = next(csv.reader(f))
     assert header[-3:] == ["map", "ap_class0", "ap_class1"]
-    assert R.read_trace_csv(path).rows == trace.rows
+    assert R.read_trace_csv(path) == rows
 
 
 def test_trace_csv_default_arch_header(tmp_path):
     k = ArchDescriptor().num_classes
     path = tmp_path / "trace.csv"
-    R.write_trace_csv(make_trace(k), path, k)
+    R.write_trace_csv(make_rows(k), path, k)
     assert path.read_text().splitlines()[0] == (
         "step,total_loss,rpn_cls,rpn_reg,roi_cls,roi_reg,num_pls,map,"
         "ap_class0,ap_class1,ap_class2")
-    assert len(R.read_trace_csv(path).rows) == 3
+    assert len(R.read_trace_csv(path)) == 3
 
 
 def test_trace_csv_rejects_foreign_columns(tmp_path):
