@@ -12,8 +12,9 @@ semantically identical to alpha = 1: the teacher never changes and labels
 in eval mode, so the label set it would regenerate each step is the
 initial one. The loop exploits neither; the equivalence is asserted by
 tests on byte-identical traces. With ``teacher_batch_stats=True`` it does
-not hold: the fixed set is labeled under the statistics of 16-scene chunks
-of the target set, each step's labels under those of its mini-batch.
+not hold: the fixed set is labeled in 16-scene chunks of the target set,
+each by the teacher after AdaBN on that chunk, and each step's labels by
+the teacher after AdaBN on its mini-batch.
 
 The teacher labels raw (unaugmented) target images in eval mode; the flip
 of the weak view is applied jointly to the image and its pseudo-boxes
@@ -30,15 +31,9 @@ import numpy as np
 from .augment import StrongAugParams, mosaic, strong_augment, weak_augment
 from .batchnorm import collect_target_statistics
 from .boxes import Detections, EvalResult
-from .detector import (
-    LossBreakdown,
-    ModelState,
-    forward_inference_batch,
-    forward_train,
-    images_to_batch,
-)
-from .ops import NumericsError, sgd_step
-from .train import evaluate_model
+from .detector import LossBreakdown, ModelState, forward_inference_batch
+from .ops import NumericsError
+from .train import evaluate_model, train_step
 
 
 @dataclass
@@ -118,20 +113,24 @@ def ema_update(teacher: ModelState, student: ModelState, alpha: float) -> ModelS
 
 def generate_pseudo_labels(labeler: ModelState, scenes, tau: float,
                            batch_stats: bool) -> dict:
-    """Run full inference per scene and keep detections scoring >= tau.
+    """Detect every scene in eval mode and keep detections scoring >= tau.
 
-    Class confidence is the sole filter. Returns {scene id: Detections}.
+    With batch_stats, each chunk of 16 scenes is detected by the labeler
+    after AdaBN on that chunk: its BN running statistics become the chunk's
+    batch statistics. Class confidence is the sole filter. Returns
+    {scene id: Detections}.
     """
     scenes = list(scenes)
-    mode = "collect" if batch_stats else "eval"
-    out = {}
-    for start in range(0, len(scenes), 16):
-        chunk = scenes[start:start + 16]
-        dets_list = forward_inference_batch(
-            labeler, [sc.image for sc in chunk], stats_mode=mode)
-        for sc, dets in zip(chunk, dets_list):
-            out[sc.id] = dets[dets.scores >= tau]
-    return out
+    images = [sc.image for sc in scenes]
+    if batch_stats:
+        dets = []
+        for start in range(0, len(images), 16):
+            chunk = images[start:start + 16]
+            dets += forward_inference_batch(
+                collect_target_statistics(labeler, chunk, len(chunk)), chunk)
+    else:
+        dets = forward_inference_batch(labeler, images)
+    return {sc.id: d[d.scores >= tau] for sc, d in zip(scenes, dets)}
 
 
 def strategy_presets() -> dict:
@@ -200,7 +199,6 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     best_map, best_model = evaluation.map, teacher
 
     student = teacher.copy()
-    pl_set = None
     if config.fixed_pls:
         pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau,
                                         config.teacher_batch_stats)
@@ -211,13 +209,9 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
         else:
             ids = rng.choice(n, size=min(config.batch_size, n), replace=False)
         chosen = [target_scenes[int(i)] for i in ids.ravel()]
-        if pl_set is not None:
-            pls = [pl_set[s.id] for s in chosen]
-        else:
-            fresh = generate_pseudo_labels(teacher, chosen, config.tau,
-                                           config.teacher_batch_stats)
-            pls = [fresh[s.id] for s in chosen]
-        labeled = [_labeled_scene(s, p) for s, p in zip(chosen, pls)]
+        pls = pl_set if config.fixed_pls else generate_pseudo_labels(
+            teacher, chosen, config.tau, config.teacher_batch_stats)
+        labeled = [_labeled_scene(s, pls[s.id]) for s in chosen]
 
         views = []
         for s in labeled:
@@ -230,17 +224,11 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
             views = [mosaic(views[4 * k:4 * k + 4], size)
                      for k in range(config.batch_size)]
 
-        images = images_to_batch([v.image for v in views])
-        targets = [(v.boxes, v.labels) for v in views]
         num_pls = int(sum(len(v.boxes) for v in views))
-
         try:
-            loss, grads = forward_train(student, images, targets, rng,
-                                        config.include_reg)
+            loss = train_step(student, views, rng, config.lr, config.include_reg)
         except NumericsError:
             return AdaptResult(student, best_model, rows, diverged_at=step)
-        sgd_step(student.params, grads, config.lr)
-        del grads  # not alive beside the next step's forward caches
         if not config.fixed_pls:
             teacher = ema_update(teacher, student, config.alpha)
 

@@ -14,8 +14,8 @@ batch-norm temporaries of several MB; with glibc's defaults many of them
 went back to the operating system and the next batch faulted the same pages
 in again. One ``adapt --strategy adabn`` of 32 + 16 images took about 62k
 minor page faults and 0.12-0.16 s of kernel time (``getrusage``; 2 vCPU,
-numpy 2.4.6, glibc 2.36); with this policy, 4-image evaluation chunks
-(``train.evaluate_model``) and the backbone's in-place BN and ReLU it takes
+numpy 2.4.6, glibc 2.36); with this policy, 4-image inference chunks
+(``detector.INFER_CHUNK``) and the backbone's in-place BN and ReLU it takes
 about 6-7k faults and 0.02-0.05 s, at a peak RSS of about 61 MB (75 MB
 with 8-image chunks and out-of-place BN and ReLU).
 Without glibc's mallopt nothing is set; results never depend on the policy.
@@ -243,6 +243,9 @@ def cmd_adapt(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's report must not outlive a failure of this one beside
+    # the checkpoints this run replaces
+    (out / "report.json").unlink(missing_ok=True)
     num_classes = source.arch.num_classes
     t0 = time.monotonic()
     result = adapt(source, target_train, config, target_test)

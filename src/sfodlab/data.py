@@ -73,9 +73,12 @@ class DomainSpec:
             raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
         if self.min_objects > self.max_objects:
             raise ValueError("min_objects > max_objects")
-        for name in ("image_size", "noise_cells"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a negative object count renders no object, and a negative overlap
+        # bound resamples every shape after the first
+        for name, low in (("image_size", 1), ("noise_cells", 1), ("min_objects", 0),
+                          ("max_overlap", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 < self.min_size <= self.max_size:
             raise ValueError(f"need 0 < min_size <= max_size, got {self.min_size} "
                              f"and {self.max_size}")

@@ -202,9 +202,9 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
 
     mode 'train' (forward_train) normalizes each layer by its batch
     statistics and keeps the per-block caches the backward pass needs.
-    'collect' (the AdaBN sweep and forward_inference_batch(stats_mode=
-    'collect')) uses batch statistics but keeps no cache, so the cheaper
-    maxpool2_forward runs. 'eval' uses the stored running estimates.
+    'collect' (the AdaBN sweep, collect_target_statistics) uses batch
+    statistics but keeps no cache, so the cheaper maxpool2_forward runs.
+    'eval' uses the stored running estimates.
     Returns (features, per-block caches, per-layer batch statistics):
     caches only in train mode, no statistics in eval mode.
 
@@ -628,7 +628,7 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
 
 
 def forward_train(model: ModelState, images: np.ndarray, targets,
-                  rng: np.random.Generator, include_reg: bool = True):
+                  rng: np.random.Generator, include_reg: bool):
     """One supervised forward/backward pass on batch statistics.
 
     Samples anchors/proposals with rng and returns (LossBreakdown, gradients
@@ -656,50 +656,58 @@ NMS_IOU = 0.5
 MAX_DETS = 50
 
 
-def forward_inference_batch(model: ModelState, images, stats_mode: str = "eval"):
+# Images per inference chunk. Eval mode treats every image on its own, so the
+# chunk size changes no detection; it only bounds memory. The first conv's
+# im2col buffer is about 1 MB per 96-px image, so 4 images keep it near 4 MB.
+INFER_CHUNK = 4
+
+
+def forward_inference_batch(model: ModelState, images):
     """Detect objects in a list of HWC images; one Detections per image.
 
-    stats_mode 'eval' normalizes with the stored running BN statistics, and
-    per-image results are then identical to single-image calls: every stage
-    is either elementwise or an independent per-image/per-row matrix
-    product. 'collect' normalizes every image by the statistics of the
-    whole batch, which are never written back. Each image's boxes are
+    BN normalizes with the stored running statistics, so per-image results
+    are identical to single-image calls: every stage is either elementwise
+    or an independent per-image/per-row matrix product. The images go
+    through the detector INFER_CHUNK at a time, and a chunk's activations
+    are released before the next chunk starts. Each image's boxes are
     decoded and filtered for all classes in one pass: boxes scoring below
     SCORE_FLOOR are dropped, NMS at NMS_IOU runs per class, and at most
     MAX_DETS detections are kept.
     """
-    if stats_mode not in ("eval", "collect"):
-        raise ValueError(f"unknown stats_mode {stats_mode!r}")
     arch = model.arch
     k = arch.num_classes
-    fw = _forward_all(model, images_to_batch(images), stats_mode)
     anchors = generate_anchors(arch)
-    proposals = [
-        _propose(arch, anchors, fw["obj_flat"][i], fw["delta_flat"][i])[0]
-        for i in range(len(images))
-    ]
-    cls_logits, roi_deltas, _ = _roi_head_forward(model, fw["feats"], proposals,
-                                                  need_indices=False)
-    probs = _softmax(cls_logits)
-
     results = []
-    row = 0
-    for props in proposals:
-        n = len(props)
-        if n == 0:
-            results.append(B.Detections())
-            continue
-        # rows c*n .. c*n + n-1 hold class c for every proposal
-        scores = probs[row:row + n, 1:].T.ravel()
-        deltas = roi_deltas[row:row + n].reshape(n, k, 4).transpose(1, 0, 2)
-        row += n
-        boxes = B.decode_deltas(deltas.reshape(k * n, 4), np.tile(props, (k, 1)))
-        boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
-        ok = ((boxes[:, 2] - boxes[:, 0] > 1e-3)
-              & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-              & (scores >= SCORE_FLOOR))
-        dets = B.Detections(boxes[ok], np.repeat(np.arange(k, dtype=np.int64), n)[ok],
-                            scores[ok].astype(np.float32))
-        results.append(B.nms(dets, NMS_IOU)[:MAX_DETS])
-    return results
+    for start in range(0, len(images), INFER_CHUNK):
+        chunk = images[start:start + INFER_CHUNK]
+        fw = _forward_all(model, images_to_batch(chunk), "eval")
+        proposals = [
+            _propose(arch, anchors, fw["obj_flat"][i], fw["delta_flat"][i])[0]
+            for i in range(len(chunk))
+        ]
+        # neither the ROI cache (the fc1 input) nor fw is alive beside the
+        # next chunk's forward
+        cls_logits, roi_deltas = _roi_head_forward(model, fw["feats"], proposals,
+                                                   need_indices=False)[:2]
+        del fw
+        probs = _softmax(cls_logits)
 
+        row = 0
+        for props in proposals:
+            n = len(props)
+            if n == 0:
+                results.append(B.Detections())
+                continue
+            # rows c*n .. c*n + n-1 hold class c for every proposal
+            scores = probs[row:row + n, 1:].T.ravel()
+            deltas = roi_deltas[row:row + n].reshape(n, k, 4).transpose(1, 0, 2)
+            row += n
+            boxes = B.decode_deltas(deltas.reshape(k * n, 4), np.tile(props, (k, 1)))
+            boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
+            ok = ((boxes[:, 2] - boxes[:, 0] > 1e-3)
+                  & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+                  & (scores >= SCORE_FLOOR))
+            dets = B.Detections(boxes[ok], np.repeat(np.arange(k, dtype=np.int64), n)[ok],
+                                scores[ok].astype(np.float32))
+            results.append(B.nms(dets, NMS_IOU)[:MAX_DETS])
+    return results

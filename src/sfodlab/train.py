@@ -7,12 +7,27 @@ import numpy as np
 from .augment import weak_augment
 from .boxes import EvalResult, evaluate_ap50
 from .detector import (
+    LossBreakdown,
     ModelState,
     forward_inference_batch,
     forward_train,
     images_to_batch,
 )
 from .ops import sgd_step
+
+
+def train_step(model: ModelState, views, rng: np.random.Generator, lr: float,
+               include_reg: bool) -> LossBreakdown:
+    """One SGD step on a batch of labeled scenes, mutating model.
+
+    Raises NumericsError on a non-finite loss, leaving the model untouched.
+    The gradients are not alive beside the next step's forward caches.
+    """
+    images = images_to_batch([v.image for v in views])
+    loss, grads = forward_train(model, images, [(v.boxes, v.labels) for v in views],
+                                rng, include_reg)
+    sgd_step(model.params, grads, lr)
+    return loss
 
 
 def train_source(model: ModelState, scenes, steps: int, lr: float,
@@ -28,11 +43,7 @@ def train_source(model: ModelState, scenes, steps: int, lr: float,
     for step in range(1, steps + 1):
         ids = rng.choice(n, size=min(batch_size, n), replace=False)
         batch = [weak_augment(scenes[i], rng) for i in ids]
-        images = images_to_batch([s.image for s in batch])
-        targets = [(s.boxes, s.labels) for s in batch]
-        loss, grads = forward_train(model, images, targets, rng)
-        sgd_step(model.params, grads, lr)
-        del grads  # not alive beside the next step's forward caches
+        loss = train_step(model, batch, rng, lr, include_reg=True)
         history.append((step, loss))
         if log_every and step % log_every == 0:
             print(f"step {step:5d}  total {loss.total:.4f}  "
@@ -41,25 +52,9 @@ def train_source(model: ModelState, scenes, steps: int, lr: float,
     return history
 
 
-EVAL_CHUNK = 4
-
-
 def evaluate_model(model: ModelState, scenes) -> EvalResult:
     """AP50 per class and mAP of a model over a list of annotated scenes,
-    detected in eval mode in chunks of 4 images.
-
-    Eval mode treats every image on its own, so the chunk size changes no
-    detection; it only bounds memory. The first conv's im2col buffer of a
-    chunk is about 1 MB per 96-px image, so 4 images keep it near 4 MB.
-    With the backbone's in-place BN and ReLU, and each block's activations
-    unbound before the next conv, one evaluation of 16 96-px scenes by the
-    default detector takes a traced transient of about 5.5 MiB, peaking in
-    the first conv; 8-image chunks with out-of-place BN and ReLU took
-    16.6 MiB.
-    """
+    detected in eval mode (forward_inference_batch)."""
     scenes = list(scenes)
-    dets = []
-    for start in range(0, len(scenes), EVAL_CHUNK):
-        dets.extend(forward_inference_batch(
-            model, [s.image for s in scenes[start:start + EVAL_CHUNK]]))
-    return evaluate_ap50(dets, [(s.boxes, s.labels) for s in scenes])
+    return evaluate_ap50(forward_inference_batch(model, [s.image for s in scenes]),
+                         [(s.boxes, s.labels) for s in scenes])

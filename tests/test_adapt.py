@@ -3,6 +3,7 @@ alpha=1 / fixed-pseudo-label equivalence, AdaBN initialization, and the
 strategy preset grid."""
 
 import inspect
+import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import sfodlab
 import sfodlab.adapt as adapt_mod
-from sfodlab import cli
+from sfodlab import cli, train
 from sfodlab.adapt import (
     AdaptConfig,
     adapt,
@@ -19,7 +20,7 @@ from sfodlab.adapt import (
     strategy_presets,
 )
 from sfodlab.boxes import Detections
-from sfodlab.data import DomainSpec, generate_split
+from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.detector import ArchDescriptor, init_model
 from sfodlab.ops import NumericsError
 from sfodlab.train import evaluate_model
@@ -131,7 +132,7 @@ def test_pseudo_label_threshold_boundary(monkeypatch):
                         np.array([0, 1, 2]),
                         np.array([0.9, 0.8, 0.79], np.float32))
     monkeypatch.setattr(adapt_mod, "forward_inference_batch",
-                        lambda model, images, **kw: [canned] * len(images))
+                        lambda model, images: [canned] * len(images))
     scenes = tiny_scenes(2, 0)
     out = generate_pseudo_labels(init_model(small_arch(), 0), scenes, 0.8, False)
     for sc in scenes:
@@ -154,6 +155,32 @@ def test_pseudo_label_tau_extremes_and_monotone():
             assert counts <= prev
         prev = counts
     assert sum(len(v) for v in everything.values()) >= prev
+
+
+def test_eval_mode_labeling_traced_peak_bound():
+    """Eval-mode labeling holds one 4-image chunk's activations at a time:
+    labeling 32 96-px scenes with the default detector peaks within
+    0.25 MiB of its heaviest chunk labeled alone (6.8 MiB here, in one
+    chunk's ROI pool gather). 16-image labeling chunks took 21.4 MiB."""
+    rng = np.random.default_rng(0)
+    model = init_model(ArchDescriptor(), 0)
+    scenes = [Scene(rng.random((96, 96, 3)).astype(np.float32), np.zeros((0, 4), np.float32),
+                    np.zeros(0, np.int64), f"t{i}")
+              for i in range(32)]
+
+    def traced_peak(part):
+        tracemalloc.start()
+        try:
+            generate_pseudo_labels(model, part, 0.5, False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    generate_pseudo_labels(model, scenes[:4], 0.5, False)  # first-call allocations
+    chunk_peak = max(traced_peak(scenes[s:s + 4]) for s in range(0, 32, 4))
+    peak = traced_peak(scenes)
+    assert peak < min(chunk_peak + 0.25 * 2 ** 20, 8 * 2 ** 20), \
+        f"{peak / 2 ** 20:.1f} MiB against {chunk_peak / 2 ** 20:.1f} MiB for one chunk"
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +249,7 @@ def test_fixed_pls_generated_exactly_once(monkeypatch):
     calls = []
     real = adapt_mod.generate_pseudo_labels
 
-    def counting(labeler, scenes, tau, batch_stats=False):
+    def counting(labeler, scenes, tau, batch_stats):
         calls.append(len(list(scenes)))
         return real(labeler, scenes, tau, batch_stats)
 
@@ -239,25 +266,38 @@ def test_fixed_pls_generated_exactly_once(monkeypatch):
     assert len(calls) == 3  # once per step, on the batch only
 
 
-@pytest.mark.parametrize("batch_stats,mode", [(True, "collect"), (False, "eval")],
+@pytest.mark.parametrize("batch_stats", [True, False],
                          ids=["batch-stats", "running-stats"])
 @pytest.mark.parametrize("fixed_pls", [False, True], ids=["per-step", "fixed"])
-def test_teacher_batch_stats_reaches_labeling(monkeypatch, fixed_pls, batch_stats, mode):
-    modes = []
-    real = adapt_mod.forward_inference_batch
+def test_teacher_batch_stats_reaches_labeling(monkeypatch, fixed_pls, batch_stats):
+    """With teacher_batch_stats every labeling batch is detected by the
+    AdaBN adaptation of the teacher to that batch, else by the teacher."""
+    labelers, adapted = [], []
+    real_detect = adapt_mod.forward_inference_batch
+    real_collect = adapt_mod.collect_target_statistics
 
-    def recording(model, images, **kw):
-        modes.append(kw.get("stats_mode", "eval"))
-        return real(model, images, **kw)
+    def detecting(model, images):
+        labelers.append(model)
+        return real_detect(model, images)
 
-    monkeypatch.setattr(adapt_mod, "forward_inference_batch", recording)
+    def collecting(model, images, batch_size):
+        adapted.append(real_collect(model, images, batch_size))
+        assert batch_size == len(images)
+        return adapted[-1]
+
+    monkeypatch.setattr(adapt_mod, "forward_inference_batch", detecting)
+    monkeypatch.setattr(adapt_mod, "collect_target_statistics", collecting)
     source = init_model(small_arch(), 0)
     targets = tiny_scenes(6, 6)
     cfg = tiny_config(fixed_pls=fixed_pls, alpha=1.0 if fixed_pls else 0.5,
                       teacher_batch_stats=batch_stats, max_steps=3)
     adapt(source, targets, cfg, targets[:3])
     # one labeling call for the fixed set, else one per step
-    assert modes == [mode] * (1 if fixed_pls else 3)
+    assert len(labelers) == (1 if fixed_pls else 3)
+    if batch_stats:
+        assert all(a is b for a, b in zip(labelers, adapted, strict=True))
+    else:
+        assert adapted == [] and labelers[0] is source
 
 
 def test_alpha_one_equals_fixed_pls():
@@ -305,7 +345,7 @@ def test_adabn_first_initializes_student_and_labeler(monkeypatch):
     captured = {}
     real = adapt_mod.generate_pseudo_labels
 
-    def capture(labeler, scenes, tau, batch_stats=False):
+    def capture(labeler, scenes, tau, batch_stats):
         captured.setdefault("labeler", {k: v.copy() for k, v in labeler.params.items()})
         return real(labeler, scenes, tau, batch_stats)
 
@@ -321,15 +361,15 @@ def test_divergence_preserves_trace(monkeypatch):
     source = init_model(small_arch(), 4)
     targets = tiny_scenes(6, 11)
     calls = {"n": 0}
-    real = adapt_mod.forward_train
+    real = train.forward_train
 
-    def exploding(model, images, tgts, rng, include_reg=True):
+    def exploding(model, images, tgts, rng, include_reg):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise NumericsError("boom")
         return real(model, images, tgts, rng, include_reg)
 
-    monkeypatch.setattr(adapt_mod, "forward_train", exploding)
+    monkeypatch.setattr(train, "forward_train", exploding)
     res = adapt(source, targets, tiny_config(max_steps=10, eval_period=1), targets[:3])
     assert res.diverged_at == 3
     assert res.rows[-1].step == 2
@@ -340,14 +380,14 @@ def test_collapse_is_recorded(monkeypatch):
     """A step that turns the student into NaN is evaluated (mAP 0, no
     proposals) and recorded; the next step's NumericsError ends the run, and
     best stays the step-0 teacher."""
-    real = adapt_mod.sgd_step
+    real = train.sgd_step
 
     def collapsing(params, grads, lr):
         real(params, grads, lr)
         for v in params.values():
             v[...] = np.nan
 
-    monkeypatch.setattr(adapt_mod, "sgd_step", collapsing)
+    monkeypatch.setattr(train, "sgd_step", collapsing)
     source = init_model(small_arch(), 4)
     targets = tiny_scenes(6, 11)
     with np.errstate(invalid="ignore"):

@@ -63,6 +63,24 @@ def test_adapt_and_eval_succeed(workdir, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("map ")
 
 
+def test_failed_adapt_leaves_no_stale_report(workdir, tmp_path, monkeypatch):
+    """An adapt that fails in a reused --out leaves no report.json of the
+    earlier run beside the checkpoints it was writing."""
+    out = tmp_path / "out"
+    argv = ["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+            "--data", str(workdir / "data"), "--strategy", "adabn", "--out", str(out),
+            "--batch-size", "2"]
+    assert cli.main(argv) == 0 and (out / "report.json").exists()
+
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+    with pytest.raises(OSError):
+        cli.main(argv)
+    assert not (out / "report.json").exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--ckpt", "x.ckpt"])
@@ -359,7 +377,10 @@ def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
     ("fog_strength = 2", "fog_strength"),
     ("target_test = -1", "target_test"),
     ("noise_cells = 0", "noise_cells"),
-], ids=["not-an-int", "fog-out-of-range", "negative-count", "noise-cells-zero"])
+    ("min_objects = -1", "min_objects"),
+    ("max_overlap = -0.1", "max_overlap"),
+], ids=["not-an-int", "fog-out-of-range", "negative-count", "noise-cells-zero",
+        "negative-min-objects", "negative-max-overlap"])
 def test_make_data_rejects_invalid_spec_entry(tmp_path, capsys, entry, key):
     spec = tmp_path / "spec.txt"
     # the last entry for a key wins

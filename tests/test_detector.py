@@ -12,7 +12,9 @@ import pytest
 
 from sfodlab import boxes as B
 from sfodlab import detector as D
+from sfodlab.adapt import generate_pseudo_labels
 from sfodlab.batchnorm import BN_EPS, batch_stats, update_running_statistics
+from sfodlab.data import Scene
 from sfodlab.ops import (
     NumericsError,
     conv2d_backward,
@@ -299,7 +301,7 @@ def test_zero_target_batch(rng):
     model = D.init_model(arch, 0)
     imgs = rng.random((2, 3, 32, 32)).astype(np.float32)
     targets = [(np.zeros((0, 4), np.float32), np.zeros(0, np.int64))] * 2
-    loss, grads = D.forward_train(model, imgs, targets, np.random.default_rng(0))
+    loss, grads = D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
     assert loss.rpn_reg == 0.0 and loss.roi_reg == 0.0
     assert loss.rpn_cls > 0 and loss.roi_cls > 0
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -311,7 +313,7 @@ def test_forward_train_deterministic(rng):
     runs = []
     for _ in range(2):
         model = D.init_model(arch, 3)
-        loss, grads = D.forward_train(model, imgs, targets, np.random.default_rng(11))
+        loss, grads = D.forward_train(model, imgs, targets, np.random.default_rng(11), True)
         runs.append((loss, {k: v.tobytes() for k, v in grads.items()}))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -325,7 +327,7 @@ def traced_step_peak(rng, n):
     imgs, targets = random_batch(rng, arch, n=n)
     tracemalloc.start()
     try:
-        D.forward_train(model, imgs, targets, np.random.default_rng(0))
+        D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,7 +377,7 @@ def test_forward_train_nan_aborts(rng):
     model.params["backbone.b0.conv.w"][:] = np.inf
     imgs, targets = random_batch(rng, arch)
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-        D.forward_train(model, imgs, targets, np.random.default_rng(0))
+        D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
 
 
 def test_forward_train_nan_features_abort(rng):
@@ -388,7 +390,7 @@ def test_forward_train_nan_features_abort(rng):
     before = {k: v.tobytes() for k, v in model.params.items()}
     imgs, targets = random_batch(rng, arch)
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-        D.forward_train(model, imgs, targets, np.random.default_rng(0))
+        D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
     assert {k: v.tobytes() for k, v in model.params.items()} == before
 
 
@@ -399,7 +401,7 @@ def test_forward_train_folds_batch_statistics(rng):
     want = model.copy()
     _, _, stats = D._backbone_forward(model, imgs, "collect")
     update_running_statistics(want, stats)
-    D.forward_train(model, imgs, targets, np.random.default_rng(0))
+    D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
     for name in model.params:
         assert model.params[name].tobytes() == want.params[name].tobytes(), name
         assert model.params[name].dtype == np.float32
@@ -696,10 +698,10 @@ def test_forward_train_in_place_matches_reference(arch, dtype, monkeypatch):
     _, targets = random_batch(rng, small_arch(), n=4)
     targets = [(b * np.float32(arch.input_size / 32), l) for b, l in targets]
     live, want = model.copy(), model.copy()
-    loss, grads = D.forward_train(live, imgs, targets, np.random.default_rng(5))
+    loss, grads = D.forward_train(live, imgs, targets, np.random.default_rng(5), True)
     monkeypatch.setattr(D, "bn_apply", bn_apply_reference)
     monkeypatch.setattr(D, "relu_forward", relu_reference)
-    ref_loss, ref_grads = D.forward_train(want, imgs, targets, np.random.default_rng(5))
+    ref_loss, ref_grads = D.forward_train(want, imgs, targets, np.random.default_rng(5), True)
     assert loss == ref_loss and loss.rpn_reg > 0 and loss.roi_reg > 0
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
@@ -764,6 +766,26 @@ def test_batched_inference_matches_single(rng):
         assert np.array_equal(got.labels, single.labels)
 
 
+def test_inference_chunking_is_invisible(rng, monkeypatch):
+    """forward_inference_batch detects INFER_CHUNK images at a time, and
+    the chunks change no detection."""
+    model = D.init_model(small_arch(), 3)
+    images = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(20)]
+    single = [D.forward_inference_batch(model, [im])[0] for im in images]
+    chunks = []
+    real = D._forward_all
+
+    def recording(model, images, mode):
+        chunks.append(len(images))
+        return real(model, images, mode)
+
+    monkeypatch.setattr(D, "_forward_all", recording)
+    got = D.forward_inference_batch(model, images)
+    assert chunks == [4, 4, 4, 4, 4]
+    assert_same_detections(got, single, "chunked")
+    assert sum(len(d) for d in got) > 0
+
+
 def test_inference_eval_mode_pure(rng):
     arch = small_arch()
     model = D.init_model(arch, 7)
@@ -772,9 +794,6 @@ def test_inference_eval_mode_pure(rng):
     D.forward_inference_batch(model, [img])
     for k in before:
         assert np.array_equal(model.params[k], before[k])
-    # there is no mode that folds statistics into the model during a forward
-    with pytest.raises(ValueError):
-        D.forward_inference_batch(model, [img], stats_mode="train")
 
 
 def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=50,
@@ -829,11 +848,10 @@ def test_class_decode_matches_per_class_reference(rng, num_classes, monkeypatch)
     for name in ("roi.cls.w", "roi.delta.w"):
         model.params[name] *= np.float32(30.0)
     imgs = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(4)]
-    for floor, mode in ((0.05, "eval"), (0.0, "eval"), (0.2, "collect")):
+    for floor in (0.05, 0.0):
         monkeypatch.setattr(D, "SCORE_FLOOR", floor)
-        got = D.forward_inference_batch(model, imgs, stats_mode=mode)
-        want = inference_reference(model, imgs, floor, stats_mode=mode)
-        assert_same_detections(got, want, (floor, mode))
+        got = D.forward_inference_batch(model, imgs)
+        assert_same_detections(got, inference_reference(model, imgs, floor), floor)
     assert sum(len(d) for d in got) > 0
 
 
@@ -851,15 +869,37 @@ def assert_same_detections(got, want, what):
 @pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
                          ids=["small", "default"])
 def test_inference_matches_reference(arch, n, dtype):
-    """Byte-equal Detections in both statistics modes, with float32 or
-    float64 parameters."""
+    """Byte-equal Detections with float32 or float64 parameters."""
     rng = np.random.default_rng(n)
     model = D.init_model(arch, 8)
     model.params = {k: v.astype(dtype) for k, v in model.params.items()}
     s = arch.input_size
     imgs = [rng.random((s, s, 3)).astype(np.float32) for _ in range(n)]
-    for mode in ("eval", "collect"):
-        got = D.forward_inference_batch(model, imgs, stats_mode=mode)
-        assert_same_detections(got, inference_reference(model, imgs, stats_mode=mode),
-                               mode)
-        assert sum(len(d) for d in got) > 0
+    got = D.forward_inference_batch(model, imgs)
+    assert_same_detections(got, inference_reference(model, imgs), "eval")
+    assert sum(len(d) for d in got) > 0
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
+                         ids=["small", "default"])
+def test_batch_stats_labeling_matches_collect_reference(arch, tau):
+    """Batch-statistics labeling of 20 scenes (AdaBN on each 16-scene chunk,
+    then eval-mode detection) gives the bytes of detecting each chunk with
+    every image normalized by the chunk's batch statistics, for a float32
+    model. The ROI head is scaled up so that scores straddle tau."""
+    rng = np.random.default_rng(2)
+    model = D.init_model(arch, 8)
+    for name in ("roi.cls.w", "roi.delta.w"):
+        model.params[name] *= np.float32(30.0)
+    s = arch.input_size
+    scenes = [Scene(rng.random((s, s, 3)).astype(np.float32), np.zeros((0, 4), np.float32),
+                    np.zeros(0, np.int64), f"s{i}")
+              for i in range(20)]
+    got = generate_pseudo_labels(model, scenes, tau, True)
+    want = [d[d.scores >= tau] for start in (0, 16)
+            for d in inference_reference(model, [sc.image for sc in scenes[start:start + 16]],
+                                         stats_mode="collect")]
+    assert list(got) == [sc.id for sc in scenes]
+    assert_same_detections(list(got.values()), want, tau)
+    assert sum(len(d) for d in got.values()) > 0

@@ -1,7 +1,6 @@
 """Source training: one loss row per step, the log cadence and the state a
-divergent step leaves. Dataset-level evaluation: chunked detection equals
-per-image detection, one evaluation's traced memory stays bounded, and a
-model that proposes nothing scores 0."""
+divergent step leaves. Dataset-level evaluation: one evaluation's traced
+memory stays bounded, and a model that proposes nothing scores 0."""
 
 import tracemalloc
 
@@ -10,7 +9,6 @@ import pytest
 
 from sfodlab import detector as D
 from sfodlab import train
-from sfodlab.boxes import evaluate_ap50
 from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.ops import NumericsError
 
@@ -69,33 +67,6 @@ def test_train_source_divergence_keeps_step_1_state(monkeypatch):
     assert len(calls) == 2
     assert {k: v.tobytes() for k, v in model.params.items()} == \
         {k: v.tobytes() for k, v in after_step_1.params.items()}
-
-
-def test_evaluate_model_chunking_is_invisible(rng, monkeypatch):
-    arch = small_arch()
-    model = D.init_model(arch, 3)
-    images = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(20)]
-    single = [D.forward_inference_batch(model, [im])[0] for im in images]
-    # ground truth on some of the model's own detections, so AP is not 0
-    scenes = []
-    for i, (im, det) in enumerate(zip(images, single)):
-        keep = slice(0, 2) if i % 2 == 0 else slice(0, 0)
-        boxes = np.concatenate([det.boxes[keep], np.array([[2, 2, 14, 14]])])
-        labels = np.concatenate([det.labels[keep], [i % arch.num_classes]])
-        scenes.append(Scene(im, boxes.astype(np.float32), labels.astype(np.int64)))
-
-    chunks = []
-
-    def recording(model, images):
-        chunks.append(len(images))
-        return D.forward_inference_batch(model, images)
-
-    monkeypatch.setattr(train, "forward_inference_batch", recording)
-    got = train.evaluate_model(model, scenes)
-    assert chunks == [4, 4, 4, 4, 4]
-    expected = evaluate_ap50(single, [(s.boxes, s.labels) for s in scenes])
-    assert got == expected
-    assert 0 < got.map < 1
 
 
 def test_evaluate_model_traced_peak_bound():
