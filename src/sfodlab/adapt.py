@@ -1,11 +1,14 @@
 """Source-free self-training adaptation strategies.
 
-Every strategy is one point on four axes: the teacher EMA rate alpha
-(0 = teacher follows the student each step, 1 = frozen teacher), whether
-the pseudo-label set is fixed at initialization, whether students train on
-strongly-augmented views of weakly-augmented inputs, and whether batch
-statistics are adapted (AdaBN) before anything else. Mosaic composition of
-fixed-pseudo-label scenes is an optional fifth axis.
+Every strategy is one point on the axes of AdaptConfig. After the scenes
+are drawn, the step is one call per phase, each governed by its axes:
+labeling (``generate_pseudo_labels``) by ``fixed_pls`` (label the target
+set once) and ``teacher_batch_stats``; the training views (``_views``) by
+``weak_strong`` (strong after weak augmentation) and ``mosaic``;
+``train_step``; the teacher update (``ema_update``) by the EMA rate
+``alpha`` (0 = teacher follows the student, 1 = frozen teacher); and
+``evaluate_model``. ``adabn_first`` makes the initial teacher source after
+AdaBN on the target set instead of source itself.
 
 With ``teacher_batch_stats=False`` (the default), setting ``fixed_pls`` is
 semantically identical to alpha = 1: the teacher never changes and labels
@@ -30,7 +33,7 @@ import numpy as np
 
 from .augment import StrongAugParams, mosaic, strong_augment, weak_augment
 from .batchnorm import collect_target_statistics
-from .boxes import Detections, EvalResult
+from .boxes import EvalResult
 from .detector import LossBreakdown, ModelState, forward_inference_batch
 from .ops import NumericsError
 from .train import evaluate_model, train_step
@@ -160,9 +163,19 @@ def strategy_presets() -> dict:
     }
 
 
-def _labeled_scene(scene, pls: Detections):
-    return replace(scene, boxes=pls.boxes.astype(np.float32),
-                   labels=pls.labels.copy())
+def _views(scenes, pls: dict, config: AdaptConfig, rng) -> list:
+    """The drawn scenes with their pseudo-labels, weakly and then, with
+    weak_strong, strongly augmented; with mosaic, each four become one."""
+    views = []
+    for s in scenes:
+        d = pls[s.id]
+        v = weak_augment(replace(s, boxes=d.boxes.astype(np.float32),
+                                 labels=d.labels.copy()), rng)
+        views.append(strong_augment(v, config.strong, rng) if config.weak_strong else v)
+    if config.mosaic:
+        size = views[0].image.shape[0]
+        views = [mosaic(views[k:k + 4], size) for k in range(0, len(views), 4)]
+    return views
 
 
 def adapt(source: ModelState, target_scenes, config: AdaptConfig,
@@ -211,19 +224,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
         chosen = [target_scenes[int(i)] for i in ids.ravel()]
         pls = pl_set if config.fixed_pls else generate_pseudo_labels(
             teacher, chosen, config.tau, config.teacher_batch_stats)
-        labeled = [_labeled_scene(s, pls[s.id]) for s in chosen]
-
-        views = []
-        for s in labeled:
-            v = weak_augment(s, rng)
-            if config.weak_strong:
-                v = strong_augment(v, config.strong, rng)
-            views.append(v)
-        if config.mosaic:
-            size = views[0].image.shape[0]
-            views = [mosaic(views[4 * k:4 * k + 4], size)
-                     for k in range(config.batch_size)]
-
+        views = _views(chosen, pls, config, rng)
         num_pls = int(sum(len(v.boxes) for v in views))
         try:
             loss = train_step(student, views, rng, config.lr, config.include_reg)

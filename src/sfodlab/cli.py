@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, CheckpointError, FileNotFoundError) as e:
+    except (DataError, CheckpointError, OSError) as e:
         print(f"ERROR[data]: {e}", file=sys.stderr)
         return 3
     except NumericsError as e:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.shift not in ("none", "fog", "color", "scale"):
             raise ValueError(f"unknown shift {self.shift!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "shift" and not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0 <= self.fog_strength <= 1:
             raise ValueError(f"fog_strength must be in [0, 1], got {self.fog_strength}")
         if self.scale_factor <= 0:

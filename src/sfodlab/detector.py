@@ -315,8 +315,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _propose(arch: ArchDescriptor, anchors: np.ndarray, obj_flat_img: np.ndarray,
-             delta_flat_img: np.ndarray):
-    """Decode, clip, score-sort and NMS-prune one image's RPN output."""
+             delta_flat_img: np.ndarray) -> np.ndarray:
+    """Decode, clip, score-sort and NMS-prune one image's RPN output to boxes."""
     # foreground probability from per-anchor (background, foreground) logits
     scores = _softmax(obj_flat_img.astype(np.float64))[:, 1]
     boxes = B.decode_deltas(delta_flat_img, anchors)
@@ -327,7 +327,7 @@ def _propose(arch: ArchDescriptor, anchors: np.ndarray, obj_flat_img: np.ndarray
     dets = B.Detections(boxes[order], np.zeros(len(order), np.int64),
                         scores[order].astype(np.float32))
     kept = B.nms(dets, arch.proposal_nms_iou)
-    return kept.boxes[: arch.post_nms_topk], kept.scores[: arch.post_nms_topk]
+    return kept.boxes[: arch.post_nms_topk]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ def _plan_from_outputs(arch: ArchDescriptor, anchors, obj_flat, delta_flat,
             B.encode_deltas(gt_boxes[assign[pos]], anchors[pos])
             if len(pos) else np.zeros((0, 4), np.float32))
 
-        prop, _ = _propose(arch, anchors, obj_flat[i], delta_flat[i])
+        prop = _propose(arch, anchors, obj_flat[i], delta_flat[i])
         if len(gt_boxes):
             prop = np.concatenate([prop, gt_boxes])
         if len(prop) == 0:
@@ -681,10 +681,8 @@ def forward_inference_batch(model: ModelState, images):
     for start in range(0, len(images), INFER_CHUNK):
         chunk = images[start:start + INFER_CHUNK]
         fw = _forward_all(model, images_to_batch(chunk), "eval")
-        proposals = [
-            _propose(arch, anchors, fw["obj_flat"][i], fw["delta_flat"][i])[0]
-            for i in range(len(chunk))
-        ]
+        proposals = [_propose(arch, anchors, fw["obj_flat"][i], fw["delta_flat"][i])
+                     for i in range(len(chunk))]
         # neither the ROI cache (the fc1 input) nor fw is alive beside the
         # next chunk's forward
         cls_logits, roi_deltas = _roi_head_forward(model, fw["feats"], proposals,
@@ -695,9 +693,6 @@ def forward_inference_batch(model: ModelState, images):
         row = 0
         for props in proposals:
             n = len(props)
-            if n == 0:
-                results.append(B.Detections())
-                continue
             # rows c*n .. c*n + n-1 hold class c for every proposal
             scores = probs[row:row + n, 1:].T.ravel()
             deltas = roi_deltas[row:row + n].reshape(n, k, 4).transpose(1, 0, 2)

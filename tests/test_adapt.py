@@ -14,16 +14,20 @@ import sfodlab.adapt as adapt_mod
 from sfodlab import cli, train
 from sfodlab.adapt import (
     AdaptConfig,
+    AdaptResult,
+    TraceRow,
     adapt,
     ema_update,
     generate_pseudo_labels,
     strategy_presets,
 )
+from sfodlab.augment import mosaic, strong_augment, weak_augment
+from sfodlab.batchnorm import collect_target_statistics
 from sfodlab.boxes import Detections
 from sfodlab.data import DomainSpec, Scene, generate_split
-from sfodlab.detector import ArchDescriptor, init_model
+from sfodlab.detector import ArchDescriptor, LossBreakdown, init_model
 from sfodlab.ops import NumericsError
-from sfodlab.train import evaluate_model
+from sfodlab.train import evaluate_model, train_step
 from conftest import bn_stat_names
 
 
@@ -337,7 +341,6 @@ def test_alpha_zero_teacher_follows_student(monkeypatch):
 
 
 def test_adabn_first_initializes_student_and_labeler(monkeypatch):
-    from sfodlab.batchnorm import collect_target_statistics
     source = init_model(small_arch(), 3)
     targets = tiny_scenes(6, 10, shift="fog")
     expected = collect_target_statistics(source, [s.image for s in targets], 2)
@@ -456,7 +459,6 @@ def test_no_steps_final_is_best(strategy):
 def test_step_zero_best_is_the_initial_teacher(monkeypatch, adabn_first):
     """While no step beats step 0, best holds the bytes of the step-0
     teacher, although the student trained on from it."""
-    from sfodlab.batchnorm import collect_target_statistics
     real = adapt_mod.evaluate_model
     calls = []
 
@@ -477,3 +479,94 @@ def test_step_zero_best_is_the_initial_teacher(monkeypatch, adabn_first):
         {k: v.tobytes() for k, v in step0.params.items()}
     assert any(res.final.params[k].tobytes() != v.tobytes()
                for k, v in step0.params.items())
+
+
+# ---------------------------------------------------------------------------
+# Byte oracle: the step as it read before augmentation became one call
+# ---------------------------------------------------------------------------
+
+def adapt_reference(source, target_scenes, config, eval_scenes):
+    """adapt() with label attachment, weak/strong augmentation and mosaic
+    written inline in the step, kept as the oracle of every preset's bytes."""
+    def labeled_scene(scene, pls):
+        return replace(scene, boxes=pls.boxes.astype(np.float32),
+                       labels=pls.labels.copy())
+
+    rng = np.random.default_rng(config.seed)
+    n = len(target_scenes)
+    if config.adabn_first:
+        teacher = collect_target_statistics(
+            source, [s.image for s in target_scenes], config.batch_size)
+    else:
+        teacher = source
+    eval_pool = list(eval_scenes)[: config.eval_subset or None]
+    evaluation = evaluate_model(teacher, eval_pool)
+    rows = [TraceRow(0, LossBreakdown(0.0, 0.0, 0.0, 0.0), 0, evaluation)]
+    if config.max_steps == 0:
+        return AdaptResult(teacher, teacher, rows)
+    best_map, best_model = evaluation.map, teacher
+
+    student = teacher.copy()
+    if config.fixed_pls:
+        pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau,
+                                        config.teacher_batch_stats)
+
+    for step in range(1, config.max_steps + 1):
+        if config.mosaic:
+            ids = rng.choice(n, size=(config.batch_size, 4), replace=True)
+        else:
+            ids = rng.choice(n, size=min(config.batch_size, n), replace=False)
+        chosen = [target_scenes[int(i)] for i in ids.ravel()]
+        pls = pl_set if config.fixed_pls else generate_pseudo_labels(
+            teacher, chosen, config.tau, config.teacher_batch_stats)
+        labeled = [labeled_scene(s, pls[s.id]) for s in chosen]
+
+        views = []
+        for s in labeled:
+            v = weak_augment(s, rng)
+            if config.weak_strong:
+                v = strong_augment(v, config.strong, rng)
+            views.append(v)
+        if config.mosaic:
+            size = views[0].image.shape[0]
+            views = [mosaic(views[4 * k:4 * k + 4], size)
+                     for k in range(config.batch_size)]
+
+        num_pls = int(sum(len(v.boxes) for v in views))
+        try:
+            loss = train_step(student, views, rng, config.lr, config.include_reg)
+        except NumericsError:
+            return AdaptResult(student, best_model, rows, diverged_at=step)
+        if not config.fixed_pls:
+            teacher = ema_update(teacher, student, config.alpha)
+
+        evaluated = step % config.eval_period == 0 or step == config.max_steps
+        if evaluated:
+            evaluation = evaluate_model(student, eval_pool)
+            if evaluation.map > best_map:
+                best_map, best_model = evaluation.map, student.copy()
+        rows.append(TraceRow(step, loss, num_pls, evaluation, evaluated))
+
+    return AdaptResult(student, best_model, rows)
+
+
+@pytest.mark.parametrize("batch_stats", [False, True], ids=["running", "batch"])
+@pytest.mark.parametrize("strategy", sorted(strategy_presets()))
+def test_adapt_matches_reference(strategy, batch_stats):
+    """Every preset gives the reference's rows and final/best bytes. At
+    tau = 0.05 every step trains on pseudo-labels, mosaic steps included."""
+    source = init_model(small_arch(), 0)
+    targets = tiny_scenes(8, 7, shift="fog")
+    preset = strategy_presets()[strategy]
+    cfg = replace(preset, tau=0.05, lr=0.002, batch_size=2,
+                  max_steps=min(preset.max_steps, 4), eval_period=2, seed=3,
+                  teacher_batch_stats=batch_stats)
+    got = adapt(source, targets, cfg, targets[:3])
+    want = adapt_reference(source, targets, cfg, targets[:3])
+    assert got.rows == want.rows and got.diverged_at == want.diverged_at
+    assert cfg.max_steps == 0 or all(r.num_pls > 0 for r in got.rows[1:])
+    for model in ("final", "best"):
+        a, b = getattr(got, model).params, getattr(want, model).params
+        assert a.keys() == b.keys()
+        assert all(a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes()
+                   for k in a)

@@ -76,9 +76,27 @@ def test_failed_adapt_leaves_no_stale_report(workdir, tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "save_checkpoint", disk_full)
-    with pytest.raises(OSError):
-        cli.main(argv)
+    assert cli.main(argv) == 3
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["make-data", "train-source", "adapt"])
+def test_unusable_out_path_exits_3(workdir, tmp_path, capsys, command):
+    """An --out the command cannot write (a file where a directory goes, a
+    directory where a file goes) is a data error, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("source_train = 1\nsource_test = 0\ntarget_train = 0\ntarget_test = 0\n")
+    data, ckpt = str(workdir / "data"), str(workdir / "source.ckpt")
+    argv = {"make-data": ["make-data", "--spec", str(spec), "--out", str(blocker)],
+            "train-source": ["train-source", "--data", data, "--steps", "0",
+                             "--out", str(tmp_path)],
+            "adapt": ["adapt", "--source-ckpt", ckpt, "--data", data, "--strategy",
+                      "adabn", "--batch-size", "2", "--out", str(blocker)]}[command]
+    assert cli.main(argv) == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:")
 
 
 def test_usage_error_exits_2(capsys):
@@ -379,8 +397,14 @@ def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
     ("noise_cells = 0", "noise_cells"),
     ("min_objects = -1", "min_objects"),
     ("max_overlap = -0.1", "max_overlap"),
+    ("shift = scale\nscale_factor = nan", "scale_factor"),
+    ("color_cast = nan,1,1", "color_cast"),
+    ("max_overlap = nan", "max_overlap"),
+    ("noise_amplitude = inf", "noise_amplitude"),
+    ("scale_factor = inf", "scale_factor"),
 ], ids=["not-an-int", "fog-out-of-range", "negative-count", "noise-cells-zero",
-        "negative-min-objects", "negative-max-overlap"])
+        "negative-min-objects", "negative-max-overlap", "nan-scale-factor",
+        "nan-color-cast", "nan-max-overlap", "inf-noise-amplitude", "inf-scale-factor"])
 def test_make_data_rejects_invalid_spec_entry(tmp_path, capsys, entry, key):
     spec = tmp_path / "spec.txt"
     # the last entry for a key wins

@@ -808,7 +808,7 @@ def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=5
     obj_flat = D._flatten_rpn(arch, obj_map, 2)
     delta_flat = D._flatten_rpn(arch, delta_map, 4)
     anchors = D.generate_anchors(arch)
-    proposals = [D._propose(arch, anchors, obj_flat[i], delta_flat[i])[0]
+    proposals = [D._propose(arch, anchors, obj_flat[i], delta_flat[i])
                  for i in range(len(images))]
     cls_logits, roi_deltas, _ = D._roi_head_forward(model, feats, proposals,
                                                     need_indices=False)
@@ -878,6 +878,24 @@ def test_inference_matches_reference(arch, n, dtype):
     got = D.forward_inference_batch(model, imgs)
     assert_same_detections(got, inference_reference(model, imgs), "eval")
     assert sum(len(d) for d in got) > 0
+
+
+def test_inference_without_proposals_matches_reference(rng, monkeypatch):
+    """Images without a proposal get the reference's empty Detections (same
+    dtypes and shapes) beside images with detections in their chunk, and a
+    chunk in which no image has a proposal gives only empty ones."""
+    model = D.init_model(small_arch(), 8)
+    imgs = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(6)]
+    real, calls = D._propose, []
+
+    def sparse(arch, anchors, obj, delta):
+        calls.append(len(calls) % len(imgs))
+        return real(arch, anchors, obj, delta)[: 0 if calls[-1] in (1, 4, 5) else None]
+
+    monkeypatch.setattr(D, "_propose", sparse)
+    got = D.forward_inference_batch(model, imgs)
+    assert_same_detections(got, inference_reference(model, imgs), "no proposals")
+    assert [len(d) > 0 for d in got] == [True, False, True, True, False, False]
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
