@@ -3,21 +3,18 @@
 Every strategy is one point on the axes of AdaptConfig. After the scenes
 are drawn, the step is one call per phase, each governed by its axes:
 labeling (``generate_pseudo_labels``) by ``fixed_pls`` (label the target
-set once) and ``teacher_batch_stats``; the training views (``_views``) by
-``weak_strong`` (strong after weak augmentation) and ``mosaic``;
-``train_step``; the teacher update (``ema_update``) by the EMA rate
-``alpha`` (0 = teacher follows the student, 1 = frozen teacher); and
-``evaluate_model``. ``adabn_first`` makes the initial teacher source after
-AdaBN on the target set instead of source itself.
+set once); the training views (``_views``) by ``weak_strong`` (strong
+after weak augmentation) and ``mosaic``; ``train_step``; the teacher
+update (``ema_update``) by the EMA rate ``alpha`` (0 = teacher follows the
+student, 1 = frozen teacher); and ``evaluate_model``. ``adabn_first``
+makes the initial teacher source after AdaBN on the target set instead of
+source itself; it is the only way batch statistics reach a labeler.
 
-With ``teacher_batch_stats=False`` (the default), setting ``fixed_pls`` is
-semantically identical to alpha = 1: the teacher never changes and labels
-in eval mode, so the label set it would regenerate each step is the
-initial one. The loop exploits neither; the equivalence is asserted by
-tests on byte-identical traces. With ``teacher_batch_stats=True`` it does
-not hold: the fixed set is labeled in 16-scene chunks of the target set,
-each by the teacher after AdaBN on that chunk, and each step's labels by
-the teacher after AdaBN on its mini-batch.
+Setting ``fixed_pls`` is semantically identical to alpha = 1 with the
+labels computed once: the teacher never changes and labels in eval mode,
+so the label set it would regenerate each step is the initial one. The
+loop exploits neither; the equivalence is asserted by tests on
+byte-identical traces.
 
 The teacher labels raw (unaugmented) target images in eval mode; the flip
 of the weak view is applied jointly to the image and its pseudo-boxes
@@ -51,7 +48,9 @@ class AdaptConfig:
     adabn_first: bool = False      # adapt batch statistics before anything
     mosaic: bool = False           # 4-scene composites (fixed-PL strategies)
     include_reg: bool = True       # box regression losses on pseudo-labels
-    teacher_batch_stats: bool = False  # label with per-batch instead of running stats
+    # retired (must stay False): config_hash hashes asdict(config), so
+    # deleting the field would change every preset's hash
+    teacher_batch_stats: bool = False
     lr: float = 0.001
     batch_size: int = 4
     max_steps: int = 4000
@@ -61,6 +60,8 @@ class AdaptConfig:
     strong: StrongAugParams = field(default_factory=StrongAugParams)
 
     def __post_init__(self):
+        if self.teacher_batch_stats:
+            raise ValueError("teacher_batch_stats is retired; use adabn_first")
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0 <= self.tau <= 1:
@@ -114,25 +115,13 @@ def ema_update(teacher: ModelState, student: ModelState, alpha: float) -> ModelS
     return ModelState(teacher.arch, params)
 
 
-def generate_pseudo_labels(labeler: ModelState, scenes, tau: float,
-                           batch_stats: bool) -> dict:
+def generate_pseudo_labels(labeler: ModelState, scenes, tau: float) -> dict:
     """Detect every scene in eval mode and keep detections scoring >= tau.
 
-    With batch_stats, each chunk of 16 scenes is detected by the labeler
-    after AdaBN on that chunk: its BN running statistics become the chunk's
-    batch statistics. Class confidence is the sole filter. Returns
-    {scene id: Detections}.
+    Class confidence is the sole filter. Returns {scene id: Detections}.
     """
     scenes = list(scenes)
-    images = [sc.image for sc in scenes]
-    if batch_stats:
-        dets = []
-        for start in range(0, len(images), 16):
-            chunk = images[start:start + 16]
-            dets += forward_inference_batch(
-                collect_target_statistics(labeler, chunk, len(chunk)), chunk)
-    else:
-        dets = forward_inference_batch(labeler, images)
+    dets = forward_inference_batch(labeler, [sc.image for sc in scenes])
     return {sc.id: d[d.scores >= tau] for sc, d in zip(scenes, dets)}
 
 
@@ -213,8 +202,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
 
     student = teacher.copy()
     if config.fixed_pls:
-        pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau,
-                                        config.teacher_batch_stats)
+        pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau)
 
     for step in range(1, config.max_steps + 1):
         if config.mosaic:
@@ -223,7 +211,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
             ids = rng.choice(n, size=min(config.batch_size, n), replace=False)
         chosen = [target_scenes[int(i)] for i in ids.ravel()]
         pls = pl_set if config.fixed_pls else generate_pseudo_labels(
-            teacher, chosen, config.tau, config.teacher_batch_stats)
+            teacher, chosen, config.tau)
         views = _views(chosen, pls, config, rng)
         num_pls = int(sum(len(v.boxes) for v in views))
         try:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import iou_matrix
+from .boxes import clip_boxes, iou_matrix
 
 CLASS_NAMES = ("disc", "square", "triangle")
 NUM_CLASSES = 3
@@ -243,9 +243,7 @@ def apply_scale(scene: Scene, factor: float) -> Scene:
     labels = scene.labels.copy()
     if len(boxes):
         ctr = np.array([cx + 0.5, cy + 0.5, cx + 0.5, cy + 0.5], np.float32)
-        boxes = (boxes - ctr) * factor + ctr
-        boxes[:, 0::2] = np.clip(boxes[:, 0::2], 0, w)
-        boxes[:, 1::2] = np.clip(boxes[:, 1::2], 0, h)
+        boxes = clip_boxes((boxes - ctr) * factor + ctr, w, h)
         ok = (boxes[:, 2] - boxes[:, 0] >= 2) & (boxes[:, 3] - boxes[:, 1] >= 2)
         boxes, labels = boxes[ok], labels[ok]
     return replace(scene, image=img, boxes=boxes.astype(np.float32), labels=labels)

@@ -314,15 +314,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _decode(arch: ArchDescriptor, deltas: np.ndarray, anchors: np.ndarray):
+    """Boxes decoded from deltas on anchors and clipped to the input, and
+    the mask of those that are not degenerate."""
+    boxes = B.clip_boxes(B.decode_deltas(deltas, anchors), arch.input_size, arch.input_size)
+    return boxes, (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
+
+
 def _propose(arch: ArchDescriptor, anchors: np.ndarray, obj_flat_img: np.ndarray,
              delta_flat_img: np.ndarray) -> np.ndarray:
     """Decode, clip, score-sort and NMS-prune one image's RPN output to boxes."""
     # foreground probability from per-anchor (background, foreground) logits
     scores = _softmax(obj_flat_img.astype(np.float64))[:, 1]
-    boxes = B.decode_deltas(delta_flat_img, anchors)
-    boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
-    wh_ok = (boxes[:, 2] - boxes[:, 0] > 1e-3) & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-    idx = np.where(wh_ok)[0]
+    boxes, ok = _decode(arch, delta_flat_img, anchors)
+    idx = np.where(ok)[0]
     order = idx[np.lexsort((idx, -scores[idx]))][: arch.pre_nms_topk]
     dets = B.Detections(boxes[order], np.zeros(len(order), np.int64),
                         scores[order].astype(np.float32))
@@ -697,11 +702,8 @@ def forward_inference_batch(model: ModelState, images):
             scores = probs[row:row + n, 1:].T.ravel()
             deltas = roi_deltas[row:row + n].reshape(n, k, 4).transpose(1, 0, 2)
             row += n
-            boxes = B.decode_deltas(deltas.reshape(k * n, 4), np.tile(props, (k, 1)))
-            boxes = B.clip_boxes(boxes, arch.input_size, arch.input_size)
-            ok = ((boxes[:, 2] - boxes[:, 0] > 1e-3)
-                  & (boxes[:, 3] - boxes[:, 1] > 1e-3)
-                  & (scores >= SCORE_FLOOR))
+            boxes, ok = _decode(arch, deltas.reshape(k * n, 4), np.tile(props, (k, 1)))
+            ok &= scores >= SCORE_FLOOR
             dets = B.Detections(boxes[ok], np.repeat(np.arange(k, dtype=np.int64), n)[ok],
                                 scores[ok].astype(np.float32))
             results.append(B.nms(dets, NMS_IOU)[:MAX_DETS])

@@ -138,7 +138,7 @@ def test_pseudo_label_threshold_boundary(monkeypatch):
     monkeypatch.setattr(adapt_mod, "forward_inference_batch",
                         lambda model, images: [canned] * len(images))
     scenes = tiny_scenes(2, 0)
-    out = generate_pseudo_labels(init_model(small_arch(), 0), scenes, 0.8, False)
+    out = generate_pseudo_labels(init_model(small_arch(), 0), scenes, 0.8)
     for sc in scenes:
         kept = out[sc.id]
         assert kept.scores.tolist() == [np.float32(0.9), np.float32(0.8)]
@@ -147,13 +147,13 @@ def test_pseudo_label_threshold_boundary(monkeypatch):
 def test_pseudo_label_tau_extremes_and_monotone():
     model = init_model(small_arch(), 1)
     scenes = tiny_scenes(4, 1)
-    everything = generate_pseudo_labels(model, scenes, 0.0, False)
-    nothing = generate_pseudo_labels(model, scenes, 1.0 - 1e-9, False)
+    everything = generate_pseudo_labels(model, scenes, 0.0)
+    nothing = generate_pseudo_labels(model, scenes, 1.0 - 1e-9)
     assert all(len(v) == 0 for v in nothing.values()) or all(
         (v.scores >= 1.0 - 1e-9).all() for v in nothing.values())
     prev = None
     for tau in (0.0, 0.2, 0.5, 0.8, 0.95):
-        labels = generate_pseudo_labels(model, scenes, tau, False)
+        labels = generate_pseudo_labels(model, scenes, tau)
         counts = sum(len(v) for v in labels.values())
         if prev is not None:
             assert counts <= prev
@@ -175,12 +175,12 @@ def test_eval_mode_labeling_traced_peak_bound():
     def traced_peak(part):
         tracemalloc.start()
         try:
-            generate_pseudo_labels(model, part, 0.5, False)
+            generate_pseudo_labels(model, part, 0.5)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    generate_pseudo_labels(model, scenes[:4], 0.5, False)  # first-call allocations
+    generate_pseudo_labels(model, scenes[:4], 0.5)  # first-call allocations
     chunk_peak = max(traced_peak(scenes[s:s + 4]) for s in range(0, 32, 4))
     peak = traced_peak(scenes)
     assert peak < min(chunk_peak + 0.25 * 2 ** 20, 8 * 2 ** 20), \
@@ -221,7 +221,7 @@ def test_config_validation_and_round_trip(tmp_path):
         AdaptConfig(tau=-0.1)
     # every field an `adapt --config` file may set reads back unchanged
     c = AdaptConfig(strategy="sf_ut", alpha=0.25, tau=0.65, weak_strong=False,
-                    fixed_pls=True, teacher_batch_stats=True, lr=0.0025,
+                    fixed_pls=True, teacher_batch_stats=False, lr=0.0025,
                     batch_size=3, max_steps=7, eval_subset=2, seed=11)
     path = tmp_path / "adapt.cfg"
     path.write_text("".join(f"{f.name} = {getattr(c, f.name)}\n" for f in fields(c)
@@ -253,9 +253,9 @@ def test_fixed_pls_generated_exactly_once(monkeypatch):
     calls = []
     real = adapt_mod.generate_pseudo_labels
 
-    def counting(labeler, scenes, tau, batch_stats):
+    def counting(labeler, scenes, tau):
         calls.append(len(list(scenes)))
-        return real(labeler, scenes, tau, batch_stats)
+        return real(labeler, scenes, tau)
 
     monkeypatch.setattr(adapt_mod, "generate_pseudo_labels", counting)
     source = init_model(small_arch(), 0)
@@ -270,13 +270,13 @@ def test_fixed_pls_generated_exactly_once(monkeypatch):
     assert len(calls) == 3  # once per step, on the batch only
 
 
-@pytest.mark.parametrize("batch_stats", [True, False],
-                         ids=["batch-stats", "running-stats"])
+@pytest.mark.parametrize("adabn_first", [False, True], ids=["source", "adabn"])
 @pytest.mark.parametrize("fixed_pls", [False, True], ids=["per-step", "fixed"])
-def test_teacher_batch_stats_reaches_labeling(monkeypatch, fixed_pls, batch_stats):
-    """With teacher_batch_stats every labeling batch is detected by the
-    AdaBN adaptation of the teacher to that batch, else by the teacher."""
-    labelers, adapted = [], []
+def test_labeling_uses_batch_statistics_only_through_adabn_first(
+        monkeypatch, fixed_pls, adabn_first):
+    """Labeling detects with the teacher itself; the only AdaBN sweep is
+    adabn_first's, over all target images, and its model labels first."""
+    labelers, sweeps = [], []
     real_detect = adapt_mod.forward_inference_batch
     real_collect = adapt_mod.collect_target_statistics
 
@@ -285,40 +285,41 @@ def test_teacher_batch_stats_reaches_labeling(monkeypatch, fixed_pls, batch_stat
         return real_detect(model, images)
 
     def collecting(model, images, batch_size):
-        adapted.append(real_collect(model, images, batch_size))
-        assert batch_size == len(images)
-        return adapted[-1]
+        sweeps.append((list(images), batch_size, real_collect(model, images, batch_size)))
+        return sweeps[-1][2]
 
     monkeypatch.setattr(adapt_mod, "forward_inference_batch", detecting)
     monkeypatch.setattr(adapt_mod, "collect_target_statistics", collecting)
     source = init_model(small_arch(), 0)
     targets = tiny_scenes(6, 6)
     cfg = tiny_config(fixed_pls=fixed_pls, alpha=1.0 if fixed_pls else 0.5,
-                      teacher_batch_stats=batch_stats, max_steps=3)
+                      adabn_first=adabn_first, max_steps=3)
     adapt(source, targets, cfg, targets[:3])
     # one labeling call for the fixed set, else one per step
     assert len(labelers) == (1 if fixed_pls else 3)
-    if batch_stats:
-        assert all(a is b for a, b in zip(labelers, adapted, strict=True))
+    if adabn_first:
+        [(images, batch_size, adapted)] = sweeps
+        assert len(images) == len(targets) and all(
+            a is s.image for a, s in zip(images, targets))
+        assert batch_size == cfg.batch_size and labelers[0] is adapted
     else:
-        assert adapted == [] and labelers[0] is source
+        assert sweeps == [] and labelers[0] is source
 
 
-def test_alpha_one_equals_fixed_pls():
-    """The degenerate mean-teacher case and the fixed-label formulation
-    must produce byte-identical traces and final weights."""
+@pytest.mark.parametrize("strategy", sorted(
+    name for name, preset in strategy_presets().items() if preset.fixed_pls))
+def test_alpha_one_equals_fixed_pls(strategy):
+    """Each fixed-label preset and its alpha = 1 mean-teacher form, which
+    relabels every step, produce byte-identical traces and final weights."""
     source = init_model(small_arch(), 1)
     targets = tiny_scenes(8, 7, shift="fog")
     eval_scenes = tiny_scenes(4, 8, shift="fog")
-    runs = []
-    for fixed in (False, True):
-        cfg = tiny_config(alpha=1.0, fixed_pls=fixed, max_steps=5,
-                          weak_strong=True, seed=11)
-        runs.append(adapt(source.copy(), targets, cfg, eval_scenes))
-    a, b = runs
-    assert len(a.rows) == len(b.rows)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra == rb
+    fixed = replace(strategy_presets()[strategy], tau=0.05, lr=0.002, batch_size=2,
+                    max_steps=4, eval_period=2, seed=11)
+    assert fixed.alpha == 1.0
+    a, b = (adapt(source, targets, cfg, eval_scenes)
+            for cfg in (replace(fixed, fixed_pls=False), fixed))
+    assert a.rows == b.rows and all(r.num_pls > 0 for r in a.rows[1:])
     for name in a.final.params:
         assert a.final.params[name].tobytes() == b.final.params[name].tobytes()
 
@@ -348,9 +349,9 @@ def test_adabn_first_initializes_student_and_labeler(monkeypatch):
     captured = {}
     real = adapt_mod.generate_pseudo_labels
 
-    def capture(labeler, scenes, tau, batch_stats):
+    def capture(labeler, scenes, tau):
         captured.setdefault("labeler", {k: v.copy() for k, v in labeler.params.items()})
-        return real(labeler, scenes, tau, batch_stats)
+        return real(labeler, scenes, tau)
 
     monkeypatch.setattr(adapt_mod, "generate_pseudo_labels", capture)
     cfg = tiny_config(strategy="adabn_fixed_sf_fm", adabn_first=True, fixed_pls=True,
@@ -508,8 +509,7 @@ def adapt_reference(source, target_scenes, config, eval_scenes):
 
     student = teacher.copy()
     if config.fixed_pls:
-        pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau,
-                                        config.teacher_batch_stats)
+        pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau)
 
     for step in range(1, config.max_steps + 1):
         if config.mosaic:
@@ -518,7 +518,7 @@ def adapt_reference(source, target_scenes, config, eval_scenes):
             ids = rng.choice(n, size=min(config.batch_size, n), replace=False)
         chosen = [target_scenes[int(i)] for i in ids.ravel()]
         pls = pl_set if config.fixed_pls else generate_pseudo_labels(
-            teacher, chosen, config.tau, config.teacher_batch_stats)
+            teacher, chosen, config.tau)
         labeled = [labeled_scene(s, pls[s.id]) for s in chosen]
 
         views = []
@@ -550,17 +550,15 @@ def adapt_reference(source, target_scenes, config, eval_scenes):
     return AdaptResult(student, best_model, rows)
 
 
-@pytest.mark.parametrize("batch_stats", [False, True], ids=["running", "batch"])
 @pytest.mark.parametrize("strategy", sorted(strategy_presets()))
-def test_adapt_matches_reference(strategy, batch_stats):
+def test_adapt_matches_reference(strategy):
     """Every preset gives the reference's rows and final/best bytes. At
     tau = 0.05 every step trains on pseudo-labels, mosaic steps included."""
     source = init_model(small_arch(), 0)
     targets = tiny_scenes(8, 7, shift="fog")
     preset = strategy_presets()[strategy]
     cfg = replace(preset, tau=0.05, lr=0.002, batch_size=2,
-                  max_steps=min(preset.max_steps, 4), eval_period=2, seed=3,
-                  teacher_batch_stats=batch_stats)
+                  max_steps=min(preset.max_steps, 4), eval_period=2, seed=3)
     got = adapt(source, targets, cfg, targets[:3])
     want = adapt_reference(source, targets, cfg, targets[:3])
     assert got.rows == want.rows and got.diverged_at == want.diverged_at

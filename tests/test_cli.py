@@ -377,7 +377,7 @@ def test_adapt_flag_sets_its_field_over_config(tmp_path, flags, field, value, en
 
 
 @pytest.mark.parametrize("entry", ["eval_period = 0", "alpha = high", "seed = -1",
-                                   "lr = nan"])
+                                   "lr = nan", "teacher_batch_stats = true"])
 def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
     config = tmp_path / "adapt.cfg"
     config.write_text(entry + "\n")
@@ -387,7 +387,20 @@ def test_adapt_rejects_invalid_config_entry(workdir, capsys, tmp_path, entry):
                    "--config", str(config)])
     assert rc == 3
     (line,) = error_lines(capsys)
-    assert line.startswith("ERROR[data]:")
+    assert line.startswith("ERROR[data]:") and entry.split(" = ")[0] in line
+
+
+def test_retired_config_entry_keeps_config_hash(tmp_path):
+    """`teacher_batch_stats = false`, the only value the retired field
+    accepts, leaves the run's config_hash as without the entry."""
+    config = tmp_path / "adapt.cfg"
+    config.write_text("teacher_batch_stats = false\n")
+    argv = ["adapt", "--source-ckpt", "source.ckpt", "--data", "data",
+            "--strategy", "sf_ut", "--out", "out"]
+    parser = cli.build_parser()
+    hashes = {cli._config_hash(asdict(cli._adapt_config(parser.parse_args(a))))
+              for a in (argv, argv + ["--config", str(config)])}
+    assert hashes == {PRESET_CONFIG_HASHES["sf_ut"]}
 
 
 @pytest.mark.parametrize("entry,key", [

@@ -12,9 +12,7 @@ import pytest
 
 from sfodlab import boxes as B
 from sfodlab import detector as D
-from sfodlab.adapt import generate_pseudo_labels
 from sfodlab.batchnorm import BN_EPS, batch_stats, update_running_statistics
-from sfodlab.data import Scene
 from sfodlab.ops import (
     NumericsError,
     conv2d_backward,
@@ -796,14 +794,13 @@ def test_inference_eval_mode_pure(rng):
         assert np.array_equal(model.params[k], before[k])
 
 
-def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=50,
-                        stats_mode="eval"):
+def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=50):
     """forward_inference_batch as it was before the class decode was
     vectorized (one decode, clip and filter pass per class), and before it
     shared _forward_all's backbone/RPN/flatten and the _softmax of _propose."""
     arch = model.arch
     x = D.images_to_batch(images)
-    feats, _, _ = D._backbone_forward(model, x, mode=stats_mode)
+    feats, _, _ = D._backbone_forward(model, x, mode="eval")
     obj_map, delta_map, _ = D._rpn_forward(model, feats)
     obj_flat = D._flatten_rpn(arch, obj_map, 2)
     delta_flat = D._flatten_rpn(arch, delta_map, 4)
@@ -896,28 +893,3 @@ def test_inference_without_proposals_matches_reference(rng, monkeypatch):
     got = D.forward_inference_batch(model, imgs)
     assert_same_detections(got, inference_reference(model, imgs), "no proposals")
     assert [len(d) > 0 for d in got] == [True, False, True, True, False, False]
-
-
-@pytest.mark.parametrize("tau", [0.0, 0.5])
-@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
-                         ids=["small", "default"])
-def test_batch_stats_labeling_matches_collect_reference(arch, tau):
-    """Batch-statistics labeling of 20 scenes (AdaBN on each 16-scene chunk,
-    then eval-mode detection) gives the bytes of detecting each chunk with
-    every image normalized by the chunk's batch statistics, for a float32
-    model. The ROI head is scaled up so that scores straddle tau."""
-    rng = np.random.default_rng(2)
-    model = D.init_model(arch, 8)
-    for name in ("roi.cls.w", "roi.delta.w"):
-        model.params[name] *= np.float32(30.0)
-    s = arch.input_size
-    scenes = [Scene(rng.random((s, s, 3)).astype(np.float32), np.zeros((0, 4), np.float32),
-                    np.zeros(0, np.int64), f"s{i}")
-              for i in range(20)]
-    got = generate_pseudo_labels(model, scenes, tau, True)
-    want = [d[d.scores >= tau] for start in (0, 16)
-            for d in inference_reference(model, [sc.image for sc in scenes[start:start + 16]],
-                                         stats_mode="collect")]
-    assert list(got) == [sc.id for sc in scenes]
-    assert_same_detections(list(got.values()), want, tau)
-    assert sum(len(d) for d in got.values()) > 0
