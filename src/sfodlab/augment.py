@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Scene
+from .data import Scene, float_pixels
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _luma(image: np.ndarray) -> np.ndarray:
 def strong_augment(scene: Scene, params: StrongAugParams,
                    rng: np.random.Generator) -> Scene:
     """Photometric jitter, grayscale, blur and cutout; boxes untouched."""
-    img = scene.image.astype(np.float32).copy()
+    img = float_pixels(scene.image).astype(np.float32)
 
     if rng.random() < params.jitter_prob:
         img *= 1.0 + rng.uniform(-params.brightness, params.brightness)
@@ -114,8 +114,9 @@ def mosaic(scenes, out_size: int) -> Scene:
     for sc in scenes:
         if sc.image.shape != scenes[0].image.shape:
             raise ValueError("mosaic requires equal-size scenes")
-    top = np.concatenate([scenes[0].image, scenes[1].image], axis=1)
-    bottom = np.concatenate([scenes[2].image, scenes[3].image], axis=1)
+    images = [float_pixels(sc.image) for sc in scenes]
+    top = np.concatenate(images[:2], axis=1)
+    bottom = np.concatenate(images[2:], axis=1)
     full = np.concatenate([top, bottom], axis=0)
 
     scale = out_size / (2 * s)

@@ -1,10 +1,10 @@
 """Batch normalization: the detector's only BN code.
 
 ``bn_apply`` normalizes an NCHW batch per channel by the statistics it is
-given: the biased batch statistics from ``batch_stats`` (training,
-collect-mode inference and the AdaBN sweep) or a layer's stored running
-estimates (eval mode, a pure function of the model). ``bn_backward`` is its
-gradient under batch statistics; only training keeps its cache.
+given: the biased batch statistics from ``batch_stats`` (training and the
+AdaBN sweep) or a layer's stored running estimates (eval mode, a pure
+function of the model). ``bn_backward`` is its gradient under batch
+statistics; only training keeps its cache.
 
 Only two functions write running statistics. ``update_running_statistics``
 folds one training step's batch statistics into them with ``running <-

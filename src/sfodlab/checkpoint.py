@@ -4,12 +4,15 @@ Layout: 8-byte magic ``SFODCKPT``, little-endian u32 format version,
 little-endian u64 JSON header length, UTF-8 JSON header (architecture
 descriptor, ordered array names/shapes, free-form metadata), then the
 concatenated little-endian float32 array payloads in header order.
-Round trips are bit-exact, BN running statistics included.
+Round trips are bit-exact, BN running statistics included. A checkpoint is
+written to a temporary file beside its path and renamed into place, so a
+failed save leaves any earlier file at that path as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -34,13 +37,20 @@ def save_checkpoint(path, model: ModelState, metadata: dict):
         "metadata": metadata,
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for n in names:
-            f.write(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for n in names:
+                f.write(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _decode_header(header):

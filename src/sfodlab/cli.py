@@ -16,8 +16,8 @@ in again. One ``adapt --strategy adabn`` of 32 + 16 images took about 62k
 minor page faults and 0.12-0.16 s of kernel time (``getrusage``; 2 vCPU,
 numpy 2.4.6, glibc 2.36); with this policy, 4-image inference chunks
 (``detector.INFER_CHUNK``) and the backbone's in-place BN and ReLU it takes
-about 6-7k faults and 0.02-0.05 s, at a peak RSS of about 61 MB (75 MB
-with 8-image chunks and out-of-place BN and ReLU).
+about 6-7k faults and 0.02-0.05 s, at a peak RSS (``VmHWM`` of a fresh
+interpreter) of about 50 MB.
 Without glibc's mallopt nothing is set; results never depend on the policy.
 """
 

@@ -9,6 +9,12 @@ On disk a dataset is a directory of binary PPM (P6) images plus an
 ``annotations.jsonl`` file (one JSON object per scene) and a
 ``manifest.json`` echoing counts, the generating spec and the seed.
 
+Generated scenes hold float32 pixels in [0, 1]; ``read_dataset`` keeps the
+PPM's 8-bit pixels as ``uint8``, a quarter of the memory, and writing them
+again reproduces the files byte for byte. ``float_pixels`` turns them into
+float32 (``/ 255``) where the network or a photometric augmentation first
+reads them, the one place the package scales pixels.
+
 ``scipy.ndimage`` is imported inside the two functions that call it
 (``_background`` and ``apply_fog``), not at module level: it takes longer to
 import than the rest of the package, and every CLI command imports this
@@ -38,7 +44,8 @@ class DataError(Exception):
 class Scene:
     """One image with its ground-truth (or pseudo-label) annotations."""
 
-    image: np.ndarray                  # (H, W, 3) float32 in [0, 1]
+    image: np.ndarray                  # (H, W, 3) float32 in [0, 1], or uint8 as
+                                       # read_dataset returns it
     boxes: np.ndarray                  # (K, 4) float32, (x1, y1, x2, y2)
     labels: np.ndarray                 # (K,) int64, < NUM_CLASSES
     id: str = ""
@@ -262,8 +269,19 @@ def generate_split(spec: DomainSpec, count: int, seed: int, prefix: str):
 # on-disk format
 # ---------------------------------------------------------------------------
 
+def float_pixels(image: np.ndarray) -> np.ndarray:
+    """A scene image as the network reads it: 8-bit pixels, as read_dataset
+    returns them, become float32 in [0, 1]; any other dtype comes back as is."""
+    if image.dtype == np.uint8:
+        return image.astype(np.float32) / 255.0
+    return image
+
+
 def _write_ppm(path: Path, image: np.ndarray):
-    q = np.round(np.clip(image, 0, 1) * 255).astype(np.uint8)
+    if image.dtype == np.uint8:
+        q = image
+    else:
+        q = np.round(np.clip(image, 0, 1) * 255).astype(np.uint8)
     h, w = q.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
@@ -281,11 +299,10 @@ def _read_ppm(path: Path) -> np.ndarray:
     w, h, maxval = (int(g) for g in m.groups())
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
-    data = raw[m.end():]
-    if len(data) < w * h * 3:
+    if len(raw) - m.end() < w * h * 3:
         raise DataError(f"{path}: truncated pixel data")
-    q = np.frombuffer(data[: w * h * 3], np.uint8).reshape(h, w, 3)
-    return (q.astype(np.float32) / 255.0)
+    # a copy: the image is writable, as a generated one is, and owns its pixels
+    return np.frombuffer(raw, np.uint8, w * h * 3, m.end()).reshape(h, w, 3).copy()
 
 
 def write_dataset(scenes, out_dir, spec: DomainSpec, seed: int):

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import boxes as B
 from .batchnorm import batch_stats, bn_apply, bn_backward, update_running_statistics
+from .data import float_pixels
 from .ops import (
     NumericsError,
     conv2d_backward,
@@ -169,8 +170,9 @@ def init_model(arch: ArchDescriptor, seed: int) -> ModelState:
 
 
 def images_to_batch(images) -> np.ndarray:
-    """Stack HWC float images in [0,1] into an NCHW float32 batch."""
-    arr = np.stack([np.asarray(im) for im in images])
+    """Stack HWC images, float in [0, 1] or 8-bit as read, into an NCHW
+    float32 batch."""
+    arr = np.stack([float_pixels(np.asarray(im)) for im in images])
     return np.ascontiguousarray(arr.transpose(0, 3, 1, 2), dtype=np.float32)
 
 

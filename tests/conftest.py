@@ -1,7 +1,12 @@
-"""Shared oracles: 64-bit central finite differences and naive references."""
+"""Shared oracles: 64-bit central finite differences, naive references and
+scenes read back from disk."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from sfodlab.data import DomainSpec, float_pixels, read_dataset, write_dataset
 
 
 def numerical_grad(f, x, h=1e-3):
@@ -68,6 +73,15 @@ def bn_stat_names(arch):
     """Names of the BN running statistics: the entries no gradient reaches."""
     return [f"{bn}.{stat}" for bn, _ in arch.bn_layers()
             for stat in ("running_mean", "running_var")]
+
+
+def read_back(scenes, directory):
+    """The scenes written to directory and read again, with their 8-bit
+    pixels, and the same scenes with those pixels decoded to float32."""
+    write_dataset(scenes, directory, DomainSpec(), 0)
+    read = read_dataset(directory)
+    assert all(s.image.dtype == np.uint8 for s in read)
+    return read, [replace(s, image=float_pixels(s.image)) for s in read]
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.detector import ArchDescriptor, LossBreakdown, init_model
 from sfodlab.ops import NumericsError
 from sfodlab.train import evaluate_model, train_step
-from conftest import bn_stat_names
+from conftest import bn_stat_names, read_back
 
 
 def small_arch():
@@ -568,3 +568,23 @@ def test_adapt_matches_reference(strategy):
         assert a.keys() == b.keys()
         assert all(a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes()
                    for k in a)
+
+
+@pytest.mark.parametrize("strategy", ["adabn", "adabn_fixed_sf_fm_mosaic",
+                                      "adabn_fixed_sf_pl_mosaic", "sf_ut"])
+def test_adapt_on_read_scenes_matches_float_decode(tmp_path, strategy):
+    """Read scenes keep their 8-bit pixels until the batch: adapt() on them
+    gives the rows and final bytes of the same scenes decoded to float32
+    first. At tau = 0.05 every step trains on pseudo-labels."""
+    source = init_model(small_arch(), 0)
+    read, decoded = read_back(tiny_scenes(8, 7, shift="fog"), tmp_path / "ds")
+    preset = strategy_presets()[strategy]
+    cfg = replace(preset, tau=0.05, lr=0.002, batch_size=2,
+                  max_steps=min(preset.max_steps, 3), eval_period=2, seed=3)
+    got = adapt(source, read, cfg, read[:3])
+    want = adapt(source, decoded, cfg, decoded[:3])
+    assert got.rows == want.rows and got.diverged_at is want.diverged_at is None
+    assert all(r.num_pls > 0 for r in got.rows[1:])
+    assert got.final.params.keys() == want.final.params.keys()
+    assert all(got.final.params[k].tobytes() == want.final.params[k].tobytes()
+               for k in got.final.params)

@@ -1,11 +1,12 @@
 """Augmentation contracts: flip geometry, photometric-only strong
-transforms, and mosaic box arithmetic."""
+transforms, mosaic box arithmetic, and 8-bit scenes as read from disk."""
 
 import numpy as np
 import pytest
 
 from sfodlab import augment as A
-from sfodlab.data import Scene
+from sfodlab.data import DomainSpec, Scene, float_pixels, generate_split
+from conftest import read_back
 
 
 def make_scene(rng, size=96, boxes=None, labels=None):
@@ -177,3 +178,55 @@ def test_mosaic_requires_four_equal(rng):
     bad = [make_scene(rng), make_scene(rng, size=64), make_scene(rng), make_scene(rng)]
     with pytest.raises(ValueError):
         A.mosaic(bad, 96)
+
+
+# ---------------------------------------------------------------------------
+# 8-bit scenes as read from disk
+# ---------------------------------------------------------------------------
+
+def read_scenes(tmp_path):
+    spec = DomainSpec(image_size=32, min_size=8, max_size=16, shift="fog",
+                      fog_strength=0.5)
+    return read_back(generate_split(spec, 4, 0, "r"), tmp_path / "ds")
+
+
+def test_weak_keeps_8_bit_pixels(tmp_path):
+    read, decoded = read_scenes(tmp_path)
+    for seed in range(4):
+        for a, b in zip(read, decoded):
+            u = A.weak_augment(a, np.random.default_rng(seed))
+            f = A.weak_augment(b, np.random.default_rng(seed))
+            assert u.image.dtype == np.uint8
+            assert float_pixels(u.image).tobytes() == f.image.tobytes()
+            assert u.boxes.tobytes() == f.boxes.tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    A.StrongAugParams(),
+    A.StrongAugParams(jitter_prob=1, grayscale_prob=1, blur_prob=1, cutout_prob=1),
+], ids=["default", "every-transform"])
+def test_strong_on_8_bit_matches_float_decode(tmp_path, params):
+    """Under one RNG stream, the strong view of a read scene is the strong view
+    of its float32 decode, byte for byte; neither input is written."""
+    read, decoded = read_scenes(tmp_path)
+    before = [(a.image.tobytes(), b.image.tobytes()) for a, b in zip(read, decoded)]
+    for seed in range(4):
+        for a, b in zip(read, decoded):
+            u = A.strong_augment(a, params, np.random.default_rng(seed))
+            f = A.strong_augment(b, params, np.random.default_rng(seed))
+            assert u.image.dtype == np.float32
+            assert u.image.tobytes() == f.image.tobytes()
+    assert before == [(a.image.tobytes(), b.image.tobytes()) for a, b in zip(read, decoded)]
+
+
+def test_mosaic_on_8_bit_matches_float_decode(tmp_path):
+    """A mosaic of read scenes, or of read and decoded ones mixed, is the
+    mosaic of the decoded scenes."""
+    read, decoded = read_scenes(tmp_path)
+    want = A.mosaic(decoded, 32)
+    for scenes in (read, [read[0], decoded[1], read[2], decoded[3]]):
+        got = A.mosaic(scenes, 32)
+        assert got.image.dtype == np.float32
+        assert got.image.tobytes() == want.image.tobytes()
+        assert got.boxes.tobytes() == want.boxes.tobytes()
+        assert np.array_equal(got.labels, want.labels)

@@ -76,6 +76,20 @@ def rewrite(path, raw):
         load_checkpoint(path)
 
 
+def test_failed_save_keeps_the_old_checkpoint(ckpt):
+    """A save whose payload write raises leaves the checkpoint already at the
+    path byte-identical, and no temporary file beside it."""
+    path, _ = ckpt
+    before = path.read_bytes()
+    broken = small_model(1)
+    last = list(broken.params)[-1]
+    broken.params[last] = np.full(broken.params[last].shape, "x", dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, broken, {"kind": "source"})
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
 def test_bad_magic(ckpt):
     path, _ = ckpt
     rewrite(path, b"NOTACKPT" + path.read_bytes()[8:])

@@ -83,7 +83,8 @@ def test_failed_adapt_leaves_no_stale_report(workdir, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["make-data", "train-source", "adapt"])
 def test_unusable_out_path_exits_3(workdir, tmp_path, capsys, command):
     """An --out the command cannot write (a file where a directory goes, a
-    directory where a file goes) is a data error, not a traceback."""
+    directory where a file goes) is a data error, not a traceback, and
+    leaves no temporary file behind."""
     blocker = tmp_path / "file"
     blocker.write_text("")
     spec = tmp_path / "spec.txt"
@@ -97,6 +98,8 @@ def test_unusable_out_path_exits_3(workdir, tmp_path, capsys, command):
     assert cli.main(argv) == 3
     (line,) = error_lines(capsys)
     assert line.startswith("ERROR[data]:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "spec.txt"]
+    assert not list(tmp_path.parent.glob(f".{tmp_path.name}.*"))
 
 
 def test_usage_error_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,12 +165,43 @@ def test_dataset_round_trip(tmp_path):
         assert a.id == b.id
         assert np.array_equal(a.boxes, b.boxes)        # annotations lossless
         assert np.array_equal(a.labels, b.labels)
-        assert np.abs(a.image - b.image).max() <= 1 / 255  # 8-bit quantization
-    # a second write/read cycle is bit-exact (stable fixed point)
+        assert b.image.dtype == np.uint8                 # read images keep 8 bits
+        assert np.abs(a.image - Dt.float_pixels(b.image)).max() <= 1 / 255  # quantization
+    # a second write/read cycle is bit-exact (stable fixed point), and writing
+    # the read images reproduces the files byte for byte
     Dt.write_dataset(back, tmp_path / "ds2", spec, 42)
     again = Dt.read_dataset(tmp_path / "ds2")
     for b, c in zip(back, again):
         assert b.image.tobytes() == c.image.tobytes()
+        name = f"images/{b.id}.ppm"
+        assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "ds2" / name).read_bytes()
+
+
+def test_float_pixels():
+    """8-bit pixels become float32 as q / 255; float images come back as
+    they are."""
+    q = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    f = Dt.float_pixels(q)
+    assert f.dtype == np.float32 and f.shape == q.shape
+    assert f.tobytes() == (q.astype(np.float32) / 255.0).tobytes()
+    assert f.min() == 0 and f.max() == 1
+    for dtype in (np.float32, np.float64):
+        x = np.full((2, 2, 3), 0.5, dtype)
+        assert Dt.float_pixels(x) is x
+
+
+def test_read_dataset_holds_8_bit_pixels(tmp_path):
+    """64 read 96-px scenes hold under 2 MiB: 27,648 bytes of pixels each,
+    where float32 pixels would take 6.8 MiB."""
+    spec = Dt.DomainSpec()
+    Dt.write_dataset(Dt.generate_split(spec, 64, 0, "m"), tmp_path / "ds", spec, 0)
+    tracemalloc.start()
+    try:
+        scenes = Dt.read_dataset(tmp_path / "ds")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(scenes) == 64 and held < 2 * 2 ** 20
 
 
 def test_empty_dataset(tmp_path):

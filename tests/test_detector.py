@@ -13,6 +13,7 @@ import pytest
 from sfodlab import boxes as B
 from sfodlab import detector as D
 from sfodlab.batchnorm import BN_EPS, batch_stats, update_running_statistics
+from sfodlab.data import DomainSpec, generate_split
 from sfodlab.ops import (
     NumericsError,
     conv2d_backward,
@@ -24,7 +25,7 @@ from sfodlab.ops import (
     smooth_l1,
     softmax_cross_entropy,
 )
-from conftest import bn_stat_names
+from conftest import bn_stat_names, read_back
 
 
 def small_arch(**kw):
@@ -893,3 +894,16 @@ def test_inference_without_proposals_matches_reference(rng, monkeypatch):
     got = D.forward_inference_batch(model, imgs)
     assert_same_detections(got, inference_reference(model, imgs), "no proposals")
     assert [len(d) > 0 for d in got] == [True, False, True, True, False, False]
+
+
+def test_images_to_batch_on_8_bit_matches_float_decode(tmp_path):
+    """Read images, alone or mixed with decoded ones, batch to the bytes of
+    their float32 decode."""
+    spec = DomainSpec(image_size=32, min_size=8, max_size=16)
+    read, decoded = read_back(generate_split(spec, 4, 0, "b"), tmp_path / "ds")
+    want = D.images_to_batch([s.image for s in decoded])
+    mixed = [read[0].image, decoded[1].image, read[2].image, decoded[3].image]
+    for images in ([s.image for s in read], mixed):
+        got = D.images_to_batch(images)
+        assert got.dtype == np.float32 and got.shape == (4, 3, 32, 32)
+        assert got.tobytes() == want.tobytes()

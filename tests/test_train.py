@@ -11,6 +11,7 @@ from sfodlab import detector as D
 from sfodlab import train
 from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.ops import NumericsError
+from conftest import read_back
 
 
 def small_arch():
@@ -43,6 +44,18 @@ def test_train_source_logs_every_nth_step(capsys, log_every, steps):
     assert [int(line.split()[1]) for line in lines] == steps
     for step, line in zip(steps, lines):
         assert f"total {history[step].total:.4f}" in line
+
+
+def test_train_source_on_read_scenes_matches_float_decode(tmp_path):
+    """Three steps on read scenes (8-bit pixels) give the losses and
+    parameter bytes of three steps on their float32 decode."""
+    read, decoded = read_back(source_scenes(), tmp_path / "ds")
+    models = [D.init_model(small_arch(), 0) for _ in range(2)]
+    histories = [train.train_source(m, scenes, 3, 0.01, 2, np.random.default_rng(0), 0)
+                 for m, scenes in zip(models, (read, decoded))]
+    assert histories[0] == histories[1]
+    assert all(models[0].params[k].tobytes() == models[1].params[k].tobytes()
+               for k in models[0].params)
 
 
 def test_train_source_divergence_keeps_step_1_state(monkeypatch):
