@@ -184,9 +184,9 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     n = len(target_scenes)
 
     # The teacher is never written in place (ema_update builds new arrays,
-    # an alpha = 1 teacher is only read), so it may be source itself and
-    # step 0 needs no copy of it; only the student, which training writes,
-    # is a copy.
+    # an alpha = 1 teacher is only read), so it may be source itself, or
+    # the AdaBN model that holds source's weight arrays, and step 0 needs
+    # no copy of it; only the student, which training writes, is a copy.
     if config.adabn_first:
         teacher = collect_target_statistics(
             source, [s.image for s in target_scenes], config.batch_size)

@@ -10,7 +10,8 @@ Only two functions write running statistics. ``update_running_statistics``
 folds one training step's batch statistics into them with ``running <-
 m*running + (1-m)*batch``; ``collect_target_statistics`` (AdaBN) replaces
 them with the equal-weight average of per-batch statistics over one pass of
-an unlabeled image set, leaving all weights untouched.
+an unlabeled image set, in a new model that shares every other array with
+its source.
 """
 
 from __future__ import annotations
@@ -82,9 +83,11 @@ def collect_target_statistics(model, images, batch_size: int):
     The sweep runs the backbone in collect mode: each batch is normalized by
     its own batch statistics (so later layers see activations consistent
     with earlier layers' fresh statistics) and no backward cache is kept.
-    Weights, gamma and beta are bit-identical in the returned model.
+    The returned model holds the source's weight, gamma and beta arrays
+    themselves, not copies; only its running statistics are new arrays
+    (ModelState states when a shared array may be written).
     """
-    from .detector import _backbone_forward, images_to_batch
+    from .detector import ModelState, _backbone_forward, images_to_batch
 
     images = list(images)
     if not images:
@@ -101,7 +104,7 @@ def collect_target_statistics(model, images, batch_size: int):
         sums = stats if sums is None else [
             (sm + m, sv + v) for (sm, sv), (m, v) in zip(sums, stats)]
 
-    adapted = model.copy()
+    adapted = ModelState(model.arch, dict(model.params))
     for (layer_name, _), (sm, sv) in zip(model.arch.bn_layers(), sums):
         adapted.params[f"{layer_name}.running_mean"] = (sm / len(starts)).astype(np.float32)
         adapted.params[f"{layer_name}.running_var"] = (sv / len(starts)).astype(np.float32)

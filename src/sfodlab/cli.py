@@ -10,14 +10,14 @@ Errors print a single machine-parsable line ``ERROR[<kind>]: <message>``.
 Allocator policy: ``main`` tells glibc's malloc to keep freed memory in the
 process heap (``mallopt``: blocks under 32 MiB come from the heap, which is
 trimmed only when 256 MiB lie free at its top). Every batch frees im2col and
-batch-norm temporaries of several MB; with glibc's defaults many of them
-went back to the operating system and the next batch faulted the same pages
-in again. One ``adapt --strategy adabn`` of 32 + 16 images took about 62k
+batch-norm temporaries of one to several MB; with glibc's defaults many of
+them went back to the operating system and the next batch faulted the same
+pages in again. One ``adapt --strategy adabn`` of 32 + 16 images took about 62k
 minor page faults and 0.12-0.16 s of kernel time (``getrusage``; 2 vCPU,
 numpy 2.4.6, glibc 2.36); with this policy, 4-image inference chunks
 (``detector.INFER_CHUNK``) and the backbone's in-place BN and ReLU it takes
 about 6-7k faults and 0.02-0.05 s, at a peak RSS (``VmHWM`` of a fresh
-interpreter) of about 50 MB.
+interpreter) of about 45 MB.
 Without glibc's mallopt nothing is set; results never depend on the policy.
 """
 

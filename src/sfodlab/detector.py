@@ -143,7 +143,14 @@ class LossBreakdown:
 
 @dataclass
 class ModelState:
-    """Named parameter collection: weights, BN affine and BN statistics."""
+    """Named parameter collection: weights, BN affine and BN statistics.
+
+    Two models may share arrays: AdaBN (collect_target_statistics) returns
+    one that holds its source's weight arrays. So only a model that owns
+    every array, one made by init_model, load_checkpoint or copy(), is
+    written in place (sgd_step); adapt trains a copy() of its teacher and
+    only reads the teacher and the source.
+    """
 
     arch: ArchDescriptor
     params: dict
@@ -357,10 +364,12 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
     """Max-pool all proposals of one image at once.
 
     feats_img: (C, F, F); boxes_feat: (P, 4) in feature coordinates.
-    Whole channel vectors are gathered from a channels-last (F*F, C) copy
-    of the map into windows shaped (K, P, out, out, C), where K = ky*kx
-    spans the largest bin. Smaller bins are padded by repeating their last
-    cell, which cannot change the max or its first occurrence.
+    Each bin's cells are numbered 0..K-1 in row-major order, where
+    K = ky*kx spans the largest bin; smaller bins repeat their last cell,
+    which cannot change the max or its first occurrence. Whole channel
+    vectors are gathered from a channels-last (F*F, C) copy of the map one
+    cell offset at a time, a (P, out, out, C) slice each, and folded into
+    the running maximum, so no (K, P, out, out, C) window is built.
 
     Returns pooled (P, C, out, out) and, when need_indices, the flat
     feature-cell index row*F + col (int64) of each pooled maximum, shaped
@@ -379,18 +388,20 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
              + xidx.transpose(2, 0, 1)[None, :, :, None, :])  # (ky,kx,P,out,out)
     cells = cells.reshape(ky * kx, len(boxes_feat), out, out)
     table = np.ascontiguousarray(feats_img.reshape(c, fh * fw).T)
-    window = table[cells]
+    best = table[cells[0]]
     if not need_indices:
-        return window.max(axis=0).transpose(0, 3, 1, 2), None
-    best = window[0].copy()
+        for k in range(1, len(cells)):
+            np.maximum(best, table[cells[k]], out=best)
+        return best.transpose(0, 3, 1, 2), None
     arg = np.repeat(cells[0][..., None], c, axis=3)
     has_nan = np.isnan(table).any()
-    for k in range(1, len(window)):
+    for k in range(1, len(cells)):
+        cand = table[cells[k]]
         # strict > keeps the first maximum; NaN must be forced in explicitly
-        hit = window[k] > best
+        hit = cand > best
         if has_nan:
-            hit |= np.isnan(window[k]) & ~np.isnan(best)
-        np.copyto(best, window[k], where=hit)
+            hit |= np.isnan(cand) & ~np.isnan(best)
+        np.copyto(best, cand, where=hit)
         np.copyto(arg, cells[k][..., None], where=hit)
     return best.transpose(0, 3, 1, 2), arg
 
@@ -496,18 +507,21 @@ def _roi_head_forward(model: ModelState, feats: np.ndarray, proposals,
                       need_indices: bool = True):
     arch = model.arch
     p = model.params
-    pooled_parts, scatter = [], []
-    for i, props in enumerate(proposals):
-        boxes = np.asarray(props, np.float64).reshape(-1, 4) / arch.feature_stride
-        if len(boxes) == 0:
+    out = arch.roi_pool_size
+    boxes = [np.asarray(props, np.float64).reshape(-1, 4) / arch.feature_stride
+             for props in proposals]
+    # one array for the chunk, into which each image pools its rows
+    pooled = np.empty((sum(map(len, boxes)), feats.shape[1], out, out), feats.dtype)
+    scatter = []
+    row = 0
+    for i, b in enumerate(boxes):
+        if len(b) == 0:
             scatter.append(None)
             continue
-        pooled, cells = _roi_pool_batch(feats[i], boxes, arch.roi_pool_size,
-                                        need_indices)
-        pooled_parts.append(pooled)
-        scatter.append((cells, len(boxes)))
-    pooled = np.concatenate(pooled_parts) if pooled_parts else np.zeros(
-        (0, arch.channels[-1], arch.roi_pool_size, arch.roi_pool_size), feats.dtype)
+        part, cells = _roi_pool_batch(feats[i], b, out, need_indices)
+        pooled[row:row + len(b)] = part
+        scatter.append((cells, len(b)))
+        row += len(b)
     # an explicit width, as a chunk in which no image has a proposal pools no row
     flat = pooled.reshape(len(pooled), p["roi.fc1.w"].shape[0])
     h1 = relu_forward(linear_forward(flat, p["roi.fc1.w"], p["roi.fc1.b"]))
@@ -664,8 +678,10 @@ MAX_DETS = 50
 
 
 # Images per inference chunk. Eval mode treats every image on its own, so the
-# chunk size changes no detection; it only bounds memory. The first conv's
-# im2col buffer is about 1 MB per 96-px image, so 4 images keep it near 4 MB.
+# chunk size changes no detection; it only bounds the activations alive at
+# once (about 1 MB per 96-px image after the first conv). The convs unfold
+# and the ROI pool gathers one image at a time, so the transients do not
+# grow with the chunk.
 INFER_CHUNK = 4
 
 

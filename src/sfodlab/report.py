@@ -1,14 +1,18 @@
-"""Loss and trace CSVs, run reports and dependency-free SVG training curves."""
+"""Loss and trace CSVs, run reports and dependency-free SVG training curves.
+
+Every file is written through checkpoint.atomic_write: a writer that fails
+midway leaves the file at its path as it was.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import fields
-from pathlib import Path
 
 from .adapt import TraceRow
 from .boxes import EvalResult
+from .checkpoint import atomic_write
 from .detector import LossBreakdown
 
 LOSS_TERMS = [f.name for f in fields(LossBreakdown)]
@@ -47,7 +51,7 @@ def write_loss_csv(history, path):
 
     history is train_source's list of (step, LossBreakdown) rows.
     """
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "total", *LOSS_TERMS])
         for step, loss in history:
@@ -57,7 +61,7 @@ def write_loss_csv(history, path):
 def write_trace_csv(rows, path, num_classes: int):
     """One row per TraceRow: the step, the total and each loss term, the
     pseudo-label count and the step's eval_record."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(_trace_columns(num_classes))
         for r in rows:
@@ -89,7 +93,7 @@ def read_trace_csv(path) -> list:
 
 
 def write_run_report(path, report: dict):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1, sort_keys=True)
 
 
@@ -100,7 +104,7 @@ def write_comparison_csv(reports: dict, path):
     the most final ones; a run that lacks one leaves it empty."""
     k = max((_num_classes(rep["final"]) for rep in reports.values()), default=0)
     map_col, *aps = _record_columns(k)
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["run", "strategy", "seed"]
                    + [f"{which}_{c}" for which in ("final", "best")
@@ -174,4 +178,5 @@ def write_trace_svg(named_rows: dict, path):
         parts.append(f'<text x="{margin + pw - 104}" y="{ty}" '
                      f'font-size="11">{escape(name)}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts), encoding="utf-8")
+    with atomic_write(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(parts))

@@ -203,28 +203,60 @@ def test_roi_pool_backward_gradient(rng):
         assert feats[c, y, x] in pooled[c]
 
 
+def roi_pool_window_max(feats_img, boxes_feat, out):
+    """The eval-mode ROI pool as it ran before the per-offset gather: the
+    whole (K, P, out, out, C) window, reduced by max over K."""
+    c, fh, fw = feats_img.shape
+    y0, y1 = D._roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
+    x0, x1 = D._roi_cell_edges(boxes_feat[:, 0], boxes_feat[:, 2], out, fw)
+    ky = int((y1 - y0).max())
+    kx = int((x1 - x0).max())
+    yidx = np.minimum(y0[:, :, None] + np.arange(ky), y1[:, :, None] - 1)
+    xidx = np.minimum(x0[:, :, None] + np.arange(kx), x1[:, :, None] - 1)
+    cells = (yidx.transpose(2, 0, 1)[:, None, :, :, None] * fw
+             + xidx.transpose(2, 0, 1)[None, :, :, None, :])
+    cells = cells.reshape(ky * kx, len(boxes_feat), out, out)
+    table = np.ascontiguousarray(feats_img.reshape(c, fh * fw).T)
+    return table[cells].max(axis=0).transpose(0, 3, 1, 2)
+
+
 def test_roi_pool_batch_ties_match_reference(rng):
-    """Bit-identical values and maximum positions on tie-heavy maps."""
+    """Bit-identical values and maximum positions on tie-heavy maps, one
+    proposal or many, bins of up to 4 x 4 cells (K = 16) and signed zeros.
+    The indexed pool keeps the first maximum, so its bytes, the sign of a
+    zero included, are the reference's; the plain pool's bytes are those
+    of a max over the whole gathered window."""
+    signed_zeros = np.where(rng.random((3, 8, 8)) < 0.5, -0.0, 0.0).astype(np.float32)
+    some_positive = signed_zeros.copy()
+    some_positive[:, ::3, ::2] = rng.integers(0, 2, (3, 3, 4))
     maps = [
         rng.integers(0, 3, (4, 8, 8)).astype(np.float32),
         np.full((3, 6, 6), 0.5, np.float32),
         np.maximum(rng.normal(size=(5, 9, 9)), 0).astype(np.float32),
         np.maximum(rng.integers(-3, 2, (2, 7, 7)), 0).astype(np.float64),
+        signed_zeros,
+        some_positive,
     ]
     for feats in maps:
         c, f, _ = feats.shape
-        for out in (2, 3, 5):
-            boxes = mixed_boxes(rng, 12, f)
-            want, yy, xx = roi_pool_batch_reference(feats, boxes, out)
-            pooled, cells = D._roi_pool_batch(feats, boxes, out, True)
-            assert pooled.dtype == feats.dtype and cells.dtype == np.int64
-            assert np.array_equal(pooled, want)
-            assert np.array_equal(cells, (yy * f + xx).transpose(1, 2, 3, 0))
-            plain, none = D._roi_pool_batch(feats, boxes, out, need_indices=False)
-            assert none is None and np.array_equal(plain, want)
-            dpooled = rng.normal(size=want.shape).astype(feats.dtype)
-            got = D._roi_scatter_batch(dpooled, cells, c, f, f)
-            assert np.array_equal(got, roi_scatter_reference(dpooled, yy, xx, c, f, f))
+        full_map = np.array([[0.0, 0.0, f, f]])
+        for out in (1, 2, 3, 5):
+            for boxes in (mixed_boxes(rng, 12, f), mixed_boxes(rng, 1, f), full_map):
+                want, yy, xx = roi_pool_batch_reference(feats, boxes, out)
+                pooled, cells = D._roi_pool_batch(feats, boxes, out, True)
+                assert pooled.dtype == feats.dtype and cells.dtype == np.int64
+                assert pooled.tobytes() == want.tobytes()
+                assert np.array_equal(cells, (yy * f + xx).transpose(1, 2, 3, 0))
+                plain, none = D._roi_pool_batch(feats, boxes, out, need_indices=False)
+                assert none is None and np.array_equal(plain, want)
+                assert plain.dtype == feats.dtype
+                assert plain.tobytes() == roi_pool_window_max(feats, boxes, out).tobytes()
+                dpooled = rng.normal(size=want.shape).astype(feats.dtype)
+                got = D._roi_scatter_batch(dpooled, cells, c, f, f)
+                assert np.array_equal(got, roi_scatter_reference(dpooled, yy, xx, c, f, f))
+    # a full-map box on an 8-cell map at out = 2 spans 4 x 4 cells per bin
+    y0, y1 = D._roi_cell_edges(np.zeros(1), np.full(1, 8.0), 2, 8)
+    assert ((y1 - y0) == 4).all()
 
 
 def test_roi_pool_batch_nan_propagates(rng):

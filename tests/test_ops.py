@@ -57,6 +57,40 @@ def test_conv_shape_errors(rng):
         ops.conv2d_backward(np.zeros((1, 2, 9, 9)), x, rng.normal(size=(2, 3, 3, 3)))
 
 
+def conv2d_forward_batched(x, kernel, bias):
+    """conv2d_forward as it ran before the per-image loop: one unfold of
+    the whole batch and one batched matmul."""
+    k = kernel.shape[2]
+    n, _, h, w = x.shape
+    o = kernel.shape[0]
+    cols = ops._im2col(x, k)
+    out = np.matmul(kernel.reshape(o, -1), cols).reshape(n, o, h, w)
+    out += bias.reshape(1, o, 1, 1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_conv_forward_per_image_matches_batched_bytes(rng, n):
+    """Unfolding one image at a time into the output array gives the
+    batched unfold's bytes, non-finite inputs and signed zeros included."""
+    x = rng.normal(size=(n, 3, 12, 10)).astype(np.float32)
+    x[0, 0, 2, 3] = np.nan
+    x[-1, 1, 5, 5] = np.inf
+    x[-1, 2, 0, 9] = -np.inf
+    x[:, :, 7, :] = 0.0
+    x[:, :, 8, :] = -0.0
+    for ksize in (1, 3, 5):
+        k = rng.normal(size=(4, 3, ksize, ksize)).astype(np.float32)
+        k[1] = -0.0
+        b = rng.normal(size=4).astype(np.float32)
+        b[1] = -0.0
+        with np.errstate(invalid="ignore"):
+            got = ops.conv2d_forward(x, k, b)
+            want = conv2d_forward_batched(x, k, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kshape", [(2, 2), (1, 3)])
 def test_conv_rejects_even_or_non_square_kernel(rng, kshape):
     x = rng.normal(size=(1, 3, 5, 5))

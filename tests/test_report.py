@@ -72,3 +72,37 @@ def test_comparison_csv_default_arch_header(tmp_path):
     assert path.read_text().splitlines()[0] == (
         "run,strategy,seed,final_ap_class0,final_ap_class1,final_ap_class2,final_map,"
         "best_ap_class0,best_ap_class1,best_ap_class2,best_map")
+
+
+def bad_trace(path):
+    """Two rows written, then a row whose loss is not a LossBreakdown."""
+    rows = make_rows(2)
+    rows.insert(2, TraceRow(2, None, 0, rows[0].evaluation))
+    R.write_trace_csv(rows, path, 2)
+
+
+def bad_loss(path):
+    """Two rows written, then a history entry without a loss."""
+    R.write_loss_csv([(1, LossBreakdown(1.0, 0.5, 0.25, 0.125))] * 2 + [(3, None)], path)
+
+
+def bad_report(path):
+    """json.dump has written the keys before it meets a value JSON cannot hold."""
+    R.write_run_report(path, {"a": 1, "b": [0.5] * 100, "z": object()})
+
+
+@pytest.mark.parametrize("writer", [bad_trace, bad_loss, bad_report])
+def test_failed_write_keeps_the_old_file(tmp_path, writer):
+    """A writer that raises midway leaves the file already at its path
+    byte-identical and no temporary file beside it; with no earlier file
+    it leaves nothing at all."""
+    path = tmp_path / "out"
+    path.write_bytes(b"earlier run\n")
+    with pytest.raises((AttributeError, TypeError)):
+        writer(path)
+    assert path.read_bytes() == b"earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    path.unlink()
+    with pytest.raises((AttributeError, TypeError)):
+        writer(path)
+    assert list(tmp_path.iterdir()) == []
