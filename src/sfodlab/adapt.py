@@ -16,6 +16,10 @@ so the label set it would regenerate each step is the initial one. The
 loop exploits neither; the equivalence is asserted by tests on
 byte-identical traces.
 
+A fixed label set (``labels``, {scene id: annotations}) replaces the
+teacher's labeling. Source training is the grid point with the ground truth
+as that set, alpha = 1, weak views and no evaluation pool.
+
 The teacher labels raw (unaugmented) target images in eval mode; the flip
 of the weak view is applied jointly to the image and its pseudo-boxes
 afterwards, which keeps per-step labeling and fixed label sets exactly
@@ -153,7 +157,7 @@ def strategy_presets() -> dict:
 
 
 def _views(scenes, pls: dict, config: AdaptConfig, rng) -> list:
-    """The drawn scenes with their pseudo-labels, weakly and then, with
+    """The drawn scenes with their (pseudo-)labels, weakly and then, with
     weak_strong, strongly augmented; with mosaic, each four become one."""
     views = []
     for s in scenes:
@@ -168,11 +172,11 @@ def _views(scenes, pls: dict, config: AdaptConfig, rng) -> list:
 
 
 def adapt(source: ModelState, target_scenes, config: AdaptConfig,
-          eval_scenes) -> AdaptResult:
+          eval_scenes, labels: dict | None = None) -> AdaptResult:
     """Run one self-training configuration against unlabeled target scenes.
 
     Returns the final student, the best student by trace mAP, and one trace
-    row per step.
+    row per step. A given labels set replaces the pseudo-labels at every step.
     The step-0 model is the initial teacher itself (source, or its AdaBN
     adaptation), not a copy: it is the best model while no step beats it,
     and with max_steps = 0 it is both final and best.
@@ -201,8 +205,8 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     best_map, best_model = evaluation.map, teacher
 
     student = teacher.copy()
-    if config.fixed_pls:
-        pl_set = generate_pseudo_labels(teacher, target_scenes, config.tau)
+    if labels is None and config.fixed_pls:
+        labels = generate_pseudo_labels(teacher, target_scenes, config.tau)
 
     for step in range(1, config.max_steps + 1):
         if config.mosaic:
@@ -210,7 +214,7 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
         else:
             ids = rng.choice(n, size=min(config.batch_size, n), replace=False)
         chosen = [target_scenes[int(i)] for i in ids.ravel()]
-        pls = pl_set if config.fixed_pls else generate_pseudo_labels(
+        pls = labels if labels is not None else generate_pseudo_labels(
             teacher, chosen, config.tau)
         views = _views(chosen, pls, config, rng)
         num_pls = int(sum(len(v.boxes) for v in views))

@@ -208,15 +208,20 @@ def cmd_train_source(args) -> int:
     if not 0 < args.lr < np.inf:
         raise DataError(f"--lr must be finite and > 0, got {args.lr}")
     scenes, arch = _load_split(args.data, "source_train")
-    model = init_model(arch, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    history = train_source(model, scenes, args.steps, args.lr,
-                           args.batch_size, rng, log_every=args.log_every)
+    result = train_source(init_model(arch, seed=args.seed), scenes, args.steps,
+                          args.lr, args.batch_size, args.seed)
+    for r in result.rows[1:]:
+        if args.log_every and r.step % args.log_every == 0:
+            print(f"step {r.step:5d}  total {r.loss.total:.4f}  "
+                  f"rpn {r.loss.rpn_cls:.3f}/{r.loss.rpn_reg:.3f}  "
+                  f"roi {r.loss.roi_cls:.3f}/{r.loss.roi_reg:.3f}")
+    if result.diverged_at is not None:
+        raise NumericsError(f"non-finite training loss at step {result.diverged_at}")
     meta = {"kind": "source", "steps": args.steps, "lr": args.lr,
             "seed": args.seed, "batch_size": args.batch_size}
-    save_checkpoint(args.out, model, meta)
+    save_checkpoint(args.out, result.final, meta)
     loss_csv = Path(str(args.out) + ".losses.csv")
-    write_loss_csv(history, loss_csv)
+    write_loss_csv(result.rows[1:], loss_csv)
     print(f"saved checkpoint -> {args.out}  (loss log: {loss_csv})")
     return 0
 

@@ -306,9 +306,13 @@ def _read_ppm(path: Path) -> np.ndarray:
 
 
 def write_dataset(scenes, out_dir, spec: DomainSpec, seed: int):
-    """Write scenes to out_dir: images/*.ppm + annotations.jsonl + manifest.json."""
+    """Write scenes to out_dir: images/*.ppm + annotations.jsonl + manifest.json,
+    the commit marker: deleted first and written last, so read_dataset
+    refuses a split whose writing was cut off."""
+    from .checkpoint import atomic_write  # checkpoint imports detector, which imports data
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     with open(out / "annotations.jsonl", "w", encoding="utf-8") as f:
         for sc in scenes:
             fname = f"images/{sc.id}.ppm"
@@ -326,7 +330,7 @@ def write_dataset(scenes, out_dir, spec: DomainSpec, seed: int):
         "spec": asdict(spec),
         "seed": seed,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as f:
+    with atomic_write(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
 
 

@@ -148,8 +148,8 @@ class ModelState:
     Two models may share arrays: AdaBN (collect_target_statistics) returns
     one that holds its source's weight arrays. So only a model that owns
     every array, one made by init_model, load_checkpoint or copy(), is
-    written in place (sgd_step); adapt trains a copy() of its teacher and
-    only reads the teacher and the source.
+    written in place (sgd_step); adapt, and so train-source, trains a copy()
+    of its teacher and only reads the teacher and the source.
     """
 
     arch: ArchDescriptor

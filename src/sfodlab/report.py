@@ -46,16 +46,14 @@ def _trace_columns(num_classes: int) -> list:
     return ["step", "total_loss", *LOSS_TERMS, "num_pls", *_record_columns(num_classes)]
 
 
-def write_loss_csv(history, path):
-    """One row per source-training step: the total and the four loss terms.
-
-    history is train_source's list of (step, LossBreakdown) rows.
-    """
+def write_loss_csv(rows, path):
+    """One row per source-training step: the step, the total and the four
+    loss terms of each TraceRow (train_source's rows after step 0)."""
     with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "total", *LOSS_TERMS])
-        for step, loss in history:
-            w.writerow([step, *_loss_cells(loss)])
+        for r in rows:
+            w.writerow([r.step, *_loss_cells(r.loss)])
 
 
 def write_trace_csv(rows, path, num_classes: int):

@@ -1,10 +1,9 @@
-"""Supervised source training and dataset-level evaluation."""
+"""The SGD step, source training (an adapt() call) and dataset-level evaluation."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .augment import weak_augment
 from .boxes import EvalResult, evaluate_ap50
 from .detector import (
     LossBreakdown,
@@ -31,25 +30,14 @@ def train_step(model: ModelState, views, rng: np.random.Generator, lr: float,
 
 
 def train_source(model: ModelState, scenes, steps: int, lr: float,
-                 batch_size: int, rng: np.random.Generator, log_every: int):
-    """SGD at a constant learning rate on labeled scenes with weak (flip)
-    augmentation, mutating model.
-
-    Returns a list of (step, LossBreakdown) rows. Raises NumericsError on
-    divergence.
-    """
-    history = []
-    n = len(scenes)
-    for step in range(1, steps + 1):
-        ids = rng.choice(n, size=min(batch_size, n), replace=False)
-        batch = [weak_augment(scenes[i], rng) for i in ids]
-        loss = train_step(model, batch, rng, lr, include_reg=True)
-        history.append((step, loss))
-        if log_every and step % log_every == 0:
-            print(f"step {step:5d}  total {loss.total:.4f}  "
-                  f"rpn {loss.rpn_cls:.3f}/{loss.rpn_reg:.3f}  "
-                  f"roi {loss.roi_cls:.3f}/{loss.roi_reg:.3f}")
-    return history
+                 batch_size: int, seed: int):
+    """SGD on labeled scenes with weak (flip) augmentation: adapt() with the
+    ground truth as its fixed label set. Returns its AdaptResult; final is a
+    trained copy of model, and a non-finite loss ends the run at diverged_at."""
+    from .adapt import AdaptConfig, adapt  # here: adapt.py imports this module
+    config = AdaptConfig(strategy="source", alpha=1.0, fixed_pls=True, weak_strong=False,
+                         lr=lr, batch_size=batch_size, max_steps=steps, seed=seed)
+    return adapt(model, scenes, config, [], labels={s.id: s for s in scenes})
 
 
 def evaluate_model(model: ModelState, scenes) -> EvalResult:

@@ -3,6 +3,7 @@
 
 import csv
 import ctypes
+import inspect
 import json
 import os
 import shutil
@@ -49,6 +50,43 @@ def test_train_source_writes_checkpoint_and_loss_csv(workdir):
     rows = (workdir / "source.ckpt.losses.csv").read_text().splitlines()
     assert rows[0] == "step,total,rpn_cls,rpn_reg,roi_cls,roi_reg"
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "2"]
+
+
+@pytest.mark.parametrize("log_every,steps", [(2, [2, 4]), (0, [])], ids=["2", "off"])
+def test_train_source_logs_every_nth_step(workdir, tmp_path, capsys, log_every, steps):
+    """--log-every N prints a line for every Nth step, whose total is the
+    one losses.csv records for that step; 0 prints none."""
+    out = tmp_path / "source.ckpt"
+    assert cli.main(["train-source", "--data", str(workdir / "data"), "--out", str(out),
+                     "--steps", "4", "--batch-size", "2",
+                     "--log-every", str(log_every)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("step ")]
+    assert [int(line.split()[1]) for line in lines] == steps
+    with open(f"{out}.losses.csv", newline="") as f:
+        totals = {int(r["step"]): float(r["total"]) for r in csv.DictReader(f)}
+    for step, line in zip(steps, lines):
+        assert line.split()[2] == "total"
+        assert float(line.split()[3]) == pytest.approx(totals[step], abs=1e-4)
+
+
+def test_adapt_command_passes_no_label_set(workdir, tmp_path, monkeypatch):
+    """sfodlab adapt calls adapt() without a fixed label set, so target
+    ground truth cannot replace the teacher's pseudo-labels from the CLI."""
+    real, labels = cli.adapt, []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        labels.append(bound.arguments["labels"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "adapt", recording)
+    assert cli.main(["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+                     "--data", str(workdir / "data"), "--strategy", "adabn_fixed_sf_pl",
+                     "--steps", "1", "--batch-size", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert labels == [None]
 
 
 def test_adapt_and_eval_succeed(workdir, capsys):
@@ -136,9 +174,8 @@ def test_diverging_training_exits_4(workdir, capsys):
                        "--out", str(out), "--steps", "3", "--batch-size", "2",
                        "--lr", "1e30"])
     assert rc == 4
-    (line,) = error_lines(capsys)
-    assert line.startswith("ERROR[numerics]:")
-    assert not out.exists()
+    assert error_lines(capsys) == ["ERROR[numerics]: non-finite training loss at step 2"]
+    assert not out.exists() and not Path(f"{out}.losses.csv").exists()
 
 
 def test_bad_header_checkpoint_exits_3(workdir, capsys):

@@ -210,6 +210,40 @@ def test_empty_dataset(tmp_path):
     assert Dt.read_dataset(tmp_path / "empty") == []
 
 
+def test_interrupted_rewrite_leaves_no_readable_split(tmp_path, monkeypatch):
+    """Rewriting a 6-scene seed-0 split as 10 seed-1 scenes fails at the
+    seventh image: read_dataset refuses the split (no manifest) instead of
+    reading 6 seed-1 scenes under the seed-0 manifest, and no temporary
+    file is left. A complete rewrite then reads as the new split."""
+    spec = Dt.DomainSpec(image_size=32, min_size=8, max_size=16, min_objects=1,
+                         max_objects=2)
+    out = tmp_path / "ds"
+    Dt.write_dataset(Dt.generate_split(spec, 6, 0, "s"), out, spec, 0)
+    new = Dt.generate_split(spec, 10, 1, "s")
+    real, written = Dt._write_ppm, []
+
+    def failing(path, image):
+        if len(written) == 6:
+            raise OSError(28, "No space left on device")
+        written.append(path)
+        real(path, image)
+
+    monkeypatch.setattr(Dt, "_write_ppm", failing)
+    with pytest.raises(OSError):
+        Dt.write_dataset(new, out, spec, 1)
+    with pytest.raises(Dt.DataError, match="missing manifest"):
+        Dt.read_dataset(out)
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+    monkeypatch.undo()
+    Dt.write_dataset(new, out, spec, 1)
+    back = Dt.read_dataset(out)
+    assert [(s.id, s.boxes.tobytes()) for s in back] == \
+        [(s.id, s.boxes.tobytes()) for s in new]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["seed"], manifest["count"]) == (1, 10)
+
+
 def test_read_errors(tmp_path):
     with pytest.raises(Dt.DataError):
         Dt.read_dataset(tmp_path / "missing")

@@ -74,16 +74,21 @@ def test_comparison_csv_default_arch_header(tmp_path):
         "best_ap_class0,best_ap_class1,best_ap_class2,best_map")
 
 
-def bad_trace(path):
-    """Two rows written, then a row whose loss is not a LossBreakdown."""
+def bad_rows():
+    """Two trace rows, then a row whose loss is not a LossBreakdown."""
     rows = make_rows(2)
     rows.insert(2, TraceRow(2, None, 0, rows[0].evaluation))
-    R.write_trace_csv(rows, path, 2)
+    return rows
+
+
+def bad_trace(path):
+    """Two rows written, then bad_rows' third."""
+    R.write_trace_csv(bad_rows(), path, 2)
 
 
 def bad_loss(path):
-    """Two rows written, then a history entry without a loss."""
-    R.write_loss_csv([(1, LossBreakdown(1.0, 0.5, 0.25, 0.125))] * 2 + [(3, None)], path)
+    """Two rows written, then bad_rows' third."""
+    R.write_loss_csv(bad_rows(), path)
 
 
 def bad_report(path):

@@ -1,6 +1,7 @@
-"""Source training: one loss row per step, the log cadence and the state a
-divergent step leaves. Dataset-level evaluation: one evaluation's traced
-memory stays bounded, and a model that proposes nothing scores 0."""
+"""Source training: one loss row per step, the bytes of the loop it
+replaced and the state a divergent step leaves. Dataset-level evaluation:
+one evaluation's traced memory stays bounded, and a model that proposes
+nothing scores 0."""
 
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 from sfodlab import detector as D
 from sfodlab import train
+from sfodlab.augment import weak_augment
 from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.ops import NumericsError
 from conftest import read_back
@@ -26,45 +28,79 @@ def source_scenes(count=6):
     return generate_split(spec, count, 0, "src")
 
 
+def param_bytes(model):
+    return {k: v.tobytes() for k, v in model.params.items()}
+
+
+def train_source_reference(model, scenes, steps, lr, batch_size, rng):
+    """Source training's own loop before it became an adapt() call, kept as
+    the oracle of train_source's bytes: yields (step, LossBreakdown) per
+    step, trains model in place and raises NumericsError on a non-finite
+    loss."""
+    n = len(scenes)
+    for step in range(1, steps + 1):
+        ids = rng.choice(n, size=min(batch_size, n), replace=False)
+        batch = [weak_augment(scenes[i], rng) for i in ids]
+        yield step, train.train_step(model, batch, rng, lr, include_reg=True)
+
+
+@pytest.mark.parametrize("count,steps,lr,batch_size,read,diverged_at", [
+    (3, 3, 0.01, 5, False, None),
+    (6, 3, 0.01, 2, True, None),
+    (6, 0, 0.01, 2, False, None),
+    (6, 4, 1e30, 2, False, 2),
+], ids=["batch-over-count", "read-scenes", "zero-steps", "lr-1e30"])
+def test_train_source_matches_reference(tmp_path, count, steps, lr, batch_size, read,
+                                        diverged_at):
+    """train_source's rows and final parameter bytes are those of the old
+    loop at the same seed; where the old loop raised at step N, the run ends
+    with diverged_at N and final holds the bytes the old loop left. The
+    model passed in is only read."""
+    scenes = source_scenes(count)
+    if read:
+        scenes, _ = read_back(scenes, tmp_path / "ds")
+    want_model, want, raised_at = D.init_model(small_arch(), 0), [], None
+    model = D.init_model(small_arch(), 0)
+    with np.errstate(all="ignore"):
+        try:
+            for row in train_source_reference(want_model, scenes, steps, lr, batch_size,
+                                              np.random.default_rng(3)):
+                want.append(row)
+        except NumericsError:
+            raised_at = len(want) + 1
+        result = train.train_source(model, scenes, steps, lr, batch_size, 3)
+    assert raised_at == result.diverged_at == diverged_at
+    assert [(r.step, r.loss) for r in result.rows[1:]] == want
+    assert param_bytes(result.final) == param_bytes(want_model)
+    assert param_bytes(model) == param_bytes(D.init_model(small_arch(), 0))
+
+
 def test_train_source_returns_one_row_per_step():
     model = D.init_model(small_arch(), 0)
-    history = train.train_source(model, source_scenes(), 3, 0.01, 2,
-                                 np.random.default_rng(0), 0)
-    assert [step for step, _ in history] == [1, 2, 3]
-    for _, loss in history:
-        assert isinstance(loss, D.LossBreakdown) and np.isfinite(loss.total)
-
-
-@pytest.mark.parametrize("log_every,steps", [(2, [2, 4]), (0, [])], ids=["2", "off"])
-def test_train_source_logs_every_nth_step(capsys, log_every, steps):
-    model = D.init_model(small_arch(), 0)
-    history = dict(train.train_source(model, source_scenes(), 4, 0.01, 2,
-                                      np.random.default_rng(0), log_every))
-    lines = capsys.readouterr().out.splitlines()
-    assert [int(line.split()[1]) for line in lines] == steps
-    for step, line in zip(steps, lines):
-        assert f"total {history[step].total:.4f}" in line
+    result = train.train_source(model, source_scenes(), 3, 0.01, 2, 0)
+    assert [r.step for r in result.rows] == [0, 1, 2, 3]
+    assert result.diverged_at is None
+    for r in result.rows[1:]:
+        assert isinstance(r.loss, D.LossBreakdown) and np.isfinite(r.loss.total)
 
 
 def test_train_source_on_read_scenes_matches_float_decode(tmp_path):
-    """Three steps on read scenes (8-bit pixels) give the losses and
+    """Three steps on read scenes (8-bit pixels) give the rows and final
     parameter bytes of three steps on their float32 decode."""
     read, decoded = read_back(source_scenes(), tmp_path / "ds")
-    models = [D.init_model(small_arch(), 0) for _ in range(2)]
-    histories = [train.train_source(m, scenes, 3, 0.01, 2, np.random.default_rng(0), 0)
-                 for m, scenes in zip(models, (read, decoded))]
-    assert histories[0] == histories[1]
-    assert all(models[0].params[k].tobytes() == models[1].params[k].tobytes()
-               for k in models[0].params)
+    results = [train.train_source(D.init_model(small_arch(), 0), scenes, 3, 0.01, 2, 0)
+               for scenes in (read, decoded)]
+    assert results[0].rows == results[1].rows
+    assert param_bytes(results[0].final) == param_bytes(results[1].final)
 
 
 def test_train_source_divergence_keeps_step_1_state(monkeypatch):
-    """At lr 1e30 step 1 trains and step 2's loss is not finite: the
-    NumericsError propagates, and every parameter, BN running statistics
-    included, holds what step 1 left."""
+    """At lr 1e30 step 1 trains and step 2's loss is not finite: the run
+    ends with diverged_at 2 after two forward passes, and every final
+    parameter, BN running statistics included, holds what step 1 left."""
     scenes = source_scenes()
-    after_step_1 = D.init_model(small_arch(), 0)
-    train.train_source(after_step_1, scenes, 1, 1e30, 2, np.random.default_rng(0), 0)
+    after_step_1 = train.train_source(D.init_model(small_arch(), 0), scenes, 1, 1e30, 2,
+                                      0).final
 
     calls = []
     real = train.forward_train
@@ -74,12 +110,11 @@ def test_train_source_divergence_keeps_step_1_state(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(train, "forward_train", counting)
-    model = D.init_model(small_arch(), 0)
-    with np.errstate(all="ignore"), pytest.raises(NumericsError):
-        train.train_source(model, scenes, 4, 1e30, 2, np.random.default_rng(0), 0)
-    assert len(calls) == 2
-    assert {k: v.tobytes() for k, v in model.params.items()} == \
-        {k: v.tobytes() for k, v in after_step_1.params.items()}
+    with np.errstate(all="ignore"):
+        result = train.train_source(D.init_model(small_arch(), 0), scenes, 4, 1e30, 2, 0)
+    assert result.diverged_at == 2 and len(calls) == 2
+    assert [r.step for r in result.rows] == [0, 1]
+    assert param_bytes(result.final) == param_bytes(after_step_1)
 
 
 def test_evaluate_model_traced_peak_bound():
