@@ -17,8 +17,8 @@ loop exploits neither; the equivalence is asserted by tests on
 byte-identical traces.
 
 A fixed label set (``labels``, {scene id: annotations}) replaces the
-teacher's labeling. Source training is the grid point with the ground truth
-as that set, alpha = 1, weak views and no evaluation pool.
+teacher's labeling. Source training is the ``fixed_sf_pl`` preset with the
+ground truth as that set and no evaluation pool.
 
 The teacher labels raw (unaugmented) target images in eval mode; the flip
 of the weak view is applied jointly to the image and its pseudo-boxes

@@ -5,21 +5,20 @@ little-endian u64 JSON header length, UTF-8 JSON header (architecture
 descriptor, ordered array names/shapes, free-form metadata), then the
 concatenated little-endian float32 array payloads in header order.
 Round trips are bit-exact, BN running statistics included. A checkpoint is
-written through atomic_write, as every run output is, so a failed save
+written through data.atomic_write, as every run output is, so a failed save
 leaves any earlier file at that path as it was.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .data import atomic_write
 from .detector import ArchDescriptor, ModelState
 
 MAGIC = b"SFODCKPT"
@@ -28,24 +27,6 @@ VERSION = 1
 
 class CheckpointError(Exception):
     """Malformed, truncated or incompatible checkpoint file."""
-
-
-@contextmanager
-def atomic_write(path, mode: str, **open_kwargs):
-    """Open a temporary file beside path for writing; when the block ends
-    without an exception, os.replace it into place. On any exception the
-    temporary file is removed and the exception re-raised, so the file at
-    path keeps its earlier bytes, or stays absent, and nothing else is
-    left beside it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **open_kwargs) as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(path, model: ModelState, metadata: dict):

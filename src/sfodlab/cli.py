@@ -33,8 +33,6 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .adapt import AdaptConfig, adapt, strategy_presets
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
@@ -199,17 +197,13 @@ def cmd_make_data(args) -> int:
 
 
 def cmd_train_source(args) -> int:
-    for option, value, low in (("--steps", args.steps, 0),
-                               ("--batch-size", args.batch_size, 1),
-                               ("--log-every", args.log_every, 0),
-                               ("--seed", args.seed, 0)):
-        if value < low:
-            raise DataError(f"{option} must be >= {low}, got {value}")
-    if not 0 < args.lr < np.inf:
-        raise DataError(f"--lr must be finite and > 0, got {args.lr}")
+    if args.log_every < 0:
+        raise DataError(f"--log-every must be >= 0, got {args.log_every}")
+    config = _with_entries(strategy_presets()["fixed_sf_pl"], "train-source", {},
+                           {"max_steps": args.steps, "lr": args.lr,
+                            "batch_size": args.batch_size, "seed": args.seed})
     scenes, arch = _load_split(args.data, "source_train")
-    result = train_source(init_model(arch, seed=args.seed), scenes, args.steps,
-                          args.lr, args.batch_size, args.seed)
+    result = train_source(init_model(arch, seed=args.seed), scenes, config)
     for r in result.rows[1:]:
         if args.log_every and r.step % args.log_every == 0:
             print(f"step {r.step:5d}  total {r.loss.total:.4f}  "

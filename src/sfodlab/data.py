@@ -24,7 +24,9 @@ module while only rendering calls scipy.
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
@@ -305,14 +307,33 @@ def _read_ppm(path: Path) -> np.ndarray:
     return np.frombuffer(raw, np.uint8, w * h * 3, m.end()).reshape(h, w, 3).copy()
 
 
+@contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """Open a temporary file beside path for writing; when the block ends
+    without an exception, os.replace it into place. On any exception the
+    temporary file is removed and the exception re-raised, so the file at
+    path keeps its earlier bytes, or stays absent, and nothing else is
+    left beside it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset(scenes, out_dir, spec: DomainSpec, seed: int):
     """Write scenes to out_dir: images/*.ppm + annotations.jsonl + manifest.json,
-    the commit marker: deleted first and written last, so read_dataset
-    refuses a split whose writing was cut off."""
-    from .checkpoint import atomic_write  # checkpoint imports detector, which imports data
+    the commit marker: deleted first, with any earlier split's images, and
+    written last, so read_dataset refuses a split whose writing was cut off."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
+    for stale in (out / "images").glob("*.ppm"):
+        stale.unlink()
     with open(out / "annotations.jsonl", "w", encoding="utf-8") as f:
         for sc in scenes:
             fname = f"images/{sc.id}.ppm"
@@ -336,8 +357,8 @@ def write_dataset(scenes, out_dir, spec: DomainSpec, seed: int):
 
 def read_dataset(in_dir):
     """Load a dataset directory; raises DataError naming any broken entry:
-    labels lie in [0, len(manifest classes)), boxes are finite with x1 < x2
-    and y1 < y2, and scene ids are unique."""
+    labels lie in [0, len(manifest classes)), boxes lie in their W x H image
+    with 0 <= x1 < x2 <= W and 0 <= y1 < y2 <= H, and scene ids are unique."""
     root = Path(in_dir)
     mpath = root / "manifest.json"
     if not mpath.exists():
@@ -375,13 +396,17 @@ def read_dataset(in_dir):
                                 f"{len(boxes)} boxes")
             if ((labels < 0) | (labels >= num_classes)).any():
                 raise DataError(f"{apath}:{lineno}: labels must lie in [0, {num_classes})")
-            if not (np.isfinite(boxes).all() and (boxes[:, 2:] > boxes[:, :2]).all()):
-                raise DataError(f"{apath}:{lineno}: boxes must be finite with x1 < x2 "
-                                f"and y1 < y2")
+            image = _read_ppm(path)
+            h, w = image.shape[:2]
+            # a NaN or infinite coordinate fails one of these comparisons
+            lo, hi = boxes[:, :2], boxes[:, 2:]
+            if not ((0 <= lo) & (lo < hi) & (hi <= (w, h))).all():
+                raise DataError(f"{apath}:{lineno}: boxes must lie in the {w}x{h} image "
+                                f"with 0 <= x1 < x2 <= {w} and 0 <= y1 < y2 <= {h}")
             if duplicate:
                 raise DataError(f"{apath}:{lineno}: duplicate scene id {scene_id!r}")
             seen.add(scene_id)
-            scenes.append(Scene(_read_ppm(path), boxes, labels, scene_id))
+            scenes.append(Scene(image, boxes, labels, scene_id))
     if len(scenes) != manifest.get("count", len(scenes)):
         raise DataError(
             f"{in_dir}: manifest count {manifest.get('count')} != {len(scenes)} records")

@@ -1,6 +1,6 @@
 """Loss and trace CSVs, run reports and dependency-free SVG training curves.
 
-Every file is written through checkpoint.atomic_write: a writer that fails
+Every file is written through data.atomic_write: a writer that fails
 midway leaves the file at its path as it was.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import fields
 
 from .adapt import TraceRow
 from .boxes import EvalResult
-from .checkpoint import atomic_write
+from .data import atomic_write
 from .detector import LossBreakdown
 
 LOSS_TERMS = [f.name for f in fields(LossBreakdown)]

@@ -1,4 +1,5 @@
-"""The SGD step, source training (an adapt() call) and dataset-level evaluation."""
+"""The SGD step, source training (adapt() of the fixed_sf_pl preset on the
+ground truth) and dataset-level evaluation."""
 
 from __future__ import annotations
 
@@ -29,14 +30,11 @@ def train_step(model: ModelState, views, rng: np.random.Generator, lr: float,
     return loss
 
 
-def train_source(model: ModelState, scenes, steps: int, lr: float,
-                 batch_size: int, seed: int):
-    """SGD on labeled scenes with weak (flip) augmentation: adapt() with the
-    ground truth as its fixed label set. Returns its AdaptResult; final is a
-    trained copy of model, and a non-finite loss ends the run at diverged_at."""
-    from .adapt import AdaptConfig, adapt  # here: adapt.py imports this module
-    config = AdaptConfig(strategy="source", alpha=1.0, fixed_pls=True, weak_strong=False,
-                         lr=lr, batch_size=batch_size, max_steps=steps, seed=seed)
+def train_source(model: ModelState, scenes, config):
+    """Supervised training: adapt() with config, the ground truth as its
+    fixed label set and no evaluation pool. Returns its AdaptResult; final is
+    a trained copy of model, and a non-finite loss ends the run at diverged_at."""
+    from .adapt import adapt  # here: adapt.py imports this module
     return adapt(model, scenes, config, [], labels={s.id: s for s in scenes})
 
 

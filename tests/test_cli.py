@@ -89,6 +89,23 @@ def test_adapt_command_passes_no_label_set(workdir, tmp_path, monkeypatch):
     assert labels == [None]
 
 
+def test_train_source_command_runs_fixed_sf_pl_preset(workdir, tmp_path, monkeypatch):
+    """sfodlab train-source trains with the fixed_sf_pl preset and its
+    options applied, the config adapt builds for that preset."""
+    real, configs = cli.train_source, []
+
+    def recording(model, scenes, config):
+        configs.append(config)
+        return real(model, scenes, config)
+
+    monkeypatch.setattr(cli, "train_source", recording)
+    assert cli.main(["train-source", "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "source.ckpt"), "--steps", "2",
+                     "--lr", "0.02", "--batch-size", "3", "--seed", "5"]) == 0
+    assert configs == [replace(strategy_presets()["fixed_sf_pl"], max_steps=2, lr=0.02,
+                               batch_size=3, seed=5)]
+
+
 def test_adapt_and_eval_succeed(workdir, capsys):
     data = str(workdir / "data")
     out = workdir / "adabn"
@@ -480,23 +497,26 @@ def test_make_data_rejects_negative_seed(tmp_path, capsys, seed):
 
 
 @pytest.mark.parametrize("flags,option", [
-    (["--batch-size", "0"], "--batch-size"),
-    (["--steps", "-1"], "--steps"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--steps", "-1"], "max_steps"),
     (["--log-every", "-1"], "--log-every"),
-    (["--seed", "-1"], "--seed"),
-    (["--lr", "nan"], "--lr"),
-    (["--lr", "0"], "--lr"),
-    (["--lr", "-0.01"], "--lr"),
-    (["--lr", "inf"], "--lr"),
+    (["--seed", "-1"], "seed"),
+    (["--lr", "nan"], "lr"),
+    (["--lr", "0"], "lr"),
+    (["--lr", "-0.01"], "lr"),
+    (["--lr", "inf"], "lr"),
 ], ids=["batch-size", "steps", "log-every", "seed", "lr-nan", "lr-zero", "lr-negative",
         "lr-inf"])
 def test_train_source_rejects_invalid_option(workdir, capsys, flags, option):
+    """An invalid option is one data error naming it: --log-every by its
+    flag, every other option by the config field it sets."""
     out = workdir / f"invalid{option}.ckpt"
     rc = cli.main(["train-source", "--data", str(workdir / "data"), "--out", str(out),
                    "--steps", "1", *flags])
     assert rc == 3
     (line,) = error_lines(capsys)
-    assert line.startswith("ERROR[data]:") and option in line
+    prefix = "ERROR[data]: " if option.startswith("--") else "ERROR[data]: train-source: "
+    assert line.startswith(f"{prefix}{option} must be ")
     assert not out.exists()
 
 
@@ -526,7 +546,8 @@ def test_train_source_on_malformed_annotation_exits_3(workdir, tmp_path, capsys)
     {"boxes": [[10, 10, 20, 20]], "labels": [7]},
     {"boxes": [[10, 10, 5, float("nan")]], "labels": [0]},
     {"id": "source_train_00000"},
-], ids=["label", "box", "duplicate_id"])
+    {"boxes": [[100, 100, 140, 140]], "labels": [0]},
+], ids=["label", "box", "duplicate_id", "outside"])
 def test_train_source_on_invalid_annotation_value_exits_3(workdir, tmp_path, capsys,
                                                           change):
     assert_train_source_rejects_line_2(workdir, tmp_path, capsys,

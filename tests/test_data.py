@@ -244,6 +244,20 @@ def test_interrupted_rewrite_leaves_no_readable_split(tmp_path, monkeypatch):
     assert (manifest["seed"], manifest["count"]) == (1, 10)
 
 
+def test_smaller_rewrite_removes_earlier_images(tmp_path):
+    """Writing 6 scenes where 10 were written leaves exactly the 6 new
+    images, and the split reads as those 6 scenes."""
+    spec = Dt.DomainSpec(image_size=32, min_size=8, max_size=16, min_objects=1,
+                         max_objects=2)
+    out = tmp_path / "ds"
+    Dt.write_dataset(Dt.generate_split(spec, 10, 0, "s"), out, spec, 0)
+    new = Dt.generate_split(spec, 6, 1, "s")
+    Dt.write_dataset(new, out, spec, 1)
+    assert sorted(p.name for p in (out / "images").iterdir()) == \
+        [f"{s.id}.ppm" for s in new]
+    assert [s.id for s in Dt.read_dataset(out)] == [s.id for s in new]
+
+
 def test_read_errors(tmp_path):
     with pytest.raises(Dt.DataError):
         Dt.read_dataset(tmp_path / "missing")
@@ -275,14 +289,22 @@ def test_read_errors(tmp_path):
                    {"file": image, "boxes": [[1, 2, 3, 4], [5, 2, 5, 4]], "labels": [0, 1]},
                    {"file": image, "boxes": [[1, 4, 3, 2]], "labels": [0]},
                    # the scene id of line 1 again
-                   {"file": image, "id": "x_00000", "boxes": [], "labels": []}]:
+                   {"file": image, "id": "x_00000", "boxes": [], "labels": []},
+                   # boxes reaching past an edge of the 96x96 image
+                   {"file": image, "boxes": [[-0.5, 2, 3, 4]], "labels": [0]},
+                   {"file": image, "boxes": [[1, 2, 3, 97]], "labels": [0]},
+                   {"file": image, "boxes": [[1, 2, 96.5, 4]], "labels": [0]},
+                   {"file": image, "boxes": [[100, 100, 140, 140]], "labels": [0]}]:
         apath.write_text(f"{first}\n{json.dumps(record)}\n")
         with pytest.raises(Dt.DataError) as err:
             Dt.read_dataset(tmp_path / "records")
         assert f"{apath}:2" in str(err.value), record
-    edge = {"file": image, "boxes": [[0, 0, 0.5, 96], [1, 2, 3, 4]], "labels": [2, 0]}
+    assert "96x96 image" in str(err.value)  # the last record's box
+    # boxes reaching the image's bottom and right edges load
+    edge = {"file": image, "boxes": [[0, 0, 0.5, 96], [1, 2, 3, 4], [90, 10, 96, 20]],
+            "labels": [2, 0, 1]}
     apath.write_text(f"{first}\n{json.dumps(edge)}\n")
-    assert Dt.read_dataset(tmp_path / "records")[1].labels.tolist() == [2, 0]
+    assert Dt.read_dataset(tmp_path / "records")[1].labels.tolist() == [2, 0, 1]
 
 
 @pytest.mark.parametrize("manifest", ["[1]", '"x"', "{}", '{"classes": 3}'])

@@ -4,12 +4,14 @@ one evaluation's traced memory stays bounded, and a model that proposes
 nothing scores 0."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sfodlab import detector as D
 from sfodlab import train
+from sfodlab.adapt import strategy_presets
 from sfodlab.augment import weak_augment
 from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.ops import NumericsError
@@ -30,6 +32,14 @@ def source_scenes(count=6):
 
 def param_bytes(model):
     return {k: v.tobytes() for k, v in model.params.items()}
+
+
+def train_source(model, scenes, steps, lr, batch_size, seed):
+    """train.train_source with the config the train-source command builds:
+    the fixed_sf_pl preset with these options."""
+    config = replace(strategy_presets()["fixed_sf_pl"], max_steps=steps, lr=lr,
+                     batch_size=batch_size, seed=seed)
+    return train.train_source(model, scenes, config)
 
 
 def train_source_reference(model, scenes, steps, lr, batch_size, rng):
@@ -68,7 +78,7 @@ def test_train_source_matches_reference(tmp_path, count, steps, lr, batch_size, 
                 want.append(row)
         except NumericsError:
             raised_at = len(want) + 1
-        result = train.train_source(model, scenes, steps, lr, batch_size, 3)
+        result = train_source(model, scenes, steps, lr, batch_size, 3)
     assert raised_at == result.diverged_at == diverged_at
     assert [(r.step, r.loss) for r in result.rows[1:]] == want
     assert param_bytes(result.final) == param_bytes(want_model)
@@ -77,7 +87,7 @@ def test_train_source_matches_reference(tmp_path, count, steps, lr, batch_size, 
 
 def test_train_source_returns_one_row_per_step():
     model = D.init_model(small_arch(), 0)
-    result = train.train_source(model, source_scenes(), 3, 0.01, 2, 0)
+    result = train_source(model, source_scenes(), 3, 0.01, 2, 0)
     assert [r.step for r in result.rows] == [0, 1, 2, 3]
     assert result.diverged_at is None
     for r in result.rows[1:]:
@@ -88,7 +98,7 @@ def test_train_source_on_read_scenes_matches_float_decode(tmp_path):
     """Three steps on read scenes (8-bit pixels) give the rows and final
     parameter bytes of three steps on their float32 decode."""
     read, decoded = read_back(source_scenes(), tmp_path / "ds")
-    results = [train.train_source(D.init_model(small_arch(), 0), scenes, 3, 0.01, 2, 0)
+    results = [train_source(D.init_model(small_arch(), 0), scenes, 3, 0.01, 2, 0)
                for scenes in (read, decoded)]
     assert results[0].rows == results[1].rows
     assert param_bytes(results[0].final) == param_bytes(results[1].final)
@@ -99,8 +109,8 @@ def test_train_source_divergence_keeps_step_1_state(monkeypatch):
     ends with diverged_at 2 after two forward passes, and every final
     parameter, BN running statistics included, holds what step 1 left."""
     scenes = source_scenes()
-    after_step_1 = train.train_source(D.init_model(small_arch(), 0), scenes, 1, 1e30, 2,
-                                      0).final
+    after_step_1 = train_source(D.init_model(small_arch(), 0), scenes, 1, 1e30, 2,
+                                0).final
 
     calls = []
     real = train.forward_train
@@ -111,7 +121,7 @@ def test_train_source_divergence_keeps_step_1_state(monkeypatch):
 
     monkeypatch.setattr(train, "forward_train", counting)
     with np.errstate(all="ignore"):
-        result = train.train_source(D.init_model(small_arch(), 0), scenes, 4, 1e30, 2, 0)
+        result = train_source(D.init_model(small_arch(), 0), scenes, 4, 1e30, 2, 0)
     assert result.diverged_at == 2 and len(calls) == 2
     assert [r.step for r in result.rows] == [0, 1]
     assert param_bytes(result.final) == param_bytes(after_step_1)
