@@ -7,10 +7,6 @@ moves a box. Mosaic concatenates four scenes into a 2x2 composite resized
 to a single input, rescaling boxes into their quadrants.
 
 Everything is a pure function of (input, explicit RNG state).
-
-``scipy.ndimage`` is imported by the blur branch of ``strong_augment`` when
-it first runs, not at module level: it takes longer to import than the rest
-of the package, and only strategies with strong augmentation ever blur.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Scene, float_pixels
+from .data import Scene, float_pixels, gaussian_blur
 
 
 @dataclass(frozen=True)
@@ -84,10 +80,8 @@ def strong_augment(scene: Scene, params: StrongAugParams,
         img = np.repeat(_luma(img)[..., None], 3, axis=2)
 
     if rng.random() < params.blur_prob:
-        from scipy.ndimage import gaussian_filter
-
         sigma = rng.uniform(*params.blur_sigma)
-        img = gaussian_filter(img, sigma=(sigma, sigma, 0))
+        img = gaussian_blur(img, (sigma, sigma, 0))
 
     if rng.random() < params.cutout_prob:
         h, w = img.shape[:2]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import hashlib
 import json
 import sys
 import time
@@ -130,6 +129,10 @@ def _with_entries(obj, what: str, entries: dict, flags=None, exclude=()):
 
 
 def _config_hash(config_dict: dict) -> str:
+    # imported here: OpenSSL's _hashlib adds about 3.6 MB to the RSS of
+    # every command, and only adapt hashes
+    import hashlib
+
     return hashlib.sha256(
         json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
 

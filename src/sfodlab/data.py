@@ -14,11 +14,6 @@ PPM's 8-bit pixels as ``uint8``, a quarter of the memory, and writing them
 again reproduces the files byte for byte. ``float_pixels`` turns them into
 float32 (``/ 255``) where the network or a photometric augmentation first
 reads them, the one place the package scales pixels.
-
-``scipy.ndimage`` is imported inside the two functions that call it
-(``_background`` and ``apply_fog``), not at module level: it takes longer to
-import than the rest of the package, and every CLI command imports this
-module while only rendering calls scipy.
 """
 
 from __future__ import annotations
@@ -139,18 +134,76 @@ def _shape_mask(class_id: int, x1, y1, x2, y2, region_x, region_y, rw, rh):
     return inside.reshape(rh, _SS, rw, _SS).mean(axis=(1, 3))
 
 
-def _background(spec: DomainSpec, rng: np.random.Generator):
-    from scipy.ndimage import zoom as ndi_zoom
+def gaussian_blur(image: np.ndarray, sigma) -> np.ndarray:
+    """image blurred with standard deviation sigma[a] along each axis a, bit
+    for bit SciPy's ndimage.gaussian_filter(image, sigma) (mode 'reflect',
+    truncate 4). Axis by axis in order: the kernel exp(-x^2 / 2 sigma^2) for
+    the integers |x| <= int(4 sigma + 0.5), divided by its sum; the axis
+    extended by reflection (d c b a | a b c d, repeated while the radius
+    passes the side); each output summed in float64 as the centre tap and
+    then, from the outermost inwards, each symmetric pair (left + right)
+    times its weight; and the sum cast back to image.dtype. An axis of
+    radius 0 (sigma < 0.125, 0 included) is skipped, as SciPy's one-tap
+    kernel of weight 1 leaves it; image itself comes back when every axis
+    is skipped."""
+    out = image
+    for axis, s in enumerate(sigma):
+        r = int(4.0 * s + 0.5)
+        if r == 0:
+            continue
+        x = np.arange(-r, r + 1)
+        w = np.exp(-0.5 / (s * s) * x ** 2)
+        w = w / w.sum()
+        n = out.shape[axis]
+        k = np.arange(-r, n + r) % (2 * n)
+        padded = np.take(out, np.minimum(k, 2 * n - 1 - k), axis).astype(np.float64)
+        lead = (slice(None),) * axis
+        tap = [padded[lead + (slice(j, j + n),)] for j in range(2 * r + 1)]
+        acc = tap[r] * w[r]
+        pair = np.empty_like(acc)
+        for d in range(r, 0, -1):
+            np.add(tap[r - d], tap[r + d], out=pair)
+            pair *= w[r + d]
+            acc += pair
+        out = acc.astype(image.dtype)
+    return out
 
+
+def _zoom_linear(grid: np.ndarray, size: int) -> np.ndarray:
+    """An (m, m, C) grid resampled to (size, size, C) by bilinear
+    interpolation, bit for bit SciPy's ndimage.zoom(grid[..., c], size / m,
+    order=1) for each channel c (mode 'constant', no grid mode). Output
+    index k samples grid coordinate k * ((m - 1) / (size - 1)); the weights
+    of its two cells are w0 = 1 - frac and w1 = 1 - w0 (w1 = frac can be an
+    ulp off); the four corner terms value * y weight * x weight are added
+    row-major onto 0.0; and a coordinate that rounds past the last cell
+    gives 0, the constant mode's fill value."""
+    m = grid.shape[0]
+    k = np.arange(size) * ((m - 1) / (size - 1) if size > 1 else 1.0)
+    lo = np.floor(k)
+    w0 = 1.0 - (k - lo)
+    w1 = 1.0 - w0
+    lo = lo.astype(np.intp)
+    hi = np.minimum(lo + 1, m - 1)  # w1 is 0 at the last cell
+    wy0, wy1 = w0[:, None, None], w1[:, None, None]
+    wx0, wx1 = w0[None, :, None], w1[None, :, None]
+    top, bottom = grid[lo], grid[hi]
+    out = 0.0 + top[:, lo] * wy0 * wx0
+    out += top[:, hi] * wy0 * wx1
+    out += bottom[:, lo] * wy1 * wx0
+    out += bottom[:, hi] * wy1 * wx1
+    past = k > m - 1
+    out[past] = 0.0
+    out[:, past] = 0.0
+    return out
+
+
+def _background(spec: DomainSpec, rng: np.random.Generator):
     s = spec.image_size
     lo, hi = spec.base_color_range
     base = rng.uniform(lo, hi, size=3).astype(np.float32)
     coarse = rng.uniform(-1, 1, size=(spec.noise_cells, spec.noise_cells, 3))
-    # Channel by channel: the same values as one (f, f, 1) zoom of the stack,
-    # whose channel-axis weights are exactly 1 and 0, at half the cost.
-    f = s / spec.noise_cells
-    noise = np.stack([ndi_zoom(coarse[..., k], (f, f), order=1) for k in range(3)],
-                     axis=-1)
+    noise = _zoom_linear(coarse, s)
     img = base[None, None, :] + spec.noise_amplitude * noise.astype(np.float32)
     return np.clip(img, 0, 1).astype(np.float32), base
 
@@ -230,12 +283,10 @@ def apply_fog(image: np.ndarray, strength: float, haze_color) -> np.ndarray:
         raise ValueError("fog strength must be in [0, 1]")
     if strength == 0:
         return image
-    from scipy.ndimage import gaussian_filter
-
     h = image.shape[0]
     depth = np.linspace(1.0, FOG_DEPTH_FLOOR, h, dtype=np.float32)
     t = (1.0 - strength * depth)[:, None, None]
-    blurred = gaussian_filter(image, sigma=(2.0 * strength, 2.0 * strength, 0))
+    blurred = gaussian_blur(image, (2.0 * strength, 2.0 * strength, 0))
     haze = np.asarray(haze_color, np.float32)[None, None, :]
     return np.clip((1 - t) * haze + t * blurred, 0, 1).astype(np.float32)
 

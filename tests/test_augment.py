@@ -180,6 +180,21 @@ def test_mosaic_requires_four_equal(rng):
         A.mosaic(bad, 96)
 
 
+def test_strong_blur_matches_scipy(rng, monkeypatch):
+    """Every strong view, blurred each time, is the one scipy's
+    gaussian_filter gives in place of the numpy blur."""
+    from scipy.ndimage import gaussian_filter
+
+    params = A.StrongAugParams(blur_prob=1.0)
+    scenes = [make_scene(rng) for _ in range(4)]
+    live = [A.strong_augment(sc, params, np.random.default_rng(k))
+            for k, sc in enumerate(scenes)]
+    monkeypatch.setattr(A, "gaussian_blur", gaussian_filter)
+    for k, (sc, got) in enumerate(zip(scenes, live)):
+        want = A.strong_augment(sc, params, np.random.default_rng(k))
+        assert got.image.tobytes() == want.image.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # 8-bit scenes as read from disk
 # ---------------------------------------------------------------------------

@@ -291,13 +291,50 @@ def test_eval_prints_one_line_per_model_class(workdir, tmp_path, capsys, num_cla
                      "--split", "target_test"]) == expect
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy.ndimage is imported on first render or blur, never by the CLI import."""
+def run_python(code: str, *args) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports this sfodlab."""
     src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+
+
+# the commands in a fresh interpreter where any scipy import fails; the
+# last line printed is the number of strong-augmentation blurs
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from sfodlab import augment, cli
+blurs, blur = [], augment.gaussian_blur
+augment.gaussian_blur = lambda *a: blurs.append(1) or blur(*a)
+out, spec, ckpt = sys.argv[1:]
+assert cli.main(["make-data", "--spec", spec, "--out", out + "/data"]) == 0
+assert cli.main(["adapt", "--source-ckpt", ckpt, "--data", out + "/data",
+                 "--strategy", "sf_ut", "--steps", "2", "--out", out + "/sf_ut"]) == 0
+print(len(blurs))
+"""
+
+
+def test_cli_import_loads_no_scipy(workdir, tmp_path):
+    """Nothing in the package imports scipy: the CLI import loads none of it,
+    and a fog make-data and a blurring sf_ut adapt run where scipy cannot
+    be imported."""
     probe = ("import sys, sfodlab.cli; sys.exit(any(m == 'scipy' or "
              "m.startswith('scipy.') for m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    assert run_python(probe).returncode == 0
+    spec = tmp_path / "spec.txt"
+    spec.write_text("source_train = 0\nsource_test = 0\n"
+                    "target_train = 4\ntarget_test = 2\nmax_objects = 3\n")
+    done = run_python(WITHOUT_SCIPY, tmp_path, spec, workdir / "source.ckpt")
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) > 0
+    assert (tmp_path / "sf_ut" / "report.json").exists()
+
+
+def test_cli_import_loads_no_hashlib():
+    """OpenSSL's _hashlib is imported by the one command that hashes."""
+    probe = "import sys, sfodlab.cli; sys.exit('_hashlib' in sys.modules)"
+    assert run_python(probe).returncode == 0
 
 
 @pytest.fixture(scope="module")

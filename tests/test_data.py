@@ -429,12 +429,101 @@ def test_background_matches_3d_zoom_reference(size, cells):
     Dt.DomainSpec(shift="scale", scale_factor=0.7, image_size=64, noise_cells=8),
 ], ids=["fog", "color", "scale"])
 def test_split_matches_reference_rendering(spec, monkeypatch):
+    """The scenes of the meshgrid masks and of scipy.ndimage's zoom and
+    gaussian_filter in place of the numpy ones, byte for byte."""
+    from scipy.ndimage import gaussian_filter
+
     live = Dt.generate_split(spec, 6, [3, 2], "t")
     monkeypatch.setattr(Dt, "_shape_mask", shape_mask_meshgrid)
     monkeypatch.setattr(Dt, "_background", background_zoom3d)
+    monkeypatch.setattr(Dt, "gaussian_blur", gaussian_filter)
     ref = Dt.generate_split(spec, 6, [3, 2], "t")
     for a, b in zip(live, ref, strict=True):
         assert a.id == b.id
         assert a.image.tobytes() == b.image.tobytes()
         assert a.boxes.tobytes() == b.boxes.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the numpy blur and zoom against scipy.ndimage, their oracle
+# ---------------------------------------------------------------------------
+
+def assert_same_array(live, ref, case=None):
+    assert live.dtype == ref.dtype and live.shape == ref.shape, case
+    assert live.tobytes() == ref.tobytes(), case
+
+
+def zoom_per_channel(grid, size):
+    """Reference _zoom_linear: scipy's order-1 zoom of each channel."""
+    from scipy.ndimage import zoom
+
+    f = size / grid.shape[0]
+    return np.stack([zoom(grid[..., k], (f, f), order=1) for k in range(grid.shape[2])],
+                    axis=-1)
+
+
+def test_gaussian_blur_matches_scipy_on_random_images():
+    """float32 H x W x 3 images, values in and outside [0, 1], sigma in (0, 2]."""
+    from scipy.ndimage import gaussian_filter
+
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        h, w = (int(v) for v in rng.integers(8, 100, size=2))
+        img = (rng.uniform(-0.5, 1.5) + rng.uniform(0.1, 2.0)
+               * rng.random((h, w, 3), dtype=np.float32)).astype(np.float32)
+        sigma = 2.0 - rng.uniform(0.0, 2.0)
+        assert_same_array(Dt.gaussian_blur(img, (sigma, sigma, 0)),
+                          gaussian_filter(img, (sigma, sigma, 0)), (h, w, sigma))
+
+
+@pytest.mark.parametrize("sigma", [
+    (1e-300, 1e-300, 0), (1e-12, 1e-12, 0), (0.1, 0.124, 0), (0.124, 0.125, 0),
+    (0.125, 0.126, 0), (0.0, 1.5, 0), (1.5, 0.0, 0), (0.7, 1.3, 0.9),
+])
+def test_gaussian_blur_matches_scipy_near_zero_sigma(sigma):
+    """An axis of radius int(4 sigma + 0.5) = 0 is skipped, as scipy skips
+    it; every other axis, the channel axis included, is blurred."""
+    from scipy.ndimage import gaussian_filter
+
+    img = np.random.default_rng(3).random((40, 33, 3), dtype=np.float32)
+    assert_same_array(Dt.gaussian_blur(img, sigma), gaussian_filter(img, sigma), sigma)
+
+
+def test_gaussian_blur_leaves_a_zero_sigma_axis_unchanged():
+    """With sigma 0 on one axis, each line across it is blurred on its own;
+    with sigma 0 on every axis, the image itself comes back, unwritten."""
+    img = np.random.default_rng(5).random((20, 17, 3), dtype=np.float32)
+    before = img.tobytes()
+    rows = Dt.gaussian_blur(img, (0.0, 1.5, 0))
+    cols = Dt.gaussian_blur(img, (1.5, 0.0, 0))
+    for i in range(17):
+        assert_same_array(rows[i], Dt.gaussian_blur(img[i], (1.5, 0)), i)
+        assert_same_array(cols[:, i], Dt.gaussian_blur(img[:, i], (1.5, 0)), i)
+    assert Dt.gaussian_blur(img, (0.0, 0.0, 0)) is img
+    assert img.tobytes() == before
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 5), (2, 3), (3, 7), (5, 4)])
+def test_gaussian_blur_matches_scipy_when_radius_passes_the_side(h, w):
+    """Radius 4 to 12 on sides of 1 to 7 pixels: the reflection repeats."""
+    from scipy.ndimage import gaussian_filter
+
+    img = np.random.default_rng(h * 10 + w).random((h, w, 3), dtype=np.float32)
+    for sigma in (1.0, 1.7, 3.0):
+        assert_same_array(Dt.gaussian_blur(img, (sigma, sigma, 0)),
+                          gaussian_filter(img, (sigma, sigma, 0)), sigma)
+
+
+def test_zoom_linear_matches_scipy():
+    """3 to 16 cells to sizes from 32 to 128 px, among them sizes whose last
+    coordinate rounds past the last cell (scipy fills it with 0)."""
+    rng = np.random.default_rng(12)
+    past = 0
+    for cells in range(3, 17):
+        for size in range(32, 129, 3):
+            grid = rng.uniform(-1, 1, size=(cells, cells, 3))
+            assert_same_array(Dt._zoom_linear(grid, size), zoom_per_channel(grid, size),
+                              (cells, size))
+            past += (size - 1) * ((cells - 1) / (size - 1)) > cells - 1
+    assert past > 0
