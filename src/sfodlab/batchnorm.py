@@ -4,7 +4,10 @@
 given: the biased batch statistics from ``batch_stats`` (training and the
 AdaBN sweep) or a layer's stored running estimates (eval mode, a pure
 function of the model). ``bn_backward`` is its gradient under batch
-statistics; only training keeps its cache.
+statistics; only training keeps its cache. Both work in the buffers they
+are given: ``bn_apply`` turns its input into xhat and ``bn_backward``
+turns the upstream gradient into dx, so each caller hands over an array
+it owns and does not read again.
 
 Only two functions write running statistics. ``update_running_statistics``
 folds one training step's batch statistics into them with ``running <-
@@ -49,20 +52,30 @@ def bn_apply(x: np.ndarray, mean, var, gamma, beta):
 
 def bn_backward(dout: np.ndarray, cache):
     """Gradients of bn_apply under batch statistics w.r.t. (input, gamma,
-    beta); cache is (xhat, inv_std, gamma). Eval mode keeps no cache."""
+    beta); cache is (xhat, inv_std, gamma). Eval mode keeps no cache.
+
+    dout is consumed: dx is computed in dout's buffer and returned, so the
+    caller must own dout and not read it again. The cache is left as it
+    was, and one scratch array of dout's size is the only new full-size
+    array. All inputs share one dtype, so the in-place steps compute the
+    out-of-place inv_std/n * (n*dxhat - s1 - xhat*s2) bit for bit.
+    """
     if cache is None:
         raise ValueError("bn_backward: no gradient path for eval-mode forward")
     xhat, inv_std, gamma = cache
     n = dout.shape[0] * dout.shape[2] * dout.shape[3]
-    dgamma = (dout * xhat).sum(axis=(0, 2, 3))
+    tmp = dout * xhat
+    dgamma = tmp.sum(axis=(0, 2, 3))
     dbeta = dout.sum(axis=(0, 2, 3))
-    dxhat = dout * gamma[None, :, None, None]
-    s1 = dxhat.sum(axis=(0, 2, 3))
-    s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-    dx = (inv_std[None, :, None, None] / n) * (
-        n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
-    )
-    return dx, dgamma, dbeta
+    dout *= gamma[None, :, None, None]  # dxhat
+    s1 = dout.sum(axis=(0, 2, 3))
+    s2 = np.multiply(dout, xhat, out=tmp).sum(axis=(0, 2, 3))
+    np.multiply(xhat, s2[None, :, None, None], out=tmp)
+    dout *= n
+    dout -= s1[None, :, None, None]
+    dout -= tmp
+    dout *= (inv_std / n)[None, :, None, None]
+    return dout, dgamma, dbeta
 
 
 def update_running_statistics(model, stats):

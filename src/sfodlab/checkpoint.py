@@ -12,6 +12,7 @@ leaves any earlier file at that path as it was.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -75,23 +76,28 @@ def load_checkpoint(path):
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with path.open("rb") as f:
+            return _read_checkpoint(f, path)
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
+
+
+def _read_checkpoint(f, path):
+    """load_checkpoint on the open file f. Each array is read straight into
+    the float32 array that the model then owns, so no copy of the payload
+    is alive beside it."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(len(MAGIC) + 12)
+    if len(head) < len(MAGIC) + 12 or head[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    off = len(MAGIC)
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    version, hlen = struct.unpack_from("<IQ", head, len(MAGIC))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
     try:
-        header = json.loads(raw[off:off + hlen].decode("utf-8"))
+        # a corrupt length must not size the read: read() allocates it first
+        header = json.loads(f.read(min(hlen, size)).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
-    off += hlen
     try:
         arch, layout, metadata = _decode_header(header)
     except CheckpointError as e:
@@ -100,12 +106,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: invalid header: {type(e).__name__}: {e}") from e
     params = {}
     for name, shape in layout.items():
-        nbytes = int(np.prod(shape)) * 4
-        if off + nbytes > len(raw):
+        params[name] = np.empty(shape, "<f4")
+        if f.readinto(params[name]) != params[name].nbytes:
             raise CheckpointError(f"{path}: truncated payload at {name}")
-        params[name] = np.frombuffer(
-            raw[off:off + nbytes], dtype="<f4").reshape(shape).copy()
-        off += nbytes
-    if off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
+    trailing = size - f.tell()
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes")
     return ModelState(arch, params), metadata

@@ -271,7 +271,11 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
     """Fill grads with the backbone's parameter gradients. The gradient with
     respect to the image is never needed, so block 0 skips it. Each block's
     cache is popped off caches as it is processed, so it is freed as soon as
-    its gradients exist; caches is empty on return."""
+    its gradients exist; caches is empty on return.
+
+    dfeats is consumed. At every block d is an array this function owns
+    (dfeats or maxpool2_scatter's output), so the ReLU mask is applied in
+    place and bn_backward returns dx in d's buffer."""
     p = model.params
     d = dfeats
     for i in reversed(range(len(model.arch.channels))):
@@ -279,7 +283,7 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
         c = caches.pop()
         if c["pool_idx"] is not None:
             d = maxpool2_scatter(d, c["pool_idx"], c["relu_mask"].shape)
-        d = d * c["relu_mask"]
+        np.multiply(d, c["relu_mask"], out=d)
         d, dgamma, dbeta = bn_backward(d, c["bn_cache"])
         grads[f"{pre}.bn.gamma"] = dgamma
         grads[f"{pre}.bn.beta"] = dbeta
@@ -372,10 +376,10 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
     the running maximum, so no (K, P, out, out, C) window is built.
 
     Returns pooled (P, C, out, out) and, when need_indices, the flat
-    feature-cell index row*F + col (int64) of each pooled maximum, shaped
-    (P, out, out, C), for the backward scatter; otherwise None. Ties go to
-    the first maximum in row-major bin order. A bin holding a NaN pools to
-    NaN and its index names the first NaN.
+    feature-cell index row*F + col of each pooled maximum as int32 (F*F is
+    far below 2**31), shaped (P, out, out, C), for the backward scatter;
+    otherwise None. Ties go to the first maximum in row-major bin order. A
+    bin holding a NaN pools to NaN and its index names the first NaN.
     """
     c, fh, fw = feats_img.shape
     y0, y1 = _roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
@@ -393,7 +397,7 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
         for k in range(1, len(cells)):
             np.maximum(best, table[cells[k]], out=best)
         return best.transpose(0, 3, 1, 2), None
-    arg = np.repeat(cells[0][..., None], c, axis=3)
+    arg = np.repeat(cells[0][..., None].astype(np.int32), c, axis=3)
     has_nan = np.isnan(table).any()
     for k in range(1, len(cells)):
         cand = table[cells[k]]
@@ -410,7 +414,9 @@ def _roi_scatter_batch(dpooled: np.ndarray, cells: np.ndarray,
                        c: int, fh: int, fw: int) -> np.ndarray:
     """Accumulate pooled-cell gradients back onto one image's feature map.
 
-    cells are the (P, out, out, C) maximum indices from _roi_pool_batch.
+    cells are the (P, out, out, C) int32 maximum indices from
+    _roi_pool_batch; the flat (channel, cell) index built from them is
+    int64.
     """
     vals = dpooled.transpose(0, 2, 3, 1)
     lin = np.arange(c) * (fh * fw) + cells

@@ -12,7 +12,13 @@ height and width) and a bias. In that form the input gradient is a
 convolution of the same form, so dx unfolds the upstream gradient with the
 forward pass's _im2col (im2col: Chellapilla et al., 2006). conv2d_forward
 and conv2d_backward unfold one image at a time, so a convolution holds one
-image's patch matrix, not the batch's.
+image's patch matrix, not the batch's; a 1 x 1 kernel has no patch matrix,
+so conv2d_forward runs it as one batched product.
+
+Ownership: a kernel writes into an array it is given only where its
+docstring says so (relu_forward into x; batchnorm's bn_apply and
+bn_backward into their first argument). Every other kernel leaves its
+inputs as they were and returns new arrays.
 """
 
 from __future__ import annotations
@@ -65,19 +71,24 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
     """2D cross-correlation of NCHW x with an odd square OIHW kernel, zero
     padding k // 2, stride 1, plus a (O,) bias: the output is N x O x H x W.
 
-    One loop over the images, as in conv2d_backward: each image is unfolded
-    on its own and its product is written straight into the output array,
-    so only one image's patch matrix is alive (about 1 MB for the first
-    conv of a 96-px image) and no per-image result is stacked. A batched
-    matmul runs the same product per image, so the bits are the same.
+    A k > 1 kernel runs one loop over the images, as in conv2d_backward:
+    each image is unfolded on its own and its product is written straight
+    into the output array, so only one image's patch matrix is alive (about
+    1 MB for the first conv of a 96-px image) and no per-image result is
+    stacked. A 1 x 1 kernel's columns are a view of x itself, so it runs
+    one batched matmul over all images into the output. A batched matmul
+    runs the same product per image, so the bits are the same either way.
     """
     k = _kernel_size(x, kernel)
     n, _, h, w = x.shape
     o = kernel.shape[0]
     kmat = kernel.reshape(o, -1)
     out = np.empty((n, o, h, w), np.result_type(kernel, x))
-    for i in range(n):
-        np.matmul(kmat, _im2col(x[i:i + 1], k)[0], out=out[i].reshape(o, h * w))
+    if k == 1:
+        np.matmul(kmat, _im2col(x, k), out=out.reshape(n, o, h * w))
+    else:
+        for i in range(n):
+            np.matmul(kmat, _im2col(x[i:i + 1], k)[0], out=out[i].reshape(o, h * w))
     out += bias.reshape(1, o, 1, 1)
     return out
 
@@ -185,7 +196,10 @@ def maxpool2_with_indices(x: np.ndarray):
 
 def maxpool2_scatter(dout: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     """Route the pooled gradient to the window element named by idx (from
-    maxpool2_with_indices); every other input element gets zero."""
+    maxpool2_with_indices); every other input element gets +0.0.
+
+    Returns a new array; dout is copied as it is, NaN and -0.0 included.
+    """
     n, c, h, w = shape
     if dout.shape != (n, c, h // 2, w // 2) or idx.shape != dout.shape:
         raise ShapeError(f"maxpool2 upstream {dout.shape} / indices {idx.shape} "

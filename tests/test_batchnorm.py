@@ -134,8 +134,50 @@ def test_beta_gradient_is_upstream_sum(rng):
     x = rng.normal(size=(2, 3, 4, 4))
     dout = rng.normal(size=x.shape)
     _, cache = bn_train(x)
-    _, _, db = bn.bn_backward(dout, cache)
+    _, _, db = bn.bn_backward(dout.copy(), cache)
     assert np.allclose(db, dout.sum(axis=(0, 2, 3)), atol=1e-10)
+
+
+def bn_backward_reference(dout, cache):
+    """bn_backward as the out-of-place expression: dout and the cache
+    untouched, every intermediate a new array."""
+    xhat, inv_std, gamma = cache
+    n = dout.shape[0] * dout.shape[2] * dout.shape[3]
+    dgamma = (dout * xhat).sum(axis=(0, 2, 3))
+    dbeta = dout.sum(axis=(0, 2, 3))
+    dxhat = dout * gamma[None, :, None, None]
+    s1 = dxhat.sum(axis=(0, 2, 3))
+    s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
+    dx = (inv_std[None, :, None, None] / n) * (
+        n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
+    )
+    return dx, dgamma, dbeta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bn_backward_matches_out_of_place_reference(rng, dtype):
+    """Byte-equal to the out-of-place expression, NaN input included; dx is
+    returned in dout's buffer and the cache keeps its bytes."""
+    for shape, nan_at in (((3, 5, 7, 6), None), ((4, 3, 6, 6), (1, 2, 3, 4)),
+                          ((2, 4, 5, 5), (0, 1, 0, 0))):
+        x = (rng.normal(size=shape) * 3 - 1).astype(dtype)
+        dout = rng.normal(size=shape).astype(dtype)
+        dout[:, 0, 1, :] = -0.0
+        if nan_at is not None:
+            x[nan_at] = np.nan
+            dout[(0, 0, *nan_at[2:])] = np.nan
+        gamma = rng.normal(size=shape[1]).astype(dtype)
+        with np.errstate(invalid="ignore"):
+            _, cache = bn_train(x, gamma, np.zeros(shape[1], dtype))
+            cache_before = [a.tobytes() for a in cache]
+            want = bn_backward_reference(dout, cache)
+            owned = dout.copy()
+            got = bn.bn_backward(owned, cache)
+        assert got[0] is owned
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert [a.tobytes() for a in cache] == cache_before
 
 
 def test_backward_matches_finite_differences():
@@ -151,7 +193,7 @@ def test_backward_matches_finite_differences():
             return float((out * dout).sum())
 
         _, cache = bn_train(x.copy(), gamma, beta)
-        dx, dg, db = bn.bn_backward(dout, cache)
+        dx, dg, db = bn.bn_backward(dout.copy(), cache)
         assert_grads_close(dx, numerical_grad(loss, x), what=f"bn dx seed {seed}")
         assert_grads_close(dg, numerical_grad(loss, gamma), what=f"bn dgamma seed {seed}")
         assert_grads_close(db, numerical_grad(loss, beta), what=f"bn dbeta seed {seed}")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,9 +71,10 @@ def test_header_bytes_pinned(tmp_path, arch, arch_json, digest):
     assert hashlib.sha256(header).hexdigest() == digest
 
 
-def rewrite(path, raw):
+def rewrite(path, raw, message):
+    """Write raw to path and expect a CheckpointError naming path and message."""
     path.write_bytes(raw)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         load_checkpoint(path)
 
 
@@ -92,23 +94,47 @@ def test_failed_save_keeps_the_old_checkpoint(ckpt):
 
 def test_bad_magic(ckpt):
     path, _ = ckpt
-    rewrite(path, b"NOTACKPT" + path.read_bytes()[8:])
+    rewrite(path, b"NOTACKPT" + path.read_bytes()[8:], "not a checkpoint (bad magic)")
+    rewrite(path, b"SFODCKPT\1", "not a checkpoint (bad magic)")
 
 
 def test_bad_version(ckpt):
     path, _ = ckpt
     raw = path.read_bytes()
-    rewrite(path, raw[:8] + struct.pack("<I", 2) + raw[12:])
+    rewrite(path, raw[:8] + struct.pack("<I", 2) + raw[12:], "unsupported version 2")
 
 
 def test_truncated_payload(ckpt):
     path, _ = ckpt
-    rewrite(path, path.read_bytes()[:-4])
+    rewrite(path, path.read_bytes()[:-4], "truncated payload at roi.delta.b")
 
 
 def test_trailing_bytes(ckpt):
     path, _ = ckpt
-    rewrite(path, path.read_bytes() + b"\0")
+    rewrite(path, path.read_bytes() + b"\0\0\0", "3 trailing bytes")
+
+
+def test_header_length_past_end(ckpt):
+    """A header length beyond the file is a corrupt header, not a read of
+    that many bytes."""
+    path, _ = ckpt
+    raw = path.read_bytes()
+    rewrite(path, raw[:12] + struct.pack("<Q", 2 ** 62) + raw[20:], "corrupt header")
+
+
+def test_load_reads_arrays_in_place(tmp_path):
+    """Loading the default detector's 2.08 MiB of parameters holds no
+    second copy of the payload: the traced peak stays within 5% of the
+    arrays the model keeps."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_model(ArchDescriptor(), 0), {})
+    tracemalloc.start()
+    model, _ = load_checkpoint(path)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    payload = sum(a.nbytes for a in model.params.values())
+    assert payload > 2 * 2 ** 20
+    assert peak < 1.05 * payload
 
 
 def test_missing_file(tmp_path):

@@ -203,9 +203,9 @@ def test_roi_pool_backward_gradient(rng):
         assert feats[c, y, x] in pooled[c]
 
 
-def roi_pool_window_max(feats_img, boxes_feat, out):
-    """The eval-mode ROI pool as it ran before the per-offset gather: the
-    whole (K, P, out, out, C) window, reduced by max over K."""
+def roi_window(feats_img, boxes_feat, out):
+    """The (K, P, out, out) int64 cell indices of every bin and the whole
+    gathered (K, P, out, out, C) window."""
     c, fh, fw = feats_img.shape
     y0, y1 = D._roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
     x0, x1 = D._roi_cell_edges(boxes_feat[:, 0], boxes_feat[:, 2], out, fw)
@@ -215,9 +215,14 @@ def roi_pool_window_max(feats_img, boxes_feat, out):
     xidx = np.minimum(x0[:, :, None] + np.arange(kx), x1[:, :, None] - 1)
     cells = (yidx.transpose(2, 0, 1)[:, None, :, :, None] * fw
              + xidx.transpose(2, 0, 1)[None, :, :, None, :])
-    cells = cells.reshape(ky * kx, len(boxes_feat), out, out)
-    table = np.ascontiguousarray(feats_img.reshape(c, fh * fw).T)
-    return table[cells].max(axis=0).transpose(0, 3, 1, 2)
+    cells = cells.reshape(ky * kx, len(boxes_feat), out, out).astype(np.int64)
+    return cells, np.ascontiguousarray(feats_img.reshape(c, fh * fw).T)[cells]
+
+
+def roi_pool_window_max(feats_img, boxes_feat, out):
+    """The eval-mode ROI pool as it ran before the per-offset gather: the
+    whole (K, P, out, out, C) window, reduced by max over K."""
+    return roi_window(feats_img, boxes_feat, out)[1].max(axis=0).transpose(0, 3, 1, 2)
 
 
 def test_roi_pool_batch_ties_match_reference(rng):
@@ -244,7 +249,7 @@ def test_roi_pool_batch_ties_match_reference(rng):
             for boxes in (mixed_boxes(rng, 12, f), mixed_boxes(rng, 1, f), full_map):
                 want, yy, xx = roi_pool_batch_reference(feats, boxes, out)
                 pooled, cells = D._roi_pool_batch(feats, boxes, out, True)
-                assert pooled.dtype == feats.dtype and cells.dtype == np.int64
+                assert pooled.dtype == feats.dtype and cells.dtype == np.int32
                 assert pooled.tobytes() == want.tobytes()
                 assert np.array_equal(cells, (yy * f + xx).transpose(1, 2, 3, 0))
                 plain, none = D._roi_pool_batch(feats, boxes, out, need_indices=False)
@@ -257,6 +262,31 @@ def test_roi_pool_batch_ties_match_reference(rng):
     # a full-map box on an 8-cell map at out = 2 spans 4 x 4 cells per bin
     y0, y1 = D._roi_cell_edges(np.zeros(1), np.full(1, 8.0), 2, 8)
     assert ((y1 - y0) == 4).all()
+
+
+def roi_max_cells_int64(feats_img, boxes_feat, out):
+    """The (P, out, out, C) first-maximum cell indices as int64, from the
+    whole gathered window: argmax over K, a NaN counted as the maximum."""
+    cells, window = roi_window(feats_img, boxes_feat, out)
+    k = np.argmax(np.where(np.isnan(window), np.inf, window), axis=0)
+    cells = np.repeat(cells[..., None], feats_img.shape[0], axis=4)
+    return np.take_along_axis(cells, k[None], axis=0)[0]
+
+
+def test_roi_pool_batch_int32_indices_match_int64_reference(rng):
+    """The int32 max-cell indices hold the values of an int64 reference,
+    NaN bins included, and scatter the same bytes as their int64 copy."""
+    feats = np.maximum(rng.normal(size=(6, 12, 12)), 0).astype(np.float32)
+    feats[2, 5, 7] = np.nan
+    boxes = np.concatenate([mixed_boxes(rng, 32, 12), [[0.0, 0.0, 12.0, 12.0]]])
+    for out in (2, 5):
+        _, cells = D._roi_pool_batch(feats, boxes, out, True)
+        want = roi_max_cells_int64(feats, boxes, out)
+        assert cells.dtype == np.int32 and want.dtype == np.int64
+        assert np.array_equal(cells, want)
+        dpooled = rng.normal(size=(len(boxes), 6, out, out)).astype(np.float32)
+        got = D._roi_scatter_batch(dpooled, cells, 6, 12, 12)
+        assert got.tobytes() == D._roi_scatter_batch(dpooled, want, 6, 12, 12).tobytes()
 
 
 def test_roi_pool_batch_nan_propagates(rng):

@@ -91,6 +91,27 @@ def test_conv_forward_per_image_matches_batched_bytes(rng, n):
         assert got.tobytes() == want.tobytes()
 
 
+def test_conv_1x1_batched_matches_per_image_loop(rng):
+    """A 1 x 1 kernel runs one batched matmul; its bytes are those of the
+    per-image loop that k > 1 kernels run, at the RPN head shapes (64
+    channels on a 12 x 12 map, 18 and 36 outputs) for batches 1 to 16."""
+    x = np.maximum(rng.normal(size=(16, 64, 12, 12)), 0).astype(np.float32)
+    x[3, 5, 2, 2] = np.nan
+    x[:, 7] = -0.0
+    for o in (18, 36):
+        k = rng.normal(size=(o, 64, 1, 1)).astype(np.float32)
+        b = rng.normal(size=o).astype(np.float32)
+        for n in range(1, 17):
+            want = np.empty((n, o, 12, 12), np.float32)
+            for i in range(n):
+                np.matmul(k.reshape(o, 64), x[i].reshape(64, 144),
+                          out=want[i].reshape(o, 144))
+            want += b.reshape(1, o, 1, 1)
+            with np.errstate(invalid="ignore"):
+                got = ops.conv2d_forward(x[:n], k, b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (o, n)
+
+
 @pytest.mark.parametrize("kshape", [(2, 2), (1, 3)])
 def test_conv_rejects_even_or_non_square_kernel(rng, kshape):
     x = rng.normal(size=(1, 3, 5, 5))
@@ -420,6 +441,23 @@ def test_maxpool_ties_match_reference(rng):
         got = ops.maxpool2_scatter(dout, idx, x.shape)
         assert got.dtype == x.dtype
         assert np.array_equal(got, maxpool2_scatter_reference(dout, want_idx, x.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_scatter_keeps_special_values(rng, dtype):
+    """NaN, infinite and -0.0 upstream values reach their window element
+    bit for bit, and every other element is +0.0: the bytes of a
+    put_along_axis into zeros."""
+    dout = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+    dout[0, 0] = -0.0
+    dout[1, 1, 2] = np.nan
+    dout[1, 2, :, 0] = -np.inf
+    idx = rng.integers(0, 4, dout.shape).astype(np.int8)
+    shape = (2, 3, 8, 10)
+    got = ops.maxpool2_scatter(dout, idx, shape)
+    assert got.dtype == dtype
+    assert got.tobytes() == maxpool2_scatter_reference(dout, idx, shape).tobytes()
+    assert np.signbit(got).sum() == np.signbit(dout).sum()
 
 
 def test_maxpool_nan_propagates(rng):
