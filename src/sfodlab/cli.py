@@ -42,7 +42,7 @@ from .data import (
     read_dataset,
     write_dataset,
 )
-from .detector import ArchDescriptor, init_model
+from .detector import ArchDescriptor
 from .ops import NumericsError
 from .report import (
     eval_record,
@@ -206,7 +206,7 @@ def cmd_train_source(args) -> int:
                            {"max_steps": args.steps, "lr": args.lr,
                             "batch_size": args.batch_size, "seed": args.seed})
     scenes, arch = _load_split(args.data, "source_train")
-    result = train_source(init_model(arch, seed=args.seed), scenes, config)
+    result = train_source(arch, scenes, config)
     for r in result.rows[1:]:
         if args.log_every and r.step % args.log_every == 0:
             print(f"step {r.step:5d}  total {r.loss.total:.4f}  "
@@ -313,10 +313,8 @@ def _read_run(run_dir):
     if not (isinstance(rep, dict) and all(
             isinstance(rep.get(k), dict) and "map" in rep[k] for k in ("final", "best"))):
         raise DataError(f"{rpath}: needs 'final' and 'best' entries with a 'map'")
-    trace_csv = rep.get("trace_csv", "trace.csv")
-    if not isinstance(trace_csv, str):
-        raise DataError(f"{rpath}: 'trace_csv' must be a file name, got {trace_csv!r}")
-    tpath = Path(run_dir) / trace_csv
+    # the run's own trace.csv: report.json's trace_csv entry is not a path to open
+    tpath = Path(run_dir) / "trace.csv"
     if not tpath.exists():
         return rep, None
     try:

@@ -30,7 +30,6 @@ import numpy as np
 from .boxes import clip_boxes, iou_matrix
 
 CLASS_NAMES = ("disc", "square", "triangle")
-NUM_CLASSES = 3
 
 
 class DataError(Exception):
@@ -44,7 +43,7 @@ class Scene:
     image: np.ndarray                  # (H, W, 3) float32 in [0, 1], or uint8 as
                                        # read_dataset returns it
     boxes: np.ndarray                  # (K, 4) float32, (x1, y1, x2, y2)
-    labels: np.ndarray                 # (K,) int64, < NUM_CLASSES
+    labels: np.ndarray                 # (K,) int64, < len(CLASS_NAMES)
     id: str = ""
 
 
@@ -172,19 +171,21 @@ def gaussian_blur(image: np.ndarray, sigma) -> np.ndarray:
 def _zoom_linear(grid: np.ndarray, size: int) -> np.ndarray:
     """An (m, m, C) grid resampled to (size, size, C) by bilinear
     interpolation, bit for bit SciPy's ndimage.zoom(grid[..., c], size / m,
-    order=1) for each channel c (mode 'constant', no grid mode). Output
+    order=1, mode='nearest') for each channel c (no grid mode). Output
     index k samples grid coordinate k * ((m - 1) / (size - 1)); the weights
     of its two cells are w0 = 1 - frac and w1 = 1 - w0 (w1 = frac can be an
     ulp off); the four corner terms value * y weight * x weight are added
-    row-major onto 0.0; and a coordinate that rounds past the last cell
-    gives 0, the constant mode's fill value."""
+    row-major onto 0.0. A coordinate that rounds past the last cell takes
+    the last cell for both of its cells, so the last row and column keep
+    the texture; SciPy's default mode 'constant' gives the same bits except
+    that it fills such a coordinate with 0."""
     m = grid.shape[0]
     k = np.arange(size) * ((m - 1) / (size - 1) if size > 1 else 1.0)
     lo = np.floor(k)
     w0 = 1.0 - (k - lo)
     w1 = 1.0 - w0
     lo = lo.astype(np.intp)
-    hi = np.minimum(lo + 1, m - 1)  # w1 is 0 at the last cell
+    hi = np.minimum(lo + 1, m - 1)  # at or past the last cell both cells are the last
     wy0, wy1 = w0[:, None, None], w1[:, None, None]
     wx0, wx1 = w0[None, :, None], w1[None, :, None]
     top, bottom = grid[lo], grid[hi]
@@ -192,9 +193,6 @@ def _zoom_linear(grid: np.ndarray, size: int) -> np.ndarray:
     out += top[:, hi] * wy0 * wx1
     out += bottom[:, lo] * wy1 * wx0
     out += bottom[:, hi] * wy1 * wx1
-    past = k > m - 1
-    out[past] = 0.0
-    out[:, past] = 0.0
     return out
 
 
@@ -221,7 +219,7 @@ def generate_scene(spec: DomainSpec, rng: np.random.Generator,
     boxes, labels = [], []
     for _ in range(count):
         for _attempt in range(100):
-            class_id = int(rng.integers(0, NUM_CLASSES))
+            class_id = int(rng.integers(0, len(CLASS_NAMES)))
             size = rng.uniform(spec.min_size, spec.max_size)
             cx = rng.uniform(0, s)
             cy = rng.uniform(0, s)

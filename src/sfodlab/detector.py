@@ -294,8 +294,7 @@ def _backbone_backward(model: ModelState, caches, dfeats, grads):
 
 def _rpn_forward(model: ModelState, feats: np.ndarray):
     p = model.params
-    hidden = relu_forward(
-        conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"])[0])
+    hidden = relu_forward(conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"]))
     obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"])
     delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"])
     return obj_map, delta_map, hidden

@@ -11,9 +11,9 @@ square k x k kernel, zero padding k // 2 (the output keeps the input's
 height and width) and a bias. In that form the input gradient is a
 convolution of the same form, so dx unfolds the upstream gradient with the
 forward pass's _im2col (im2col: Chellapilla et al., 2006). conv2d_forward
-and conv2d_backward unfold one image at a time, so a convolution holds one
-image's patch matrix, not the batch's; a 1 x 1 kernel has no patch matrix,
-so conv2d_forward runs it as one batched product.
+and conv2d_backward each run one loop over the images and unfold one image
+at a time, so a convolution holds one image's patch matrix, not the batch's
+(a 1 x 1 kernel's columns are a view of the image, with no patch matrix).
 
 Ownership: a kernel writes into an array it is given only where its
 docstring says so (relu_forward into x; batchnorm's bn_apply and
@@ -71,38 +71,29 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
     """2D cross-correlation of NCHW x with an odd square OIHW kernel, zero
     padding k // 2, stride 1, plus a (O,) bias: the output is N x O x H x W.
 
-    A k > 1 kernel runs one loop over the images, as in conv2d_backward:
-    each image is unfolded on its own and its product is written straight
-    into the output array, so only one image's patch matrix is alive (about
-    1 MB for the first conv of a 96-px image) and no per-image result is
-    stacked. A 1 x 1 kernel's columns are a view of x itself, so it runs
-    one batched matmul over all images into the output. A batched matmul
-    runs the same product per image, so the bits are the same either way.
+    One loop over the images, as in conv2d_backward: each image is unfolded
+    on its own and its product is written straight into the output array,
+    so only one image's patch matrix is alive (about 1 MB for the first conv
+    of a 96-px image; none for a 1 x 1 kernel, whose columns are a view of
+    x) and no per-image result is stacked. A batched matmul runs the same
+    product per image, so the bits are those of one batch-wide unfold.
     """
     k = _kernel_size(x, kernel)
     n, _, h, w = x.shape
     o = kernel.shape[0]
     kmat = kernel.reshape(o, -1)
     out = np.empty((n, o, h, w), np.result_type(kernel, x))
-    if k == 1:
-        np.matmul(kmat, _im2col(x, k), out=out.reshape(n, o, h * w))
-    else:
-        for i in range(n):
-            np.matmul(kmat, _im2col(x[i:i + 1], k)[0], out=out[i].reshape(o, h * w))
+    for i in range(n):
+        np.matmul(kmat, _im2col(x[i:i + 1], k)[0], out=out[i].reshape(o, h * w))
     out += bias.reshape(1, o, 1, 1)
     return out
 
 
-def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
-    """conv2d_forward that also returns its (N, C*k*k, H*W) im2col patch
-    matrix, unfolded for the whole batch at once."""
-    k = _kernel_size(x, kernel)
-    n, _, h, w = x.shape
-    o = kernel.shape[0]
-    cols = _im2col(x, k)
-    out = np.matmul(kernel.reshape(o, -1), cols).reshape(n, o, h, w)
-    out += bias.reshape(1, o, 1, 1)
-    return out, cols
+def conv2d_forward_cols(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """conv2d_forward under the name that perfbench/tracer.py, harness.py and
+    BENCHMARK.json list for the RPN conv; it stays only until the benchmark's
+    next revision drops that name."""
+    return conv2d_forward(x, kernel, bias)
 
 
 def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,

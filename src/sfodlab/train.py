@@ -7,11 +7,13 @@ import numpy as np
 
 from .boxes import EvalResult, evaluate_ap50
 from .detector import (
+    ArchDescriptor,
     LossBreakdown,
     ModelState,
     forward_inference_batch,
     forward_train,
     images_to_batch,
+    init_model,
 )
 from .ops import sgd_step
 
@@ -30,12 +32,14 @@ def train_step(model: ModelState, views, rng: np.random.Generator, lr: float,
     return loss
 
 
-def train_source(model: ModelState, scenes, config):
-    """Supervised training: adapt() with config, the ground truth as its
-    fixed label set and no evaluation pool. Returns its AdaptResult; final is
-    a trained copy of model, and a non-finite loss ends the run at diverged_at."""
+def train_source(arch: ArchDescriptor, scenes, config):
+    """Supervised training of a new arch model initialised from config.seed:
+    adapt() with config, the ground truth as its fixed label set and no
+    evaluation pool. Returns its AdaptResult; a non-finite loss ends the run
+    at diverged_at."""
     from .adapt import adapt  # here: adapt.py imports this module
-    return adapt(model, scenes, config, [], labels={s.id: s for s in scenes})
+    return adapt(init_model(arch, config.seed), scenes, config, [],
+                 labels={s.id: s for s in scenes})
 
 
 def evaluate_model(model: ModelState, scenes) -> EvalResult:

@@ -94,9 +94,9 @@ def test_train_source_command_runs_fixed_sf_pl_preset(workdir, tmp_path, monkeyp
     options applied, the config adapt builds for that preset."""
     real, configs = cli.train_source, []
 
-    def recording(model, scenes, config):
+    def recording(arch, scenes, config):
         configs.append(config)
-        return real(model, scenes, config)
+        return real(arch, scenes, config)
 
     monkeypatch.setattr(cli, "train_source", recording)
     assert cli.main(["train-source", "--data", str(workdir / "data"),
@@ -742,9 +742,8 @@ def _rename_trace_column(run):
 
 
 @pytest.mark.parametrize("damage", [_not_json, _edit("final"), _edit("best"),
-                                    _edit("trace_csv", 5), _rename_trace_column],
-                         ids=["not-json", "no-final", "no-best", "trace-csv-not-a-name",
-                              "trace-columns"])
+                                    _rename_trace_column],
+                         ids=["not-json", "no-final", "no-best", "trace-columns"])
 @pytest.mark.parametrize("suffix", [".csv", ".svg"])
 def test_report_on_malformed_run_exits_3(runs, tmp_path, capsys, damage, suffix):
     run = tmp_path / "run"
@@ -755,6 +754,25 @@ def test_report_on_malformed_run_exits_3(runs, tmp_path, capsys, damage, suffix)
     (line,) = error_lines(capsys)
     assert line.startswith("ERROR[data]:") and str(run / bad_file) in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".svg"])
+def test_report_reads_each_run_own_trace_csv(runs, tmp_path, suffix):
+    """report merges <run>/trace.csv whatever report.json's trace_csv entry
+    holds, a path to another file included: the output is the bytes of the
+    unedited run's."""
+    run = tmp_path / "run"
+    shutil.copytree(runs[0], run)
+    argv = ["report", "--runs", str(runs[1]), str(run), "--out"]
+    want = tmp_path / f"want{suffix}"
+    assert cli.main([*argv, str(want)]) == 0
+    decoy = tmp_path / "decoy.csv"
+    decoy.write_text("not,a,trace\n")
+    for value in (str(decoy), 5):
+        _edit("trace_csv", value)(run)
+        got = tmp_path / f"got{suffix}"
+        assert cli.main([*argv, str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
 
 
 # config_hash of every preset, as report.json and the checkpoint metadata

@@ -33,7 +33,7 @@ def test_generation_counts_and_bounds():
         assert (b[:, 1] >= 0).all() and (b[:, 3] <= 96).all()
         areas = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
         assert (areas >= 4).all()
-        assert (sc.labels < Dt.NUM_CLASSES).all()
+        assert (sc.labels < len(Dt.CLASS_NAMES)).all()
 
 
 def test_zero_objects_scene():
@@ -395,12 +395,12 @@ def mask_cases(rng, s=96, n=60):
             continue
         rx0, ry0 = int(np.floor(vx1)), int(np.floor(vy1))
         rx1, ry1 = int(np.ceil(vx2)), int(np.ceil(vy2))
-        for class_id in range(Dt.NUM_CLASSES):
+        for class_id in range(len(Dt.CLASS_NAMES)):
             yield class_id, x1, y1, x2, y2, rx0, ry0, rx1 - rx0, ry1 - ry0
     for y1, dy in [(10.0, 0.0), (10.25, 1e-9), (3.5, 5e-7), (40.0, 1e-6)]:
         yield 2, 12.3, y1, 30.8, y1 + dy, 12, int(y1), 19, 2
     # edges, apex and disc rim exactly on supersample centres (k + 1/8 + j/4)
-    for class_id in range(Dt.NUM_CLASSES):
+    for class_id in range(len(Dt.CLASS_NAMES)):
         yield class_id, 16.125, 16.125, 24.125, 24.125, 16, 16, 9, 9
 
 
@@ -454,13 +454,13 @@ def assert_same_array(live, ref, case=None):
     assert live.tobytes() == ref.tobytes(), case
 
 
-def zoom_per_channel(grid, size):
+def zoom_per_channel(grid, size, mode="constant"):
     """Reference _zoom_linear: scipy's order-1 zoom of each channel."""
     from scipy.ndimage import zoom
 
     f = size / grid.shape[0]
-    return np.stack([zoom(grid[..., k], (f, f), order=1) for k in range(grid.shape[2])],
-                    axis=-1)
+    return np.stack([zoom(grid[..., k], (f, f), order=1, mode=mode)
+                     for k in range(grid.shape[2])], axis=-1)
 
 
 def test_gaussian_blur_matches_scipy_on_random_images():
@@ -516,14 +516,21 @@ def test_gaussian_blur_matches_scipy_when_radius_passes_the_side(h, w):
 
 
 def test_zoom_linear_matches_scipy():
-    """3 to 16 cells to sizes from 32 to 128 px, among them sizes whose last
-    coordinate rounds past the last cell (scipy fills it with 0)."""
+    """3 to 16 cells to sizes from 32 to 128 px. Where no coordinate rounds
+    past the last cell, the bytes are scipy's default zoom. Where the last
+    one does (say 8 -> 44, 12 -> 88, 16 -> 80), scipy fills that row and
+    column with 0; the live zoom clamps them to the last cell, which are
+    the bytes of scipy's 'nearest' mode, so the edge keeps its texture."""
     rng = np.random.default_rng(12)
-    past = 0
-    for cells in range(3, 17):
-        for size in range(32, 129, 3):
-            grid = rng.uniform(-1, 1, size=(cells, cells, 3))
-            assert_same_array(Dt._zoom_linear(grid, size), zoom_per_channel(grid, size),
-                              (cells, size))
-            past += (size - 1) * ((cells - 1) / (size - 1)) > cells - 1
-    assert past > 0
+    pairs = [(cells, size) for cells in range(3, 17) for size in range(32, 129, 3)]
+    past = set()
+    for cells, size in pairs + [(12, 88)]:
+        grid = rng.uniform(-1, 1, size=(cells, cells, 3))
+        live = Dt._zoom_linear(grid, size)
+        if (size - 1) * ((cells - 1) / (size - 1)) > cells - 1:
+            past.add((cells, size))
+            assert_same_array(live, zoom_per_channel(grid, size, "nearest"), (cells, size))
+            assert np.allclose(live[-1, [0, -1]], grid[-1, [0, -1]], rtol=0, atol=1e-12)
+        else:
+            assert_same_array(live, zoom_per_channel(grid, size), (cells, size))
+    assert {(8, 44), (12, 88), (16, 80)} <= past

@@ -16,9 +16,9 @@ from sfodlab.batchnorm import BN_EPS, batch_stats, update_running_statistics
 from sfodlab.data import DomainSpec, generate_split
 from sfodlab.ops import (
     NumericsError,
+    _im2col,
     conv2d_backward,
     conv2d_forward,
-    conv2d_forward_cols,
     linear_backward,
     linear_forward,
     relu_backward,
@@ -511,12 +511,21 @@ def relu_reference(x):
     return np.maximum(x, 0)
 
 
+def conv2d_batched_reference(x, kernel, bias):
+    """conv2d_forward as one batch-wide _im2col and one batched matmul."""
+    n, _, h, w = x.shape
+    o = kernel.shape[0]
+    out = np.matmul(kernel.reshape(o, -1), _im2col(x, kernel.shape[2])).reshape(n, o, h, w)
+    out += bias.reshape(1, o, 1, 1)
+    return out
+
+
 def rpn_forward_reference(model, feats):
     p = model.params
-    hidden_pre = conv2d_forward_cols(feats, p["rpn.conv.w"], p["rpn.conv.b"])[0]
+    hidden_pre = conv2d_batched_reference(feats, p["rpn.conv.w"], p["rpn.conv.b"])
     hidden = relu_reference(hidden_pre)
-    obj_map = conv2d_forward(hidden, p["rpn.obj.w"], p["rpn.obj.b"])
-    delta_map = conv2d_forward(hidden, p["rpn.delta.w"], p["rpn.delta.b"])
+    obj_map = conv2d_batched_reference(hidden, p["rpn.obj.w"], p["rpn.obj.b"])
+    delta_map = conv2d_batched_reference(hidden, p["rpn.delta.w"], p["rpn.delta.b"])
     return obj_map, delta_map, hidden_pre, hidden
 
 

@@ -92,8 +92,8 @@ def test_conv_forward_per_image_matches_batched_bytes(rng, n):
 
 
 def test_conv_1x1_batched_matches_per_image_loop(rng):
-    """A 1 x 1 kernel runs one batched matmul; its bytes are those of the
-    per-image loop that k > 1 kernels run, at the RPN head shapes (64
+    """A 1 x 1 kernel runs the per-image loop too; its bytes are those of
+    one batched matmul over the whole batch, at the RPN head shapes (64
     channels on a 12 x 12 map, 18 and 36 outputs) for batches 1 to 16."""
     x = np.maximum(rng.normal(size=(16, 64, 12, 12)), 0).astype(np.float32)
     x[3, 5, 2, 2] = np.nan
@@ -102,13 +102,9 @@ def test_conv_1x1_batched_matches_per_image_loop(rng):
         k = rng.normal(size=(o, 64, 1, 1)).astype(np.float32)
         b = rng.normal(size=o).astype(np.float32)
         for n in range(1, 17):
-            want = np.empty((n, o, 12, 12), np.float32)
-            for i in range(n):
-                np.matmul(k.reshape(o, 64), x[i].reshape(64, 144),
-                          out=want[i].reshape(o, 144))
-            want += b.reshape(1, o, 1, 1)
             with np.errstate(invalid="ignore"):
                 got = ops.conv2d_forward(x[:n], k, b)
+                want = conv2d_forward_batched(x[:n], k, b)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (o, n)
 
 
@@ -185,13 +181,13 @@ def test_conv_backward_without_dx_identical(rng):
 
 
 def test_conv_backward_cached_cols_identical(rng):
-    """dw from the per-image re-unfold equals dw from the patch matrix the
-    forward pass returns, summed over the batch as a batched matmul."""
+    """dw from the per-image re-unfold equals dw from one batch-wide
+    _im2col patch matrix, summed over the batch as a batched matmul."""
     x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
     for ksize in (1, 3):
         k = rng.normal(size=(4, 3, ksize, ksize)).astype(np.float32)
-        out, cols = ops.conv2d_forward_cols(x, k, np.zeros(4, np.float32))
-        dout = rng.normal(size=out.shape).astype(np.float32)
+        cols = ops._im2col(x, ksize)
+        dout = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
         dmat = dout.reshape(len(x), 4, -1)
         cached = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape)
         _, dw, _ = ops.conv2d_backward(dout, x, k)

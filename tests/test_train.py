@@ -34,12 +34,12 @@ def param_bytes(model):
     return {k: v.tobytes() for k, v in model.params.items()}
 
 
-def train_source(model, scenes, steps, lr, batch_size, seed):
-    """train.train_source with the config the train-source command builds:
-    the fixed_sf_pl preset with these options."""
+def train_source(scenes, steps, lr, batch_size, seed):
+    """train.train_source of small_arch() with the config the train-source
+    command builds: the fixed_sf_pl preset with these options."""
     config = replace(strategy_presets()["fixed_sf_pl"], max_steps=steps, lr=lr,
                      batch_size=batch_size, seed=seed)
-    return train.train_source(model, scenes, config)
+    return train.train_source(small_arch(), scenes, config)
 
 
 def train_source_reference(model, scenes, steps, lr, batch_size, rng):
@@ -63,14 +63,13 @@ def train_source_reference(model, scenes, steps, lr, batch_size, rng):
 def test_train_source_matches_reference(tmp_path, count, steps, lr, batch_size, read,
                                         diverged_at):
     """train_source's rows and final parameter bytes are those of the old
-    loop at the same seed; where the old loop raised at step N, the run ends
-    with diverged_at N and final holds the bytes the old loop left. The
-    model passed in is only read."""
+    loop on a model initialised from the config's seed; where the old loop
+    raised at step N, the run ends with diverged_at N and final holds the
+    bytes the old loop left."""
     scenes = source_scenes(count)
     if read:
         scenes, _ = read_back(scenes, tmp_path / "ds")
-    want_model, want, raised_at = D.init_model(small_arch(), 0), [], None
-    model = D.init_model(small_arch(), 0)
+    want_model, want, raised_at = D.init_model(small_arch(), 3), [], None
     with np.errstate(all="ignore"):
         try:
             for row in train_source_reference(want_model, scenes, steps, lr, batch_size,
@@ -78,16 +77,14 @@ def test_train_source_matches_reference(tmp_path, count, steps, lr, batch_size, 
                 want.append(row)
         except NumericsError:
             raised_at = len(want) + 1
-        result = train_source(model, scenes, steps, lr, batch_size, 3)
+        result = train_source(scenes, steps, lr, batch_size, 3)
     assert raised_at == result.diverged_at == diverged_at
     assert [(r.step, r.loss) for r in result.rows[1:]] == want
     assert param_bytes(result.final) == param_bytes(want_model)
-    assert param_bytes(model) == param_bytes(D.init_model(small_arch(), 0))
 
 
 def test_train_source_returns_one_row_per_step():
-    model = D.init_model(small_arch(), 0)
-    result = train_source(model, source_scenes(), 3, 0.01, 2, 0)
+    result = train_source(source_scenes(), 3, 0.01, 2, 0)
     assert [r.step for r in result.rows] == [0, 1, 2, 3]
     assert result.diverged_at is None
     for r in result.rows[1:]:
@@ -98,7 +95,7 @@ def test_train_source_on_read_scenes_matches_float_decode(tmp_path):
     """Three steps on read scenes (8-bit pixels) give the rows and final
     parameter bytes of three steps on their float32 decode."""
     read, decoded = read_back(source_scenes(), tmp_path / "ds")
-    results = [train_source(D.init_model(small_arch(), 0), scenes, 3, 0.01, 2, 0)
+    results = [train_source(scenes, 3, 0.01, 2, 0)
                for scenes in (read, decoded)]
     assert results[0].rows == results[1].rows
     assert param_bytes(results[0].final) == param_bytes(results[1].final)
@@ -109,8 +106,7 @@ def test_train_source_divergence_keeps_step_1_state(monkeypatch):
     ends with diverged_at 2 after two forward passes, and every final
     parameter, BN running statistics included, holds what step 1 left."""
     scenes = source_scenes()
-    after_step_1 = train_source(D.init_model(small_arch(), 0), scenes, 1, 1e30, 2,
-                                0).final
+    after_step_1 = train_source(scenes, 1, 1e30, 2, 0).final
 
     calls = []
     real = train.forward_train
@@ -121,7 +117,7 @@ def test_train_source_divergence_keeps_step_1_state(monkeypatch):
 
     monkeypatch.setattr(train, "forward_train", counting)
     with np.errstate(all="ignore"):
-        result = train_source(D.init_model(small_arch(), 0), scenes, 4, 1e30, 2, 0)
+        result = train_source(scenes, 4, 1e30, 2, 0)
     assert result.diverged_at == 2 and len(calls) == 2
     assert [r.step for r in result.rows] == [0, 1]
     assert param_bytes(result.final) == param_bytes(after_step_1)
