@@ -89,6 +89,10 @@ class TraceRow:
 
 @dataclass
 class AdaptResult:
+    """final is the model after the last step; best is the model of the
+    highest trace mAP or, with an empty evaluation pool, where nothing
+    selects one, final itself."""
+
     final: ModelState
     best: ModelState
     rows: list                 # one TraceRow per step, step 0 included
@@ -179,7 +183,12 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
     row per step. A given labels set replaces the pseudo-labels at every step.
     The step-0 model is the initial teacher itself (source, or its AdaBN
     adaptation), not a copy: it is the best model while no step beats it,
-    and with max_steps = 0 it is both final and best.
+    and with max_steps = 0 it is both final and best. With an empty
+    evaluation pool nothing selects a best, so best is final.
+    No model is kept past the last step that reads it: the source once the
+    teacher exists, a fixed-label run's teacher once its labels exist, and
+    the step-0 best once a step beats it. The source's arrays are freed
+    with the last of these if the caller keeps no reference to it.
     A divergent step is recorded (diverged_at) and ends the run with
     everything up to that step preserved; collapse is an observable here,
     not a crash.
@@ -196,17 +205,21 @@ def adapt(source: ModelState, target_scenes, config: AdaptConfig,
             source, [s.image for s in target_scenes], config.batch_size)
     else:
         teacher = source
+    del source
 
     eval_pool = list(eval_scenes)[: config.eval_subset or None]
     evaluation = evaluate_model(teacher, eval_pool)
     rows = [TraceRow(0, LossBreakdown(0.0, 0.0, 0.0, 0.0), 0, evaluation)]
     if config.max_steps == 0:
         return AdaptResult(teacher, teacher, rows)
-    best_map, best_model = evaluation.map, teacher
 
     student = teacher.copy()
-    if labels is None and config.fixed_pls:
-        labels = generate_pseudo_labels(teacher, target_scenes, config.tau)
+    # the student is trained in place, so with no pool best stays final
+    best_map, best_model = evaluation.map, teacher if eval_pool else student
+    if config.fixed_pls:
+        if labels is None:
+            labels = generate_pseudo_labels(teacher, target_scenes, config.tau)
+        del teacher  # fixed labels: no later step reads the teacher
 
     for step in range(1, config.max_steps + 1):
         if config.mosaic:

@@ -239,20 +239,26 @@ def _adapt_config(args) -> AdaptConfig:
 
 def cmd_adapt(args) -> int:
     config = _adapt_config(args)
-    source, _ = load_checkpoint(args.source_ckpt)
-    target_train, _ = _load_split(args.data, "target_train", source.arch)
-    target_test, _ = _load_split(args.data, "target_test", source.arch)
+    # Only this list holds the source model, and it hands the model to
+    # adapt(), so adapt() can free it mid-run (see its docstring). CPython
+    # >= 3.11 moves call arguments into the callee's frame; 3.10 keeps them
+    # on the caller's stack for the whole call, which saves nothing there
+    # and costs nothing.
+    source = [load_checkpoint(args.source_ckpt)[0]]
+    arch = source[0].arch
+    target_train, _ = _load_split(args.data, "target_train", arch)
+    target_test, _ = _load_split(args.data, "target_test", arch)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # an earlier run's report must not outlive a failure of this one beside
     # the checkpoints this run replaces
     (out / "report.json").unlink(missing_ok=True)
-    num_classes = source.arch.num_classes
+    num_classes = arch.num_classes
     t0 = time.monotonic()
-    result = adapt(source, target_train, config, target_test)
+    result = adapt(source.pop(), target_train, config, target_test)
     wall = time.monotonic() - t0
-    del source, target_train  # not alive beside the evaluations below
+    del target_train  # not alive beside the evaluations below
 
     cfg_dict = asdict(config)
     meta = {"kind": "adapted", "strategy": config.strategy, "seed": config.seed,
@@ -275,7 +281,6 @@ def cmd_adapt(args) -> int:
                   "rows": len(result.rows)},
         "diverged_at": result.diverged_at,
         "wall_clock_sec": round(wall, 3),
-        "trace_csv": "trace.csv",
         "checkpoints": {"final": "final.ckpt", "best": "best.ckpt"},
     }
     write_run_report(out / "report.json", report)
@@ -313,7 +318,8 @@ def _read_run(run_dir):
     if not (isinstance(rep, dict) and all(
             isinstance(rep.get(k), dict) and "map" in rep[k] for k in ("final", "best"))):
         raise DataError(f"{rpath}: needs 'final' and 'best' entries with a 'map'")
-    # the run's own trace.csv: report.json's trace_csv entry is not a path to open
+    # the run's own trace.csv: an older report.json's trace_csv entry is not
+    # a path to open
     tpath = Path(run_dir) / "trace.csv"
     if not tpath.exists():
         return rep, None

@@ -375,10 +375,11 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
     the running maximum, so no (K, P, out, out, C) window is built.
 
     Returns pooled (P, C, out, out) and, when need_indices, the flat
-    feature-cell index row*F + col of each pooled maximum as int32 (F*F is
-    far below 2**31), shaped (P, out, out, C), for the backward scatter;
-    otherwise None. Ties go to the first maximum in row-major bin order. A
-    bin holding a NaN pools to NaN and its index names the first NaN.
+    feature-cell index row*F + col of each pooled maximum in the smallest
+    integer type that holds F*F - 1 (uint8 up to a 16 x 16 map), shaped
+    (P, out, out, C), for the backward scatter; otherwise None. Ties go to
+    the first maximum in row-major bin order. A bin holding a NaN pools to
+    NaN and its index names the first NaN.
     """
     c, fh, fw = feats_img.shape
     y0, y1 = _roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
@@ -396,7 +397,8 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
         for k in range(1, len(cells)):
             np.maximum(best, table[cells[k]], out=best)
         return best.transpose(0, 3, 1, 2), None
-    arg = np.repeat(cells[0][..., None].astype(np.int32), c, axis=3)
+    cells = cells.astype(np.min_scalar_type(fh * fw - 1))
+    arg = np.repeat(cells[0][..., None], c, axis=3)
     has_nan = np.isnan(table).any()
     for k in range(1, len(cells)):
         cand = table[cells[k]]
@@ -413,9 +415,9 @@ def _roi_scatter_batch(dpooled: np.ndarray, cells: np.ndarray,
                        c: int, fh: int, fw: int) -> np.ndarray:
     """Accumulate pooled-cell gradients back onto one image's feature map.
 
-    cells are the (P, out, out, C) int32 maximum indices from
-    _roi_pool_batch; the flat (channel, cell) index built from them is
-    int64.
+    cells are the (P, out, out, C) maximum indices from _roi_pool_batch, in
+    its smallest integer type; the flat (channel, cell) index built from
+    them is int64.
     """
     vals = dpooled.transpose(0, 2, 3, 1)
     lin = np.arange(c) * (fh * fw) + cells

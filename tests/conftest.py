@@ -1,12 +1,20 @@
 """Shared oracles: 64-bit central finite differences, naive references and
-scenes read back from disk."""
+scenes read back from disk; the mark of tests that need argument handover."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sfodlab.data import DomainSpec, float_pixels, read_dataset, write_dataset
+
+# A test that a callee frees a model its caller passed without keeping it:
+# before 3.11 a Python call keeps its arguments on the caller's stack until
+# it returns, so the caller holds the model for the whole call.
+needs_argument_handover = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="call arguments outlive the call on the caller's stack before 3.11")
 
 
 def numerical_grad(f, x, h=1e-3):

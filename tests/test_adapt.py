@@ -475,6 +475,20 @@ def test_no_steps_final_is_best(strategy):
     assert (res.final is source) == (not cfg.adabn_first)
 
 
+@pytest.mark.parametrize("strategy", ["sf_ut", "fixed_sf_pl"])
+def test_no_evaluation_pool_best_is_final(strategy):
+    """With an empty evaluation pool nothing selects a best: best is final,
+    not the step-0 teacher, and the trace's evaluations of no scene read
+    mAP 0."""
+    source = init_model(small_arch(), 0)
+    targets = tiny_scenes(6, 5, shift="fog")
+    cfg = replace(strategy_presets()[strategy], batch_size=2, max_steps=3,
+                  eval_period=1, seed=3)
+    res = adapt(source, targets, cfg, [])
+    assert res.best is res.final and res.best is not source
+    assert res.peak_map() == 0.0 and [r.step for r in res.rows] == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("adabn_first", [False, True], ids=["source", "adabn"])
 def test_step_zero_best_is_the_initial_teacher(monkeypatch, adabn_first):
     """While no step beats step 0, best holds the bytes of the step-0

@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -17,12 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sfodlab.adapt as adapt_mod
 from sfodlab import cli
 from sfodlab.adapt import AdaptConfig, strategy_presets
 from sfodlab.augment import StrongAugParams
 from sfodlab.checkpoint import load_checkpoint, save_checkpoint
 from sfodlab.data import DataError, Scene
 from sfodlab.detector import ArchDescriptor, init_model
+from conftest import needs_argument_handover
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,42 @@ def test_adapt_command_passes_no_label_set(workdir, tmp_path, monkeypatch):
                      "--steps", "1", "--batch-size", "2",
                      "--out", str(tmp_path / "out")]) == 0
     assert labels == [None]
+
+
+@needs_argument_handover
+def test_adapt_command_frees_the_source_once_nothing_reads_it(workdir, tmp_path,
+                                                              monkeypatch):
+    """sf_ut adapt keeps the loaded source only while a later step reads it:
+    its arrays are alive in step 1, when the source is the teacher and the
+    step-0 best, and dead from step 2 on, after step 1's EMA replaced the
+    teacher and step 1 became best."""
+    real_load, real_eval, real_step = (cli.load_checkpoint, adapt_mod.evaluate_model,
+                                       adapt_mod.train_step)
+    refs, alive, evaluations = [], [], []
+
+    def loading(path):
+        model, meta = real_load(path)
+        refs.extend(weakref.ref(v) for v in model.params.values())
+        return model, meta
+
+    def step_1_best(model, scenes):
+        evaluations.append(real_eval(model, scenes))
+        return replace(evaluations[-1], map=2.0) if len(evaluations) == 2 else evaluations[-1]
+
+    def recording(model, views, rng, lr, include_reg):
+        alive.append([r() is not None for r in refs])
+        return real_step(model, views, rng, lr, include_reg)
+
+    monkeypatch.setattr(cli, "load_checkpoint", loading)
+    monkeypatch.setattr(adapt_mod, "evaluate_model", step_1_best)
+    monkeypatch.setattr(adapt_mod, "train_step", recording)
+    assert cli.main(["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+                     "--data", str(workdir / "data"), "--strategy", "sf_ut",
+                     "--steps", "3", "--eval-period", "1", "--batch-size", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(refs) == len(ArchDescriptor().param_shapes())
+    assert [all(a) for a in alive] == [True, False, False]
+    assert [any(a) for a in alive] == [True, False, False]
 
 
 def test_train_source_command_runs_fixed_sf_pl_preset(workdir, tmp_path, monkeypatch):

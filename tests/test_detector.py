@@ -249,7 +249,8 @@ def test_roi_pool_batch_ties_match_reference(rng):
             for boxes in (mixed_boxes(rng, 12, f), mixed_boxes(rng, 1, f), full_map):
                 want, yy, xx = roi_pool_batch_reference(feats, boxes, out)
                 pooled, cells = D._roi_pool_batch(feats, boxes, out, True)
-                assert pooled.dtype == feats.dtype and cells.dtype == np.int32
+                assert pooled.dtype == feats.dtype
+                assert cells.dtype == np.min_scalar_type(f * f - 1) == np.uint8
                 assert pooled.tobytes() == want.tobytes()
                 assert np.array_equal(cells, (yy * f + xx).transpose(1, 2, 3, 0))
                 plain, none = D._roi_pool_batch(feats, boxes, out, need_indices=False)
@@ -273,20 +274,24 @@ def roi_max_cells_int64(feats_img, boxes_feat, out):
     return np.take_along_axis(cells, k[None], axis=0)[0]
 
 
-def test_roi_pool_batch_int32_indices_match_int64_reference(rng):
-    """The int32 max-cell indices hold the values of an int64 reference,
-    NaN bins included, and scatter the same bytes as their int64 copy."""
-    feats = np.maximum(rng.normal(size=(6, 12, 12)), 0).astype(np.float32)
+@pytest.mark.parametrize("f, dtype", [(12, np.uint8), (17, np.uint16)],
+                         ids=["12x12-uint8", "17x17-uint16"])
+def test_roi_pool_batch_indices_match_int64_reference(rng, f, dtype):
+    """The max-cell indices come in the smallest integer type that holds
+    F*F - 1 (uint8 at the default 12 x 12 map, uint16 once F*F > 256), hold
+    the values of an int64 reference, NaN bins included, and scatter the
+    same bytes as their int64 copy."""
+    feats = np.maximum(rng.normal(size=(6, f, f)), 0).astype(np.float32)
     feats[2, 5, 7] = np.nan
-    boxes = np.concatenate([mixed_boxes(rng, 32, 12), [[0.0, 0.0, 12.0, 12.0]]])
+    boxes = np.concatenate([mixed_boxes(rng, 32, f), [[0.0, 0.0, f, f]]])
     for out in (2, 5):
         _, cells = D._roi_pool_batch(feats, boxes, out, True)
         want = roi_max_cells_int64(feats, boxes, out)
-        assert cells.dtype == np.int32 and want.dtype == np.int64
+        assert cells.dtype == dtype and want.dtype == np.int64
         assert np.array_equal(cells, want)
         dpooled = rng.normal(size=(len(boxes), 6, out, out)).astype(np.float32)
-        got = D._roi_scatter_batch(dpooled, cells, 6, 12, 12)
-        assert got.tobytes() == D._roi_scatter_batch(dpooled, want, 6, 12, 12).tobytes()
+        got = D._roi_scatter_batch(dpooled, cells, 6, f, f)
+        assert got.tobytes() == D._roi_scatter_batch(dpooled, want, 6, f, f).tobytes()
 
 
 def test_roi_pool_batch_nan_propagates(rng):

@@ -4,18 +4,20 @@ one evaluation's traced memory stays bounded, and a model that proposes
 nothing scores 0."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sfodlab.adapt as adapt_mod
 from sfodlab import detector as D
 from sfodlab import train
 from sfodlab.adapt import strategy_presets
 from sfodlab.augment import weak_augment
 from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.ops import NumericsError
-from conftest import read_back
+from conftest import needs_argument_handover, read_back
 
 
 def small_arch():
@@ -89,6 +91,30 @@ def test_train_source_returns_one_row_per_step():
     assert result.diverged_at is None
     for r in result.rows[1:]:
         assert isinstance(r.loss, D.LossBreakdown) and np.isfinite(r.loss.total)
+
+
+@needs_argument_handover
+def test_train_source_frees_the_initial_model(monkeypatch):
+    """Nothing reads the initial model once the student copy exists: with
+    the ground truth as fixed labels and no evaluation pool it is neither
+    labeler nor best, so its arrays are dead in every train_step."""
+    real_init, real_step = train.init_model, adapt_mod.train_step
+    refs, alive = [], []
+
+    def initialising(arch, seed):
+        model = real_init(arch, seed)
+        refs.extend(weakref.ref(v) for v in model.params.values())
+        return model
+
+    def recording(model, views, rng, lr, include_reg):
+        alive.append(any(r() is not None for r in refs))
+        return real_step(model, views, rng, lr, include_reg)
+
+    monkeypatch.setattr(train, "init_model", initialising)
+    monkeypatch.setattr(adapt_mod, "train_step", recording)
+    result = train_source(source_scenes(), 3, 0.01, 2, 0)
+    assert len(refs) == len(small_arch().param_shapes())
+    assert alive == [False, False, False] and result.best is result.final
 
 
 def test_train_source_on_read_scenes_matches_float_decode(tmp_path):
