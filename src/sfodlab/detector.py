@@ -32,6 +32,7 @@ from .ops import (
     maxpool2_forward,
     maxpool2_scatter,
     maxpool2_with_indices,
+    put_where,
     relu_backward,
     relu_forward,
     smooth_l1,
@@ -148,7 +149,9 @@ class ModelState:
     Two models may share arrays: AdaBN (collect_target_statistics) returns
     one that holds its source's weight arrays. So only a model that owns
     every array, one made by init_model, load_checkpoint or copy(), is
-    written in place (sgd_step); adapt, and so train-source, trains a copy()
+    written in place: train_step's sgd_step updates each parameter while
+    forward_train's backward is still running, and forward_train folds the
+    BN running statistics last. adapt, and so train-source, trains a copy()
     of its teacher and only reads the teacher and the source.
     """
 
@@ -207,7 +210,7 @@ def generate_anchors(arch: ArchDescriptor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
-    """Run the conv/BN/ReLU/pool blocks; never writes to model.params.
+    """Run the conv/BN/pool/ReLU blocks; never writes to model.params.
 
     mode 'train' (forward_train) normalizes each layer by its batch
     statistics and keeps the per-block caches the backward pass needs.
@@ -217,20 +220,28 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
     Returns (features, per-block caches, per-layer batch statistics):
     caches only in train mode, no statistics in eval mode.
 
-    BN and ReLU run in place: bn_apply turns each conv output into its xhat
-    and returns the BN output, the block's only other full-size array, which
-    relu_forward then overwrites with the ReLU output. Every mode gives the
-    bytes of the out-of-place expressions. A block's activations are
-    unbound at its end, so in eval and collect mode only the block output
-    h is alive while the next block's conv runs (train-mode caches hold
-    their own references).
+    A pooling block pools the BN output and applies the ReLU to the
+    quarter-size pooled map. That is exact: max pooling commutes with the
+    monotone ReLU and both propagate NaN, so the block output has the bytes
+    of relu-then-pool (see relu_forward). The pooling indices name the first
+    maximum of the BN output; they differ from relu-then-pool's only in
+    windows whose maximum is <= 0, where the ReLU makes the gradient zero
+    either way.
 
-    A train-mode block cache holds the conv input, the BN cache, the
-    pooling indices (None where the block does not pool) and the ReLU mask
-    relu_out > 0 as bool (equal to bn_out > 0, NaN included): all the ReLU
-    backward reads, at a quarter of the size of the float32 activation, and
-    shaped like the pooling input. No im2col patch matrix: conv2d_backward
-    unfolds the conv input again for dw.
+    BN and ReLU run in place: bn_apply turns each conv output into its xhat
+    and returns the BN output, the block's only other full-size array, and
+    relu_forward overwrites the block output (the BN output itself where
+    the block does not pool). Every mode gives the bytes of the
+    out-of-place expressions. A block's activations are unbound at its
+    end, so in eval and collect mode only the block output h is alive
+    while the next block's conv runs (train-mode caches hold their own
+    references).
+
+    A train-mode block cache holds the conv input, the BN cache and the
+    pooling indices (None where the block does not pool). It keeps no ReLU
+    mask: the backward takes it from the block output, which is the next
+    block's conv input or the features. No im2col patch matrix:
+    conv2d_backward unfolds the conv input again for dw.
     """
     if mode not in ("train", "collect", "eval"):
         raise ValueError(f"unknown backbone mode {mode!r}")
@@ -252,44 +263,55 @@ def _backbone_forward(model: ModelState, x: np.ndarray, mode: str):
             stats.append((mean, var))
         gamma = p[f"{pre}.bn.gamma"]
         bn_out, xhat, inv_std = bn_apply(conv_out, mean, var, gamma, p[f"{pre}.bn.beta"])
-        relu_out = relu_forward(bn_out)  # the same array as bn_out
         pool_idx = None
         if i >= arch.n_pools:
-            h = relu_out
+            h = bn_out
         elif keep:
-            h, pool_idx = maxpool2_with_indices(relu_out)
+            h, pool_idx = maxpool2_with_indices(bn_out)
         else:
-            h = maxpool2_forward(relu_out)
+            h = maxpool2_forward(bn_out)
+        h = relu_forward(h)
         if keep:
             caches.append({"conv_in": conv_in, "bn_cache": (xhat, inv_std, gamma),
-                           "relu_mask": relu_out > 0, "pool_idx": pool_idx})
-        del conv_out, xhat, bn_out, relu_out  # not alive beside the next conv
+                           "pool_idx": pool_idx})
+        del conv_out, xhat, bn_out  # not alive beside the next conv
     return h, caches, stats
 
 
-def _backbone_backward(model: ModelState, caches, dfeats, grads):
-    """Fill grads with the backbone's parameter gradients. The gradient with
-    respect to the image is never needed, so block 0 skips it. Each block's
-    cache is popped off caches as it is processed, so it is freed as soon as
-    its gradients exist; caches is empty on return.
+def _hand_over(update, dtype, names, dx, *grads):
+    """Pass each gradient, as dtype, to update(name, gradient) under its
+    name in names and return dx, so no gradient outlives its update."""
+    for name, g in zip(names, grads):
+        update(name, np.asarray(g, dtype))
+    return dx
 
+
+def _backbone_backward(model: ModelState, caches, dfeats, feats, update, dtype):
+    """Hand the backbone's parameter gradients to update (see _hand_over).
+    The gradient with respect to the image is never needed, so block 0
+    skips it. Each block's cache is popped off caches as it is processed,
+    so it is freed as soon as its gradients exist; caches is empty on
+    return.
+
+    The ReLU backward of a block reads its output h: feats for the last
+    block, and for every other block the conv input of the block after it.
     dfeats is consumed. At every block d is an array this function owns
-    (dfeats or maxpool2_scatter's output), so the ReLU mask is applied in
-    place and bn_backward returns dx in d's buffer."""
+    (dfeats or the dx of the block after it), so the mask h > 0 is applied
+    to it in place before maxpool2_scatter routes it to the pooling input,
+    and bn_backward returns dx in d's buffer."""
     p = model.params
-    d = dfeats
+    d, h = dfeats, feats
     for i in reversed(range(len(model.arch.channels))):
         pre = f"backbone.b{i}"
         c = caches.pop()
+        np.multiply(d, h > 0, out=d)
         if c["pool_idx"] is not None:
-            d = maxpool2_scatter(d, c["pool_idx"], c["relu_mask"].shape)
-        np.multiply(d, c["relu_mask"], out=d)
-        d, dgamma, dbeta = bn_backward(d, c["bn_cache"])
-        grads[f"{pre}.bn.gamma"] = dgamma
-        grads[f"{pre}.bn.beta"] = dbeta
-        d, dw, db = conv2d_backward(d, c["conv_in"], p[f"{pre}.conv.w"], need_dx=i > 0)
-        grads[f"{pre}.conv.w"] = dw
-        grads[f"{pre}.conv.b"] = db
+            d = maxpool2_scatter(d, c["pool_idx"], c["bn_cache"][0].shape)
+        d = _hand_over(update, dtype, (f"{pre}.bn.gamma", f"{pre}.bn.beta"),
+                       *bn_backward(d, c["bn_cache"]))
+        h = c["conv_in"]
+        d = _hand_over(update, dtype, (f"{pre}.conv.w", f"{pre}.conv.b"),
+                       *conv2d_backward(d, h, p[f"{pre}.conv.w"], need_dx=i > 0))
 
 
 def _rpn_forward(model: ModelState, feats: np.ndarray):
@@ -406,8 +428,8 @@ def _roi_pool_batch(feats_img: np.ndarray, boxes_feat: np.ndarray, out: int,
         hit = cand > best
         if has_nan:
             hit |= np.isnan(cand) & ~np.isnan(best)
-        np.copyto(best, cand, where=hit)
-        np.copyto(arg, cells[k][..., None], where=hit)
+        put_where(best, cand, hit)
+        put_where(arg, cells[k][..., None], hit)
     return best.transpose(0, 3, 1, 2), arg
 
 
@@ -594,8 +616,18 @@ def _forward_all(model: ModelState, images: np.ndarray, mode: str):
 
 
 def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
-            include_reg: bool):
-    """ROI head forward, losses and the full backward pass.
+            include_reg: bool, update):
+    """ROI head forward, losses and the full backward pass; returns the
+    LossBreakdown.
+
+    Raises NumericsError on a non-finite loss before any gradient exists,
+    so update is never called. Otherwise update(name, gradient) is called
+    once per trained parameter, with a gradient in images' dtype that the
+    callee may consume, as soon as the backward makes it (see _hand_over).
+    Updating a parameter in place there is safe: each weight is read only
+    by its own layer's backward (linear_backward, conv2d_backward, and BN's
+    gamma through bn_cache in bn_backward), which has run before its
+    gradient exists. So no gradient outlives its update.
 
     A ReLU backward reads the post-activation h (h > 0 where its input is,
     NaN included). The backward pass consumes fw: each forward cache (the
@@ -608,20 +640,22 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     cls_logits, roi_deltas, roi_cache = _roi_head_forward(model, feats, plan.proposals)
     loss, dobj, ddelta, dcls, droi_delta = _compute_losses(
         fw["obj_flat"], fw["delta_flat"], cls_logits, roi_deltas, plan, include_reg)
+    if not np.isfinite(loss.total):
+        raise NumericsError(f"non-finite training loss: {loss}")
 
     p = model.params
-    grads = {}
+    dt = images.dtype
     # ROI head backward
-    dh2, dw, db = linear_backward(dcls, roi_cache["h2"], p["roi.cls.w"])
-    grads["roi.cls.w"], grads["roi.cls.b"] = dw, db
-    dh2_d, dw, db = linear_backward(droi_delta, roi_cache["h2"], p["roi.delta.w"])
-    grads["roi.delta.w"], grads["roi.delta.b"] = dw, db
-    dh2 = relu_backward(dh2 + dh2_d, roi_cache["h2"])
-    dh1, dw, db = linear_backward(dh2, roi_cache["h1"], p["roi.fc2.w"])
-    grads["roi.fc2.w"], grads["roi.fc2.b"] = dw, db
+    dh2 = _hand_over(update, dt, ("roi.cls.w", "roi.cls.b"),
+                     *linear_backward(dcls, roi_cache["h2"], p["roi.cls.w"]))
+    dh2 += _hand_over(update, dt, ("roi.delta.w", "roi.delta.b"),
+                      *linear_backward(droi_delta, roi_cache["h2"], p["roi.delta.w"]))
+    dh2 = relu_backward(dh2, roi_cache["h2"])
+    dh1 = _hand_over(update, dt, ("roi.fc2.w", "roi.fc2.b"),
+                     *linear_backward(dh2, roi_cache["h1"], p["roi.fc2.w"]))
     dh1 = relu_backward(dh1, roi_cache["h1"])
-    dflat, dw, db = linear_backward(dh1, roi_cache["flat"], p["roi.fc1.w"])
-    grads["roi.fc1.w"], grads["roi.fc1.b"] = dw, db
+    dflat = _hand_over(update, dt, ("roi.fc1.w", "roi.fc1.b"),
+                       *linear_backward(dh1, roi_cache["flat"], p["roi.fc1.w"]))
     scatter = roi_cache["scatter"]
     del roi_cache
 
@@ -640,38 +674,38 @@ def _finish(model: ModelState, images: np.ndarray, fw: dict, plan: TrainPlan,
     dobj_map = _unflatten_rpn(arch, dobj, 2)
     ddelta_map = _unflatten_rpn(arch, ddelta, 4)
     hidden = fw.pop("hidden")
-    dh, dw, db = conv2d_backward(dobj_map, hidden, p["rpn.obj.w"])
-    grads["rpn.obj.w"], grads["rpn.obj.b"] = dw, db
-    dh_d, dw, db = conv2d_backward(ddelta_map, hidden, p["rpn.delta.w"])
-    grads["rpn.delta.w"], grads["rpn.delta.b"] = dw, db
-    dh = relu_backward(dh + dh_d, hidden)
+    dh = _hand_over(update, dt, ("rpn.obj.w", "rpn.obj.b"),
+                    *conv2d_backward(dobj_map, hidden, p["rpn.obj.w"]))
+    dh += _hand_over(update, dt, ("rpn.delta.w", "rpn.delta.b"),
+                     *conv2d_backward(ddelta_map, hidden, p["rpn.delta.w"]))
+    dh = relu_backward(dh, hidden)
     del hidden
-    dfeats_rpn, dw, db = conv2d_backward(dh, feats, p["rpn.conv.w"])
-    grads["rpn.conv.w"], grads["rpn.conv.b"] = dw, db
-    dfeats += dfeats_rpn
+    dfeats += _hand_over(update, dt, ("rpn.conv.w", "rpn.conv.b"),
+                         *conv2d_backward(dh, feats, p["rpn.conv.w"]))
 
-    _backbone_backward(model, fw["bb_caches"], dfeats, grads)
-    grads = {k: np.asarray(v, images.dtype) for k, v in grads.items()}
-    return loss, grads
+    _backbone_backward(model, fw["bb_caches"], dfeats, feats, update, dt)
+    return loss
 
 
 def forward_train(model: ModelState, images: np.ndarray, targets,
-                  rng: np.random.Generator, include_reg: bool):
+                  rng: np.random.Generator, include_reg: bool, update):
     """One supervised forward/backward pass on batch statistics.
 
-    Samples anchors/proposals with rng and returns (LossBreakdown, gradients
-    by parameter name). Raises NumericsError on a non-finite loss, leaving
-    the model untouched; otherwise folds the batch statistics into the BN
-    running estimates (update_running_statistics) before returning.
+    Samples anchors/proposals with rng, calls update(name, gradient) once
+    per trained parameter as soon as the backward makes that gradient (see
+    _finish; train_step's update is an in-place sgd_step, and a dict's
+    __setitem__ collects the gradients instead) and returns the
+    LossBreakdown. Raises NumericsError on a non-finite loss before the
+    first update, leaving the model untouched; otherwise folds the batch
+    statistics into the BN running estimates (update_running_statistics)
+    last.
     """
     fw = _forward_all(model, images, "train")
     plan = _plan_from_outputs(model.arch, generate_anchors(model.arch),
                               fw["obj_flat"], fw["delta_flat"], targets, rng)
-    loss, grads = _finish(model, images, fw, plan, include_reg)
-    if not np.isfinite(loss.total):
-        raise NumericsError(f"non-finite training loss: {loss}")
+    loss = _finish(model, images, fw, plan, include_reg, update)
     update_running_statistics(model, fw["stats"])
-    return loss, grads
+    return loss
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ at a time, so a convolution holds one image's patch matrix, not the batch's
 (a 1 x 1 kernel's columns are a view of the image, with no patch matrix).
 
 Ownership: a kernel writes into an array it is given only where its
-docstring says so (relu_forward into x; batchnorm's bn_apply and
-bn_backward into their first argument). Every other kernel leaves its
-inputs as they were and returns new arrays.
+docstring says so (relu_forward into x, put_where into dst, sgd_step into
+the named parameter and its gradient, which it consumes; batchnorm's
+bn_apply and bn_backward into their first argument). Every other kernel
+leaves its inputs as they were and returns new arrays.
 """
 
 from __future__ import annotations
@@ -138,12 +139,27 @@ def conv2d_backward(dout: np.ndarray, x: np.ndarray, kernel: np.ndarray,
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
     """max(x, 0), written into x and returned: the caller owns x (a conv,
-    linear or BN output). A NaN stays NaN, so (out > 0) equals (x > 0)."""
+    linear or pooled BN output). A NaN stays NaN, so (out > 0) equals
+    (x > 0), and no output is -0.0. ReLU is monotone, so it commutes with
+    max pooling: relu_forward(maxpool2_forward(x)) has the bytes of
+    maxpool2_forward(relu_forward(x)), NaN, -0.0 and ties included."""
     return np.maximum(x, 0, out=x)
 
 
 def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dout * (x > 0)
+
+
+def put_where(dst: np.ndarray, src, hit: np.ndarray) -> None:
+    """np.copyto(dst, src, where=hit), bit for bit, without a branch per
+    element: the bit patterns of dst and src (cast to dst's dtype and
+    broadcast) are XOR-swapped through a mask that is all ones where hit
+    holds, so NaN payloads and -0.0 are copied as they are."""
+    bits = np.dtype(f"u{dst.itemsize}")
+    d = dst.view(bits)
+    mask = np.subtract(0, hit, dtype=bits)
+    mask &= np.asarray(src, dst.dtype).view(bits) ^ d
+    d ^= mask
 
 
 # Offsets (row, col) of the four elements of a 2x2 window, in the flat
@@ -176,12 +192,12 @@ def maxpool2_with_indices(x: np.ndarray):
     out = maxpool2_forward(x)
     has_nan = np.isnan(out).any()
     # Masks are applied last-to-first so the lowest matching index wins.
-    idx = np.int8(3)
+    idx = np.full(out.shape, 3, np.int8)
     for j in (2, 1, 0):
         hit = s[j] == out
         if has_nan:
             hit |= np.isnan(s[j])
-        idx = np.where(hit, np.int8(j), idx)
+        put_where(idx, np.int8(j), hit)
     return out, idx
 
 
@@ -261,17 +277,21 @@ def smooth_l1(diff: np.ndarray):
 # optimizer
 # ---------------------------------------------------------------------------
 
-def sgd_step(params: dict, grads: dict, lr: float):
-    """In place, w <- w - lr*g for every named gradient in grads.
+def sgd_step(params: dict, name: str, grad: np.ndarray, lr: float):
+    """In place, w <- w - lr*g for the one parameter params[name].
 
     params is a model's name -> array dict (``ModelState.params``), held
-    exclusively by the caller. BN running statistics never appear in grads,
-    so they are untouched.
+    exclusively by the caller; forward_train hands each gradient over as
+    soon as the backward makes it, so BN running statistics, which have
+    none, are untouched. grad is consumed: it is scaled by lr in its own
+    buffer, which gives the bits of ``w -= lr * g`` for a Python float lr
+    without an lr * g temporary, so the caller must own grad and not read
+    it again.
     """
-    for name, g in grads.items():
-        if name not in params:
-            raise KeyError(f"sgd_step: gradient for unknown parameter {name!r}")
-        p = params[name]
-        if p.shape != g.shape:
-            raise ShapeError(f"sgd_step: {name} shape {p.shape} != grad {g.shape}")
-        p -= lr * g
+    if name not in params:
+        raise KeyError(f"sgd_step: gradient for unknown parameter {name!r}")
+    p = params[name]
+    if p.shape != grad.shape:
+        raise ShapeError(f"sgd_step: {name} shape {p.shape} != grad {grad.shape}")
+    grad *= lr
+    p -= grad

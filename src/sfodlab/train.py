@@ -22,14 +22,17 @@ def train_step(model: ModelState, views, rng: np.random.Generator, lr: float,
                include_reg: bool) -> LossBreakdown:
     """One SGD step on a batch of labeled scenes, mutating model.
 
-    Raises NumericsError on a non-finite loss, leaving the model untouched.
-    The gradients are not alive beside the next step's forward caches.
+    Each parameter takes its sgd_step as soon as forward_train's backward
+    makes its gradient, so no gradient outlives its update and no gradient
+    dict is built. Raises NumericsError on a non-finite loss, leaving the
+    model untouched.
     """
+    def update(name, grad):
+        sgd_step(model.params, name, grad, lr)
+
     images = images_to_batch([v.image for v in views])
-    loss, grads = forward_train(model, images, [(v.boxes, v.labels) for v in views],
-                                rng, include_reg)
-    sgd_step(model.params, grads, lr)
-    return loss
+    return forward_train(model, images, [(v.boxes, v.labels) for v in views],
+                         rng, include_reg, update)
 
 
 def train_source(arch: ArchDescriptor, scenes, config):

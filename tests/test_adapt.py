@@ -368,11 +368,11 @@ def test_divergence_preserves_trace(monkeypatch):
     calls = {"n": 0}
     real = train.forward_train
 
-    def exploding(model, images, tgts, rng, include_reg):
+    def exploding(model, images, tgts, rng, include_reg, update):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise NumericsError("boom")
-        return real(model, images, tgts, rng, include_reg)
+        return real(model, images, tgts, rng, include_reg, update)
 
     monkeypatch.setattr(train, "forward_train", exploding)
     res = adapt(source, targets, tiny_config(max_steps=10, eval_period=1), targets[:3])
@@ -387,8 +387,8 @@ def test_collapse_is_recorded(monkeypatch):
     best stays the step-0 teacher."""
     real = train.sgd_step
 
-    def collapsing(params, grads, lr):
-        real(params, grads, lr)
+    def collapsing(params, name, grad, lr):
+        real(params, name, grad, lr)
         for v in params.values():
             v[...] = np.nan
 

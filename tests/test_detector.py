@@ -12,7 +12,7 @@ import pytest
 
 from sfodlab import boxes as B
 from sfodlab import detector as D
-from sfodlab.batchnorm import BN_EPS, batch_stats, update_running_statistics
+from sfodlab.batchnorm import BN_EPS, batch_stats, bn_backward, update_running_statistics
 from sfodlab.data import DomainSpec, generate_split
 from sfodlab.ops import (
     NumericsError,
@@ -21,7 +21,9 @@ from sfodlab.ops import (
     conv2d_forward,
     linear_backward,
     linear_forward,
+    maxpool2_scatter,
     relu_backward,
+    sgd_step,
     smooth_l1,
     softmax_cross_entropy,
 )
@@ -330,8 +332,22 @@ def build_train_plan(model, images, targets, rng):
 
 
 def forward_train_with_plan(model, images, plan, include_reg=True):
-    return D._finish(model, images, D._forward_all(model, images, "train"), plan,
-                     include_reg)
+    grads = {}
+    loss = D._finish(model, images, D._forward_all(model, images, "train"), plan,
+                     include_reg, grads.__setitem__)
+    return loss, grads
+
+
+def forward_train_grads(model, images, targets, rng, include_reg=True):
+    """forward_train with every gradient it hands over collected by name:
+    (LossBreakdown, gradients). Each name is handed over once."""
+    grads = {}
+
+    def collect(name, grad):
+        assert name not in grads, name
+        grads[name] = grad
+
+    return D.forward_train(model, images, targets, rng, include_reg, collect), grads
 
 
 def training_loss(model, images, plan):
@@ -367,7 +383,7 @@ def test_zero_target_batch(rng):
     model = D.init_model(arch, 0)
     imgs = rng.random((2, 3, 32, 32)).astype(np.float32)
     targets = [(np.zeros((0, 4), np.float32), np.zeros(0, np.int64))] * 2
-    loss, grads = D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
+    loss, grads = forward_train_grads(model, imgs, targets, np.random.default_rng(0))
     assert loss.rpn_reg == 0.0 and loss.roi_reg == 0.0
     assert loss.rpn_cls > 0 and loss.roi_cls > 0
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -379,7 +395,7 @@ def test_forward_train_deterministic(rng):
     runs = []
     for _ in range(2):
         model = D.init_model(arch, 3)
-        loss, grads = D.forward_train(model, imgs, targets, np.random.default_rng(11), True)
+        loss, grads = forward_train_grads(model, imgs, targets, np.random.default_rng(11))
         runs.append((loss, {k: v.tobytes() for k, v in grads.items()}))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -387,13 +403,17 @@ def test_forward_train_deterministic(rng):
 
 def traced_step_peak(rng, n):
     """tracemalloc peak, in bytes, of one forward_train of the default
-    detector at batch n."""
+    detector at batch n whose update is train_step's in-place sgd_step."""
     arch = D.ArchDescriptor()
     model = D.init_model(arch, 0)
     imgs, targets = random_batch(rng, arch, n=n)
+
+    def update(name, grad):
+        sgd_step(model.params, name, grad, 1e-3)
+
     tracemalloc.start()
     try:
-        D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
+        D.forward_train(model, imgs, targets, np.random.default_rng(0), True, update)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,7 +421,9 @@ def traced_step_peak(rng, n):
 
 def test_forward_train_traced_peak_bound(rng):
     """One batch-4 step of the default detector allocates at most 12 MiB
-    at once (measured: 10.3 MiB; 19.2 MiB while every conv kept its
+    at once (measured: 7.1 MiB with each SGD update applied as its
+    gradient is made and the ReLU after the pool; 8.4 MiB while the
+    whole gradient dict was built first, 19.2 MiB while every conv kept its
     whole-batch patch matrix until its backward ran, 28.4 MiB before the
     backward dropped each cache as it went)."""
     peak = traced_step_peak(rng, 4)
@@ -409,8 +431,9 @@ def test_forward_train_traced_peak_bound(rng):
 
 
 def test_forward_train_traced_peak_bound_batch16(rng):
-    """The same at batch 16: at most 36 MiB (measured: 33.1 MiB; 71.1 MiB
-    with the patch matrices kept)."""
+    """The same at batch 16: at most 36 MiB (measured: 23.7 MiB; 26.6 MiB
+    with the gradient dict built first, 71.1 MiB with the patch matrices
+    kept)."""
     peak = traced_step_peak(rng, 16)
     assert peak <= 36 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
@@ -422,41 +445,55 @@ def test_backward_consumes_forward_caches(rng):
     fw = D._forward_all(model, imgs, "train")
     assert "rpn_cols" not in fw
     for i, c in enumerate(fw["bb_caches"]):
-        assert c["relu_mask"].dtype == bool
-        assert set(c) == {"conv_in", "bn_cache", "relu_mask", "pool_idx"}
+        # no ReLU mask: the backward reads the block output instead
+        assert set(c) == {"conv_in", "bn_cache", "pool_idx"}
         assert (c["pool_idx"] is None) == (i >= arch.n_pools)
+        if c["pool_idx"] is not None:
+            assert c["pool_idx"].dtype == np.int8
         # no patch matrix: every cached array is at most the conv output's
         # size, while the block's im2col columns are 9 * C_in / C_out times it
-        arrays = [v for v in (c["conv_in"], *c["bn_cache"], c["relu_mask"], c["pool_idx"])
+        conv_out_size = c["bn_cache"][0].size
+        arrays = [v for v in (c["conv_in"], *c["bn_cache"], c["pool_idx"])
                   if isinstance(v, np.ndarray)]
-        assert all(a.size <= c["relu_mask"].size for a in arrays)
+        assert all(a.size <= conv_out_size for a in arrays)
     plan = D._plan_from_outputs(arch, D.generate_anchors(arch), fw["obj_flat"],
                                 fw["delta_flat"], targets, np.random.default_rng(0))
-    D._finish(model, imgs, fw, plan, True)
+    D._finish(model, imgs, fw, plan, True, {}.__setitem__)
     assert fw["bb_caches"] == []
     assert "hidden" not in fw
 
 
 def test_forward_train_nan_aborts(rng):
+    """The non-finite loss raises before the first gradient is handed over."""
     arch = small_arch()
     model = D.init_model(arch, 0)
     model.params["backbone.b0.conv.w"][:] = np.inf
     imgs, targets = random_batch(rng, arch)
+    handed = {}
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-        D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
+        D.forward_train(model, imgs, targets, np.random.default_rng(0), True,
+                        handed.__setitem__)
+    assert handed == {}
 
 
 def test_forward_train_nan_features_abort(rng):
-    """A divergent step raises and leaves every parameter, BN running
-    statistics included, byte-identical."""
+    """A divergent step raises before its first SGD update and leaves every
+    parameter, BN running statistics included, byte-identical."""
     arch = small_arch()
     model = D.init_model(arch, 0)
     last = len(arch.channels) - 1
     model.params[f"backbone.b{last}.bn.beta"][0] = np.nan
     before = {k: v.tobytes() for k, v in model.params.items()}
     imgs, targets = random_batch(rng, arch)
+    updated = []
+
+    def update(name, grad):
+        updated.append(name)
+        sgd_step(model.params, name, grad, 0.1)
+
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-        D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
+        D.forward_train(model, imgs, targets, np.random.default_rng(0), True, update)
+    assert updated == []
     assert {k: v.tobytes() for k, v in model.params.items()} == before
 
 
@@ -467,7 +504,7 @@ def test_forward_train_folds_batch_statistics(rng):
     want = model.copy()
     _, _, stats = D._backbone_forward(model, imgs, "collect")
     update_running_statistics(want, stats)
-    D.forward_train(model, imgs, targets, np.random.default_rng(0), True)
+    forward_train_grads(model, imgs, targets, np.random.default_rng(0))
     for name in model.params:
         assert model.params[name].tobytes() == want.params[name].tobytes(), name
         assert model.params[name].dtype == np.float32
@@ -508,8 +545,9 @@ def test_gradients_match_finite_differences_20_params(rng):
 
 
 # The training step as it was while it cached every pre-activation, gathered
-# the sampled RPN rows with per-image offset loops and spelled out the ROI
-# cls/delta backward: the live step must give byte-equal results.
+# the sampled RPN rows with per-image offset loops, spelled out the ROI
+# cls/delta backward, ran each ReLU before its pool and built the whole
+# gradient dict: the live step must give byte-equal results.
 
 def relu_reference(x):
     """relu_forward before it wrote into its input."""
@@ -603,9 +641,29 @@ def compute_losses_reference(obj_flat, delta_flat, cls_logits, roi_deltas, plan,
     return loss, dobj, ddelta, dcls, droi_delta
 
 
+def backbone_backward_reference(model, caches, dfeats, grads):
+    """_backbone_backward of backbone_forward_reference's relu-then-pool
+    caches: the pooled gradient is scattered to the ReLU output's shape and
+    then masked by the cached ReLU mask."""
+    p = model.params
+    d = dfeats
+    for i in reversed(range(len(model.arch.channels))):
+        pre = f"backbone.b{i}"
+        c = caches[i]
+        if c["pool_idx"] is not None:
+            d = maxpool2_scatter(d, c["pool_idx"], c["relu_mask"].shape)
+        d = d * c["relu_mask"]
+        d, grads[f"{pre}.bn.gamma"], grads[f"{pre}.bn.beta"] = bn_backward(
+            d, c["bn_cache"])
+        d, grads[f"{pre}.conv.w"], grads[f"{pre}.conv.b"] = conv2d_backward(
+            d, c["conv_in"], p[f"{pre}.conv.w"], need_dx=i > 0)
+
+
 def forward_train_reference(model, images, targets, rng, include_reg):
+    """forward_train as a gradient dict built in full before anything reads
+    it, on the relu-then-pool backbone (backbone_forward_reference)."""
     arch, p = model.arch, model.params
-    feats, bb_caches, stats = D._backbone_forward(model, images, "train")
+    feats, bb_caches, stats = backbone_forward_reference(model, images, "train")
     obj_map, delta_map, hidden_pre, hidden = rpn_forward_reference(model, feats)
     obj_flat = D._flatten_rpn(arch, obj_map, 2)
     delta_flat = D._flatten_rpn(arch, delta_map, 4)
@@ -647,7 +705,7 @@ def forward_train_reference(model, images, targets, rng, include_reg):
         dh, feats, p["rpn.conv.w"])
     dfeats += dfeats_rpn
 
-    D._backbone_backward(model, bb_caches, dfeats, grads)
+    backbone_backward_reference(model, bb_caches, dfeats, grads)
     grads = {k: np.asarray(v, images.dtype) for k, v in grads.items()}
     update_running_statistics(model, stats)
     return loss, grads
@@ -669,8 +727,8 @@ def test_forward_train_matches_reference(arch, n, dtype):
     targets = [(b * np.float32(arch.input_size / 32), l) for b, l in targets]
     for include_reg in (True, False):
         live, want = model.copy(), model.copy()
-        loss, grads = D.forward_train(live, imgs, targets, np.random.default_rng(5),
-                                      include_reg)
+        loss, grads = forward_train_grads(live, imgs, targets, np.random.default_rng(5),
+                                          include_reg)
         ref_loss, ref_grads = forward_train_reference(
             want, imgs, targets, np.random.default_rng(5), include_reg)
         assert loss == ref_loss
@@ -695,8 +753,9 @@ def bn_apply_reference(x, mean, var, gamma, beta):
 
 
 def backbone_forward_reference(model, x, mode):
-    """_backbone_forward with the out-of-place BN and ReLU, masking the
-    ReLU backward by the BN output."""
+    """_backbone_forward with the out-of-place BN and ReLU, the ReLU before
+    the pool, and a train-mode cache that masks the ReLU backward by the BN
+    output (relu_mask)."""
     p, arch = model.params, model.arch
     caches, stats, h = [], [], x
     for i in range(len(arch.channels)):
@@ -732,8 +791,11 @@ def _bytes(a):
 @pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
                          ids=["small", "default"])
 def test_backbone_in_place_matches_reference(arch, dtype):
-    """Byte-equal features, batch statistics and block caches in every mode,
-    with a NaN and exact zeros in the image (the ReLU mask must agree)."""
+    """Byte-equal features, batch statistics and block caches in every mode
+    against relu-then-pool, with a NaN and exact zeros in the image. The
+    pooling indices agree wherever the block output is > 0, and the ReLU
+    mask taken from the block output before the scatter gives the bytes of
+    the cached mask applied after it."""
     rng = np.random.default_rng(4)
     model = D.init_model(arch, 9)
     model.params = {k: v.astype(dtype) for k, v in model.params.items()}
@@ -751,12 +813,31 @@ def test_backbone_in_place_matches_reference(arch, dtype):
             assert [(_bytes(m), _bytes(v)) for m, v in stats] == \
                 [(_bytes(m), _bytes(v)) for m, v in want_stats], mode
             assert len(caches) == len(want_caches)
-            for c, w in zip(caches, want_caches):
-                assert c.keys() == w.keys()
+            outs = [c["conv_in"] for c in caches[1:]] + [feats]
+            for c, w, out in zip(caches, want_caches, outs):
+                assert c.keys() == w.keys() - {"relu_mask"}
                 assert [_bytes(a) for a in c["bn_cache"]] == \
                     [_bytes(a) for a in w["bn_cache"]]
-                for key in ("conv_in", "relu_mask", "pool_idx"):
-                    assert _bytes(c[key]) == _bytes(w[key]), (mode, key)
+                assert _bytes(c["conv_in"]) == _bytes(w["conv_in"]), mode
+                alive = out > 0
+                if c["pool_idx"] is None:
+                    assert w["pool_idx"] is None
+                    assert _bytes(alive) == _bytes(w["relu_mask"])
+                    continue
+                assert c["pool_idx"].dtype == w["pool_idx"].dtype
+                assert _bytes(c["pool_idx"][alive]) == _bytes(w["pool_idx"][alive])
+                shape = w["relu_mask"].shape
+                positive = rng.random(out.shape).astype(dtype) + dtype(0.5)
+                signed = rng.normal(size=out.shape).astype(dtype)
+                for d in (positive, signed):
+                    got = maxpool2_scatter(d * alive, c["pool_idx"], shape)
+                    want = maxpool2_scatter(d, w["pool_idx"], shape) * w["relu_mask"]
+                    # a -0.0 from d * False may sit at another index of a
+                    # window whose maximum is <= 0; a positive d makes none
+                    if d is positive:
+                        assert _bytes(got) == _bytes(want), mode
+                    else:
+                        assert np.array_equal(got, want), mode
         assert np.isnan(D._backbone_forward(model, nan_x, "eval")[0]).any()
 
 
@@ -773,10 +854,10 @@ def test_forward_train_in_place_matches_reference(arch, dtype, monkeypatch):
     _, targets = random_batch(rng, small_arch(), n=4)
     targets = [(b * np.float32(arch.input_size / 32), l) for b, l in targets]
     live, want = model.copy(), model.copy()
-    loss, grads = D.forward_train(live, imgs, targets, np.random.default_rng(5), True)
+    loss, grads = forward_train_grads(live, imgs, targets, np.random.default_rng(5))
     monkeypatch.setattr(D, "bn_apply", bn_apply_reference)
     monkeypatch.setattr(D, "relu_forward", relu_reference)
-    ref_loss, ref_grads = D.forward_train(want, imgs, targets, np.random.default_rng(5), True)
+    ref_loss, ref_grads = forward_train_grads(want, imgs, targets, np.random.default_rng(5))
     assert loss == ref_loss and loss.rpn_reg > 0 and loss.roi_reg > 0
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():

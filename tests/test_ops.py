@@ -471,6 +471,46 @@ def test_maxpool_nan_propagates(rng):
     assert np.array_equal(idx, want_idx)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_after_pool_matches_relu_before_pool(rng, dtype):
+    """ReLU commutes with 2x2 max pooling byte for byte on NaN, +-0.0 and
+    ties, so the backbone may apply it to the pooled map."""
+    values = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, 0.5, -0.5, 2.0], dtype)
+    for _ in range(20):
+        x = rng.choice(values, size=(2, 3, 6, 8))
+        relu_then_pool = ops.maxpool2_forward(ops.relu_forward(x.copy()))
+        pool_then_relu = ops.relu_forward(ops.maxpool2_forward(x))
+        assert pool_then_relu.dtype == dtype
+        assert pool_then_relu.tobytes() == relu_then_pool.tobytes()
+        assert not np.signbit(pool_then_relu[~np.isnan(pool_then_relu)]).any()
+        # signed input: the indices are those of the reference, NaN included
+        want, want_idx = maxpool2_reference(x)
+        out, idx = ops.maxpool2_with_indices(x)
+        assert np.array_equal(out, want, equal_nan=True) and np.array_equal(idx, want_idx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int8, np.uint8])
+def test_put_where_matches_copyto_bytes(rng, dtype):
+    """put_where writes the bytes np.copyto(where=) writes: NaN payloads and
+    -0.0 as they are, with a broadcast or scalar source."""
+    shape = (4, 3, 3, 6)
+    hit = rng.random(shape) < 0.5
+    dst = (rng.normal(size=shape) * 50).astype(dtype)
+    sources = [(rng.normal(size=shape) * 50).astype(dtype),
+               (rng.normal(size=(4, 3, 3, 1)) * 50).astype(dtype), dtype(7)]
+    if np.dtype(dtype).kind == "f":
+        dst.ravel()[::5] = -0.0
+        dst.ravel()[::7] = np.nan
+        bits = sources[0].view(f"u{sources[0].itemsize}")
+        bits.ravel()[::3] = np.array(np.nan, dtype).view(bits.dtype) | 1  # NaN payload
+        sources[0].ravel()[::4] = -0.0
+    for src in sources:
+        got, want = dst.copy(), dst.copy()
+        ops.put_where(got, src, hit)
+        np.copyto(want, src, where=hit)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_linear_matches_finite_differences():
     for seed in SEEDS:
         r = np.random.default_rng(seed)
@@ -552,22 +592,34 @@ def test_cross_entropy_matches_finite_differences():
 def test_sgd_zero_lr_keeps_params():
     params = {"w": np.array([1.0, 2.0], np.float32)}
     before = params["w"].copy()
-    ops.sgd_step(params, {"w": np.array([3.0, -1.0], np.float32)}, 0.0)
-    assert np.array_equal(params["w"], before)
+    ops.sgd_step(params, "w", np.array([3.0, -1.0], np.float32), 0.0)
+    assert params["w"].tobytes() == before.tobytes()
 
 
-def test_sgd_scalar_arithmetic():
-    params = {"w": np.array([1.0], np.float32)}
-    ops.sgd_step(params, {"w": np.array([2.0], np.float32)}, 0.0025)
+def test_sgd_scalar_arithmetic(rng):
+    """w - lr*g in place, with the bits of the out-of-place expression, for
+    one named parameter; the others are untouched."""
+    params = {"w": np.array([1.0], np.float32), "v": np.array([5.0], np.float32)}
+    ops.sgd_step(params, "w", np.array([2.0], np.float32), 0.0025)
     assert abs(params["w"][0] - 0.995) < 1e-7
+    assert params["v"][0] == 5.0
+    for dtype in (np.float32, np.float64):
+        w = rng.normal(size=(7, 5)).astype(dtype)
+        g = rng.normal(size=(7, 5)).astype(dtype)
+        want = w - 0.0125 * g
+        params = {"w": w}
+        ops.sgd_step(params, "w", g.copy(), 0.0125)
+        assert params["w"] is w
+        assert w.tobytes() == want.tobytes()
 
 
 def test_sgd_mismatch_errors():
     params = {"w": np.zeros(2, np.float32)}
     with pytest.raises(KeyError):
-        ops.sgd_step(params, {"v": np.zeros(2, np.float32)}, 0.1)
+        ops.sgd_step(params, "v", np.zeros(2, np.float32), 0.1)
     with pytest.raises(ops.ShapeError):
-        ops.sgd_step(params, {"w": np.zeros(3, np.float32)}, 0.1)
+        ops.sgd_step(params, "w", np.ones(3, np.float32), 0.1)
+    assert not params["w"].any()
 
 
 def test_views_share_bytes(rng):

@@ -85,6 +85,70 @@ def test_train_source_matches_reference(tmp_path, count, steps, lr, batch_size, 
     assert param_bytes(result.final) == param_bytes(want_model)
 
 
+def scenes_for(arch, count):
+    if arch.input_size == 32:
+        return source_scenes(count)
+    return generate_split(DomainSpec(image_size=arch.input_size), count, 0, "src")
+
+
+def two_phase_step(model, views, rng, lr, include_reg):
+    """train_step as it was: every gradient collected first, then
+    w -= lr * g for each."""
+    grads = {}
+    loss = D.forward_train(model, D.images_to_batch([v.image for v in views]),
+                           [(v.boxes, v.labels) for v in views], rng, include_reg,
+                           grads.__setitem__)
+    for name, g in grads.items():
+        model.params[name] -= lr * g
+    return loss
+
+
+@pytest.mark.parametrize("include_reg", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()], ids=["small", "default"])
+def test_train_step_matches_two_phase_sgd(arch, dtype, include_reg):
+    """Three train_steps, which update each parameter as soon as its
+    gradient exists, give the loss and parameter bytes of three steps that
+    build every gradient before updating any parameter."""
+    scenes = scenes_for(arch, 4)
+    live = D.init_model(arch, 0)
+    live.params = {k: v.astype(dtype) for k, v in live.params.items()}
+    want = live.copy()
+    live_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for step in range(3):
+        views = scenes[step:] + scenes[:step]
+        loss = train.train_step(live, views, live_rng, 0.01, include_reg)
+        assert loss == two_phase_step(want, views, want_rng, 0.01, include_reg), step
+        assert (loss.rpn_reg > 0 or loss.roi_reg > 0) == include_reg
+        for name, v in live.params.items():
+            # BN running statistics are stored as float32 whatever the dtype
+            assert v.dtype == (np.float32 if ".running_" in name else dtype), name
+            assert v.tobytes() == want.params[name].tobytes(), (step, name)
+    assert param_bytes(live) != param_bytes(D.init_model(arch, 0))
+
+
+def test_train_step_traced_peak_bound():
+    """One batch-4 train_step of the default detector on 96-px scenes keeps
+    its traced peak under 8 MiB (measured: 7.5 MiB, in fc1's
+    linear_backward; 8.8 MiB while the whole gradient dict was built before
+    the SGD step and the backbone cached a ReLU mask per block)."""
+    rng = np.random.default_rng(0)
+    arch = D.ArchDescriptor()
+    model = D.init_model(arch, 0)
+    views = [Scene(rng.random((96, 96, 3)).astype(np.float32),
+                   np.array([[8, 8, 40, 40], [50, 30, 80, 70]], np.float32),
+                   np.array([i % 3, (i + 1) % 3]))
+             for i in range(4)]
+    train.train_step(model, views, np.random.default_rng(0), 1e-3, True)
+    tracemalloc.start()
+    try:
+        train.train_step(model, views, np.random.default_rng(1), 1e-3, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
 def test_train_source_returns_one_row_per_step():
     result = train_source(source_scenes(), 3, 0.01, 2, 0)
     assert [r.step for r in result.rows] == [0, 1, 2, 3]
