@@ -12,6 +12,7 @@ leaves any earlier file at that path as it was.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict
@@ -50,7 +51,8 @@ def save_checkpoint(path, model: ModelState, metadata: dict):
 def _decode_header(header):
     """(arch, ordered {array name: shape}, metadata) of a parsed JSON header.
 
-    Raises KeyError, TypeError or ValueError on a malformed header, and
+    Raises KeyError, TypeError or ValueError on a malformed header, a
+    ValueError on a dimension that is not a non-negative int, and
     CheckpointError when the arrays differ from those the architecture
     descriptor defines.
     """
@@ -64,6 +66,8 @@ def _decode_header(header):
         if shape != shapes[name]:
             raise CheckpointError(
                 f"{name} has shape {shape}, descriptor needs {shapes[name]}")
+        if not all(isinstance(d, int) and d >= 0 for d in shapes[name]):
+            raise ValueError(f"{name} has shape {shapes[name]}")
     return arch, {name: shapes[name] for name in names}, header["metadata"]
 
 
@@ -85,7 +89,9 @@ def load_checkpoint(path):
 def _read_checkpoint(f, path):
     """load_checkpoint on the open file f. Each array is read straight into
     the float32 array that the model then owns, so no copy of the payload
-    is alive beside it."""
+    is alive beside it. The layout must fit in the rest of the file before
+    the first array is allocated, so a header cannot size an allocation
+    beyond the file."""
     size = os.fstat(f.fileno()).st_size
     head = f.read(len(MAGIC) + 12)
     if len(head) < len(MAGIC) + 12 or head[: len(MAGIC)] != MAGIC:
@@ -104,6 +110,11 @@ def _read_checkpoint(f, path):
         raise CheckpointError(f"{path}: {e}") from e
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: invalid header: {type(e).__name__}: {e}") from e
+    left = size - f.tell()
+    for name, shape in layout.items():
+        left -= 4 * math.prod(shape)
+        if left < 0:
+            raise CheckpointError(f"{path}: truncated payload at {name}")
     params = {}
     for name, shape in layout.items():
         params[name] = np.empty(shape, "<f4")

@@ -414,7 +414,7 @@ def read_dataset(in_dir):
         raise DataError(f"missing manifest: {mpath}")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"corrupt manifest {mpath}: {e}") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("classes"), list):
         raise DataError(f"{mpath}: not a JSON object with a 'classes' list")
@@ -424,8 +424,12 @@ def read_dataset(in_dir):
         raise DataError(f"missing annotations: {apath}")
     scenes = []
     seen = set()
-    with open(apath, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
+    with open(apath, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"{apath}:{lineno}: not UTF-8: {e}") from e
             if not line.strip():
                 continue
             try:

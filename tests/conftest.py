@@ -1,6 +1,10 @@
-"""Shared oracles: 64-bit central finite differences, naive references and
-scenes read back from disk; the mark of tests that need argument handover."""
+"""Shared test helpers: 64-bit central finite differences, the small test
+architecture, a checkpoint header rewriter and scenes read back from disk;
+the mark of tests that need argument handover. The kernel oracles are in
+reference.py."""
 
+import json
+import struct
 import sys
 from dataclasses import replace
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 
 from sfodlab.data import DomainSpec, float_pixels, read_dataset, write_dataset
+from sfodlab.detector import ArchDescriptor
 
 # A test that a callee frees a model its caller passed without keeping it:
 # before 3.11 a Python call keeps its arguments on the caller's stack until
@@ -55,32 +60,30 @@ def well_separated(rng, shape, step=0.07):
     return vals.reshape(shape).astype(np.float64)
 
 
-def conv2d_naive(x, w, b, stride=1, pad=0):
-    """Direct 6-loop convolution reference."""
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    out = np.zeros((n, o, oh, ow), dtype=np.float64)
-    for ni in range(n):
-        for oi in range(o):
-            for yi in range(oh):
-                for xi in range(ow):
-                    acc = 0.0
-                    for ci in range(c):
-                        for ky in range(kh):
-                            for kx in range(kw):
-                                acc += (xp[ni, ci, yi * stride + ky, xi * stride + kx]
-                                        * w[oi, ci, ky, kx])
-                    out[ni, oi, yi, xi] = acc + (b[oi] if b is not None else 0.0)
-    return out
+def small_arch(**kw):
+    """The tests' small detector: a 32-px input, two blocks and a 3 x 3 ROI
+    pool on an 8 x 8 map; kw overrides any field."""
+    base = dict(input_size=32, channels=(4, 8), feature_stride=4,
+                anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
+                rpn_channels=8, roi_pool_size=3, roi_hidden=16)
+    base.update(kw)
+    return ArchDescriptor(**base)
 
 
 def bn_stat_names(arch):
     """Names of the BN running statistics: the entries no gradient reaches."""
     return [f"{bn}.{stat}" for bn, _ in arch.bn_layers()
             for stat in ("running_mean", "running_var")]
+
+
+def rewrite_header(path, edit):
+    """Re-encode the JSON header of the checkpoint at path after edit(header)."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + hlen])
+    header = edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
 
 
 def read_back(scenes, directory):

@@ -28,13 +28,7 @@ from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.detector import ArchDescriptor, LossBreakdown, init_model
 from sfodlab.ops import NumericsError
 from sfodlab.train import evaluate_model, train_step
-from conftest import bn_stat_names, read_back
-
-
-def small_arch():
-    return ArchDescriptor(input_size=32, channels=(4, 8), feature_stride=4,
-                          anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
-                          rpn_channels=8, roi_pool_size=3, roi_hidden=16)
+from conftest import bn_stat_names, read_back, small_arch
 
 
 def tiny_scenes(count, seed, shift="none"):

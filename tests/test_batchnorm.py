@@ -1,6 +1,8 @@
 """BN layer contracts on the functions the detector runs: the
-normalization identity, running-statistics update, backward gradients,
-and the AdaBN statistics-collection pass."""
+normalization identity, bn_apply against its out-of-place oracle in
+reference.py, the running-statistics update, backward gradients against
+the out-of-place bn_backward kept here, and the AdaBN statistics-collection
+pass."""
 
 import tracemalloc
 
@@ -10,15 +12,10 @@ import pytest
 from sfodlab import batchnorm as bn
 from sfodlab import detector as D
 from sfodlab.detector import ArchDescriptor, _backbone_forward, images_to_batch, init_model
-from conftest import assert_grads_close, bn_stat_names, numerical_grad
+import reference
+from conftest import assert_grads_close, bn_stat_names, numerical_grad, small_arch
 
 SEEDS = [0, 1, 2, 3, 4]
-
-
-def small_arch():
-    return ArchDescriptor(input_size=32, channels=(4, 8), feature_stride=4,
-                          anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
-                          rpn_channels=8, roi_pool_size=3, roi_hidden=16)
 
 
 def bn_train(x, gamma=None, beta=None):
@@ -89,14 +86,6 @@ def test_running_update_convention(rng):
     assert before == {n: model.params[n].tobytes() for n in model.params}
 
 
-def bn_apply_reference(x, mean, var, gamma, beta):
-    """bn_apply as the out-of-place expression: new xhat and output arrays,
-    x untouched."""
-    inv_std = 1.0 / np.sqrt(var + bn.BN_EPS)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    return gamma[None, :, None, None] * xhat + beta[None, :, None, None], xhat, inv_std
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bn_apply_matches_out_of_place_reference(rng, dtype):
     """Byte-equal to the out-of-place expression; the input becomes xhat and
@@ -107,7 +96,7 @@ def test_bn_apply_matches_out_of_place_reference(rng, dtype):
     for mean, var in (bn.batch_stats(x), running):
         gamma = rng.normal(size=5).astype(dtype)
         beta = rng.normal(size=5).astype(dtype)
-        want = bn_apply_reference(x, mean, var, gamma, beta)
+        want = reference.bn_apply(x, mean, var, gamma, beta)
         x_in = x.copy()
         got = bn.bn_apply(x_in, mean, var, gamma, beta)
         for g, w in zip(got, want):

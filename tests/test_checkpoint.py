@@ -2,7 +2,6 @@
 for every malformed or incompatible file."""
 
 import hashlib
-import json
 import re
 import struct
 import tracemalloc
@@ -10,20 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sfodlab import cli
 from sfodlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from sfodlab.detector import ArchDescriptor, init_model
-
-
-def small_model(seed=0):
-    arch = ArchDescriptor(input_size=32, channels=(4, 8), feature_stride=4,
-                          anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
-                          rpn_channels=8, roi_pool_size=3, roi_hidden=16)
-    return init_model(arch, seed)
+from conftest import rewrite_header, small_arch
 
 
 @pytest.fixture
 def ckpt(tmp_path):
-    model = small_model()
+    model = init_model(small_arch(), 0)
     model.params["backbone.b0.bn.running_mean"][:] = (0.25, -1e-30, np.pi, 7.0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, {"kind": "source", "steps": 3})
@@ -83,7 +77,7 @@ def test_failed_save_keeps_the_old_checkpoint(ckpt):
     path byte-identical, and no temporary file beside it."""
     path, _ = ckpt
     before = path.read_bytes()
-    broken = small_model(1)
+    broken = init_model(small_arch(), 1)
     last = list(broken.params)[-1]
     broken.params[last] = np.full(broken.params[last].shape, "x", dtype=object)
     with pytest.raises(ValueError):
@@ -143,7 +137,7 @@ def test_missing_file(tmp_path):
 
 
 def test_wrong_names(tmp_path):
-    model = small_model()
+    model = init_model(small_arch(), 0)
     model.params["roi.fc1.bias"] = model.params.pop("roi.fc1.b")
     save_checkpoint(tmp_path / "m.ckpt", model, {})
     with pytest.raises(CheckpointError, match="names"):
@@ -151,21 +145,11 @@ def test_wrong_names(tmp_path):
 
 
 def test_wrong_shape(tmp_path):
-    model = small_model()
+    model = init_model(small_arch(), 0)
     model.params["roi.fc1.b"] = np.zeros(7, np.float32)
     save_checkpoint(tmp_path / "m.ckpt", model, {})
     with pytest.raises(CheckpointError, match="roi.fc1.b"):
         load_checkpoint(tmp_path / "m.ckpt")
-
-
-def rewrite_header(path, edit):
-    """Re-encode the JSON header of the checkpoint at path after edit(header)."""
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack_from("<Q", raw, 12)
-    header = json.loads(raw[20:20 + hlen])
-    header = edit(header)
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
 
 
 def set_key(obj, key, value):
@@ -199,6 +183,52 @@ def test_malformed_header(ckpt, edit):
     rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+@pytest.fixture(params=[
+    ((8, 16, 32, 2 ** 24), "roi.fc1.w", "truncated payload at roi.fc1.w"),
+    ((-8, 16, 32, 64), "backbone.b0.conv.w",
+     "invalid header: ValueError: backbone.b0.conv.w has shape (-8, 3, 3, 3)"),
+], ids=["oversized", "negative"])
+def unallocatable(tmp_path, request):
+    """A default-detector checkpoint whose header sets the descriptor's
+    channels past the file (roi.fc1.w alone would be 400 GiB) or below 0,
+    and lists the arrays it then defines, the one named first at the front;
+    returns the path and the CheckpointError message it must give."""
+    channels, first, message = request.param
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_model(ArchDescriptor(), 0), {})
+
+    def edit(header):
+        header["arch"]["channels"] = list(channels)
+        shapes = ArchDescriptor.from_dict(header["arch"]).param_shapes()
+        header["arrays"] = [{"name": n, "shape": list(shapes[n])}
+                            for n in sorted(shapes, key=lambda n: n != first)]
+        return header
+
+    rewrite_header(path, edit)
+    return path, f"{path}: {message}"
+
+
+def test_header_shapes_checked_before_allocation(unallocatable):
+    """The CheckpointError is raised before any array is allocated."""
+    path, message = unallocatable
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_eval_on_unallocatable_header_exits_3(unallocatable, tmp_path, capsys):
+    path, message = unallocatable
+    rc = cli.main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "data"),
+                   "--split", "target_test"])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [f"ERROR[data]: {message}"]
 
 
 def test_rewrite_header_identity(ckpt):

@@ -7,7 +7,6 @@ import inspect
 import json
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import weakref
@@ -25,7 +24,7 @@ from sfodlab.augment import StrongAugParams
 from sfodlab.checkpoint import load_checkpoint, save_checkpoint
 from sfodlab.data import DataError, Scene
 from sfodlab.detector import ArchDescriptor, init_model
-from conftest import needs_argument_handover
+from conftest import needs_argument_handover, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -235,14 +234,10 @@ def test_diverging_training_exits_4(workdir, capsys):
 
 
 def test_bad_header_checkpoint_exits_3(workdir, capsys):
-    raw = (workdir / "source.ckpt").read_bytes()
-    (hlen,) = struct.unpack_from("<Q", raw, 12)
+    bad = workdir / "bad_header.ckpt"
     for key, value in [("bogus", 1), ("feature_stride", 0)]:
-        header = json.loads(raw[20:20 + hlen])
-        header["arch"][key] = value
-        blob = json.dumps(header).encode("utf-8")
-        bad = workdir / "bad_header.ckpt"
-        bad.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+        shutil.copyfile(workdir / "source.ckpt", bad)
+        rewrite_header(bad, lambda header: header | {"arch": header["arch"] | {key: value}})
         rc = cli.main(["eval", "--ckpt", str(bad), "--data", str(workdir / "data"),
                        "--split", "target_test"])
         assert rc == 3
@@ -677,6 +672,40 @@ def test_label_below_model_classes_is_accepted(workdir, tmp_path):
     data, _ = copy_with_label(workdir, tmp_path, "target_test", 2)
     assert cli.main(["eval", "--ckpt", str(workdir / "source.ckpt"), "--data", str(data),
                      "--split", "target_test"]) == 0
+
+
+@pytest.mark.parametrize("command", ["make-data", "adapt"])
+def test_config_file_not_utf8_exits_3(workdir, tmp_path, capsys, command):
+    """A --spec or --config file that is not UTF-8 is one data error naming
+    it, and nothing is written."""
+    config = tmp_path / "config.txt"
+    config.write_bytes(b"seed = 1\n# caf\xff\n")
+    out = tmp_path / "out"
+    argv = {"make-data": ["make-data", "--spec", str(config), "--out", str(out)],
+            "adapt": ["adapt", "--source-ckpt", str(workdir / "source.ckpt"),
+                      "--data", str(workdir / "data"), "--strategy", "adabn",
+                      "--config", str(config), "--out", str(out)]}[command]
+    assert cli.main(argv) == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and str(config) in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, where", [("manifest.json", ""), ("annotations.jsonl", ":2")],
+                         ids=["manifest", "annotations"])
+def test_eval_on_split_file_not_utf8_exits_3(workdir, tmp_path, capsys, name, where):
+    """A \\xff byte on line 1 of a split's manifest or line 2 of its
+    annotations is one data error naming the file (and an annotation's line)."""
+    shutil.copytree(workdir / "data" / "target_test", tmp_path / "target_test")
+    bad = tmp_path / "target_test" / name
+    lines = bad.read_bytes().split(b"\n")
+    lines[1 if where else 0] += b"\xff"
+    bad.write_bytes(b"\n".join(lines))
+    rc = cli.main(["eval", "--ckpt", str(workdir / "source.ckpt"), "--data", str(tmp_path),
+                   "--split", "target_test"])
+    assert rc == 3
+    (line,) = error_lines(capsys)
+    assert line.startswith("ERROR[data]:") and f"{bad}{where}" in line
 
 
 def test_eval_on_manifest_not_an_object_exits_3(workdir, tmp_path, capsys):

@@ -2,7 +2,9 @@
 src/sfodlab is reached, every defaulted parameter is passed by some call
 and left out by another, and no parameter is passed one constant by every
 call. Calls are those in src/ and perfbench/, matched to a definition by
-name; the files are read and parsed once."""
+name; the files are read and parsed once. On the tests: each module-level
+function name is defined in one file, and every oracle of reference.py is
+called from a test file."""
 
 import ast
 import re
@@ -104,3 +106,22 @@ def test_no_parameter_is_passed_one_constant_by_every_call():
             if len(passed) == 1 and None not in passed:
                 constant.append(f"{where}({arg}={passed.pop()[1]})")
     assert constant == []
+
+
+def test_tests_define_each_function_once_and_call_every_oracle():
+    """No two module-level functions of tests/*.py share a name, and some
+    other test file calls each function of tests/reference.py."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "tests").glob("*.py"))}
+    files = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                files.setdefault(node.name, []).append(name)
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for name, tree in trees.items() if name != "reference.py"
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    twice = {fn: where for fn, where in files.items() if len(where) > 1}
+    uncalled = [fn for fn, where in files.items()
+                if "reference.py" in where and fn not in called]
+    assert (twice, uncalled) == ({}, [])

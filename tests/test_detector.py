@@ -1,9 +1,9 @@
 """Two-stage detector contracts: loss decomposition, frozen-plan gradient
-checks against finite differences, ROI pooling oracle, determinism, and
-inference behavior."""
+checks against finite differences, ROI pooling and scatter against their
+oracles in reference.py, the training step against a former step built on
+those oracles, determinism, and inference behavior."""
 
 import json
-import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -12,13 +12,11 @@ import pytest
 
 from sfodlab import boxes as B
 from sfodlab import detector as D
-from sfodlab.batchnorm import BN_EPS, batch_stats, bn_backward, update_running_statistics
+from sfodlab.batchnorm import batch_stats, bn_backward, update_running_statistics
 from sfodlab.data import DomainSpec, generate_split
 from sfodlab.ops import (
     NumericsError,
-    _im2col,
     conv2d_backward,
-    conv2d_forward,
     linear_backward,
     linear_forward,
     maxpool2_scatter,
@@ -27,15 +25,8 @@ from sfodlab.ops import (
     smooth_l1,
     softmax_cross_entropy,
 )
-from conftest import bn_stat_names, read_back
-
-
-def small_arch(**kw):
-    base = dict(input_size=32, channels=(4, 8), feature_stride=4,
-                anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
-                rpn_channels=8, roi_pool_size=3, roi_hidden=16)
-    base.update(kw)
-    return D.ArchDescriptor(**base)
+import reference
+from conftest import bn_stat_names, read_back, small_arch
 
 
 def random_batch(rng, arch, n=2, dtype=np.float32):
@@ -98,55 +89,6 @@ def test_anchor_grid():
 # ROI pooling
 # ---------------------------------------------------------------------------
 
-def roi_pool_naive(feats, box, out):
-    c, fh, fw = feats.shape
-    res = np.zeros((c, out, out), feats.dtype)
-    x1, y1, x2, y2 = box
-    for gy in range(out):
-        lo = y1 + (y2 - y1) * gy / out
-        hi = y1 + (y2 - y1) * (gy + 1) / out
-        r0 = min(max(int(math.floor(lo)), 0), fh - 1)
-        r1 = max(min(max(int(math.ceil(hi)), 1), fh), r0 + 1)
-        for gx in range(out):
-            lo = x1 + (x2 - x1) * gx / out
-            hi = x1 + (x2 - x1) * (gx + 1) / out
-            c0 = min(max(int(math.floor(lo)), 0), fw - 1)
-            c1 = max(min(max(int(math.ceil(hi)), 1), fw), c0 + 1)
-            res[:, gy, gx] = feats[:, r0:r1, c0:c1].max(axis=(1, 2))
-    return res
-
-
-def roi_pool_batch_reference(feats_img, boxes_feat, out):
-    """Gather + argmax ROI pool: pooled (P, C, out, out) and the (row, col)
-    of each first-occurrence maximum, shaped (C, P, out, out)."""
-    c, fh, fw = feats_img.shape
-    y0, y1 = D._roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
-    x0, x1 = D._roi_cell_edges(boxes_feat[:, 0], boxes_feat[:, 2], out, fw)
-    ky = int((y1 - y0).max())
-    kx = int((x1 - x0).max())
-    yidx = np.minimum(y0[:, :, None] + np.arange(ky), y1[:, :, None] - 1)
-    xidx = np.minimum(x0[:, :, None] + np.arange(kx), x1[:, :, None] - 1)
-    window = feats_img[:, yidx[:, :, None, :, None], xidx[:, None, :, None, :]]
-    p = len(boxes_feat)
-    flat = window.reshape(c, p, out, out, ky * kx)
-    amax = flat.argmax(axis=4)
-    pooled = np.take_along_axis(flat, amax[..., None], axis=4)[..., 0]
-    ay, ax = np.divmod(amax, kx)
-    parange = np.arange(p)[None, :, None, None]
-    grid = np.arange(out)
-    yy = yidx[parange, grid[None, None, :, None], ay]
-    xx = xidx[parange, grid[None, None, None, :], ax]
-    return pooled.transpose(1, 0, 2, 3), yy, xx
-
-
-def roi_scatter_reference(dpooled, yy, xx, c, fh, fw):
-    vals = dpooled.transpose(1, 0, 2, 3)
-    lin = (np.arange(c)[:, None, None, None] * fh + yy) * fw + xx
-    acc = np.bincount(lin.ravel(), weights=vals.ravel().astype(np.float64),
-                      minlength=c * fh * fw)
-    return acc.reshape(c, fh, fw).astype(dpooled.dtype)
-
-
 def mixed_boxes(rng, n, size):
     """Boxes from sub-cell to full-map extent, so bin sizes (and the
     window padding) differ between proposals."""
@@ -155,29 +97,22 @@ def mixed_boxes(rng, n, size):
     return np.stack([x1, y1, np.minimum(x1 + w, size), np.minimum(y1 + h, size)], 1)
 
 
-def roi_pool_one(feats, box, out):
-    """_roi_pool_batch on a single box: pooled (C, out, out) and the cells."""
-    pooled, cells = D._roi_pool_batch(feats, np.asarray(box, np.float64).reshape(1, 4), out,
-                                      True)
-    return pooled[0], cells
-
-
 def test_roi_pool_identity(rng):
     feats = rng.normal(size=(3, 5, 5))
-    out, _ = roi_pool_one(feats, (0.0, 0.0, 5.0, 5.0), 5)
-    assert np.array_equal(out, feats)
+    pooled, _ = D._roi_pool_batch(feats, np.array([[0.0, 0.0, 5.0, 5.0]]), 5, True)
+    assert np.array_equal(pooled[0], feats)
 
 
 def test_roi_pool_constant(rng):
     feats = np.full((2, 8, 8), 0.7)
-    out, _ = roi_pool_one(feats, (1.3, 2.2, 6.9, 7.1), 4)
-    assert np.allclose(out, 0.7)
+    pooled, _ = D._roi_pool_batch(feats, np.array([[1.3, 2.2, 6.9, 7.1]]), 4, True)
+    assert np.allclose(pooled, 0.7)
 
 
 def test_roi_pool_degenerate_single_cell(rng):
     feats = rng.normal(size=(1, 8, 8))
-    out, _ = roi_pool_one(feats, (3.2, 4.1, 3.4, 4.3), 3)
-    assert np.allclose(out, feats[0, 4, 3])
+    pooled, _ = D._roi_pool_batch(feats, np.array([[3.2, 4.1, 3.4, 4.3]]), 3, True)
+    assert np.allclose(pooled, feats[0, 4, 3])
 
 
 def test_roi_pool_matches_naive(rng):
@@ -186,15 +121,16 @@ def test_roi_pool_matches_naive(rng):
         x1, y1 = rng.uniform(0, 6, 2)
         x2 = rng.uniform(x1 + 0.3, 8)
         y2 = rng.uniform(y1 + 0.3, 8)
-        got, _ = roi_pool_one(feats, (x1, y1, x2, y2), 3)
-        assert np.array_equal(got, roi_pool_naive(feats, (x1, y1, x2, y2), 3))
+        box = np.array([[x1, y1, x2, y2]])
+        got, _ = D._roi_pool_batch(feats, box, 3, True)
+        assert np.array_equal(got, reference.roi_pool(feats, box, 3)[0])
 
 
 def test_roi_pool_backward_gradient(rng):
     feats = rng.normal(size=(2, 6, 6))
-    box = (0.7, 1.2, 5.3, 4.9)
+    box = np.array([[0.7, 1.2, 5.3, 4.9]])
     dout = rng.normal(size=(2, 3, 3))
-    pooled, cells = roi_pool_one(feats, box, 3)
+    pooled, cells = D._roi_pool_batch(feats, box, 3, True)
     dfeat = D._roi_scatter_batch(dout[None], cells, 2, 6, 6)
     # scatter conserves the total gradient mass
     assert dfeat.sum() == pytest.approx(dout.sum(), rel=1e-6)
@@ -202,29 +138,7 @@ def test_roi_pool_backward_gradient(rng):
     assert (np.abs(dfeat[feats != feats]) == 0).all()
     nz = np.nonzero(dfeat)
     for c, y, x in zip(*nz):
-        assert feats[c, y, x] in pooled[c]
-
-
-def roi_window(feats_img, boxes_feat, out):
-    """The (K, P, out, out) int64 cell indices of every bin and the whole
-    gathered (K, P, out, out, C) window."""
-    c, fh, fw = feats_img.shape
-    y0, y1 = D._roi_cell_edges(boxes_feat[:, 1], boxes_feat[:, 3], out, fh)
-    x0, x1 = D._roi_cell_edges(boxes_feat[:, 0], boxes_feat[:, 2], out, fw)
-    ky = int((y1 - y0).max())
-    kx = int((x1 - x0).max())
-    yidx = np.minimum(y0[:, :, None] + np.arange(ky), y1[:, :, None] - 1)
-    xidx = np.minimum(x0[:, :, None] + np.arange(kx), x1[:, :, None] - 1)
-    cells = (yidx.transpose(2, 0, 1)[:, None, :, :, None] * fw
-             + xidx.transpose(2, 0, 1)[None, :, :, None, :])
-    cells = cells.reshape(ky * kx, len(boxes_feat), out, out).astype(np.int64)
-    return cells, np.ascontiguousarray(feats_img.reshape(c, fh * fw).T)[cells]
-
-
-def roi_pool_window_max(feats_img, boxes_feat, out):
-    """The eval-mode ROI pool as it ran before the per-offset gather: the
-    whole (K, P, out, out, C) window, reduced by max over K."""
-    return roi_window(feats_img, boxes_feat, out)[1].max(axis=0).transpose(0, 3, 1, 2)
+        assert feats[c, y, x] in pooled[0, c]
 
 
 def test_roi_pool_batch_ties_match_reference(rng):
@@ -232,7 +146,7 @@ def test_roi_pool_batch_ties_match_reference(rng):
     proposal or many, bins of up to 4 x 4 cells (K = 16) and signed zeros.
     The indexed pool keeps the first maximum, so its bytes, the sign of a
     zero included, are the reference's; the plain pool's bytes are those
-    of a max over the whole gathered window."""
+    of np.maximum folded over each bin's cells."""
     signed_zeros = np.where(rng.random((3, 8, 8)) < 0.5, -0.0, 0.0).astype(np.float32)
     some_positive = signed_zeros.copy()
     some_positive[:, ::3, ::2] = rng.integers(0, 2, (3, 3, 4))
@@ -249,31 +163,23 @@ def test_roi_pool_batch_ties_match_reference(rng):
         full_map = np.array([[0.0, 0.0, f, f]])
         for out in (1, 2, 3, 5):
             for boxes in (mixed_boxes(rng, 12, f), mixed_boxes(rng, 1, f), full_map):
-                want, yy, xx = roi_pool_batch_reference(feats, boxes, out)
+                want, want_cells, window = reference.roi_pool(feats, boxes, out)
                 pooled, cells = D._roi_pool_batch(feats, boxes, out, True)
                 assert pooled.dtype == feats.dtype
                 assert cells.dtype == np.min_scalar_type(f * f - 1) == np.uint8
                 assert pooled.tobytes() == want.tobytes()
-                assert np.array_equal(cells, (yy * f + xx).transpose(1, 2, 3, 0))
+                assert np.array_equal(cells, want_cells)
                 plain, none = D._roi_pool_batch(feats, boxes, out, need_indices=False)
                 assert none is None and np.array_equal(plain, want)
                 assert plain.dtype == feats.dtype
-                assert plain.tobytes() == roi_pool_window_max(feats, boxes, out).tobytes()
+                assert plain.tobytes() == window.tobytes()
                 dpooled = rng.normal(size=want.shape).astype(feats.dtype)
                 got = D._roi_scatter_batch(dpooled, cells, c, f, f)
-                assert np.array_equal(got, roi_scatter_reference(dpooled, yy, xx, c, f, f))
+                assert got.tobytes() == \
+                    reference.roi_scatter(dpooled, want_cells, c, f, f).tobytes()
     # a full-map box on an 8-cell map at out = 2 spans 4 x 4 cells per bin
     y0, y1 = D._roi_cell_edges(np.zeros(1), np.full(1, 8.0), 2, 8)
     assert ((y1 - y0) == 4).all()
-
-
-def roi_max_cells_int64(feats_img, boxes_feat, out):
-    """The (P, out, out, C) first-maximum cell indices as int64, from the
-    whole gathered window: argmax over K, a NaN counted as the maximum."""
-    cells, window = roi_window(feats_img, boxes_feat, out)
-    k = np.argmax(np.where(np.isnan(window), np.inf, window), axis=0)
-    cells = np.repeat(cells[..., None], feats_img.shape[0], axis=4)
-    return np.take_along_axis(cells, k[None], axis=0)[0]
 
 
 @pytest.mark.parametrize("f, dtype", [(12, np.uint8), (17, np.uint16)],
@@ -281,19 +187,19 @@ def roi_max_cells_int64(feats_img, boxes_feat, out):
 def test_roi_pool_batch_indices_match_int64_reference(rng, f, dtype):
     """The max-cell indices come in the smallest integer type that holds
     F*F - 1 (uint8 at the default 12 x 12 map, uint16 once F*F > 256), hold
-    the values of an int64 reference, NaN bins included, and scatter the
-    same bytes as their int64 copy."""
+    the values of the int64 reference, NaN bins included, and scatter the
+    bytes the reference scatters from those int64 cells."""
     feats = np.maximum(rng.normal(size=(6, f, f)), 0).astype(np.float32)
     feats[2, 5, 7] = np.nan
     boxes = np.concatenate([mixed_boxes(rng, 32, f), [[0.0, 0.0, f, f]]])
     for out in (2, 5):
         _, cells = D._roi_pool_batch(feats, boxes, out, True)
-        want = roi_max_cells_int64(feats, boxes, out)
+        _, want, _ = reference.roi_pool(feats, boxes, out)
         assert cells.dtype == dtype and want.dtype == np.int64
         assert np.array_equal(cells, want)
         dpooled = rng.normal(size=(len(boxes), 6, out, out)).astype(np.float32)
         got = D._roi_scatter_batch(dpooled, cells, 6, f, f)
-        assert got.tobytes() == D._roi_scatter_batch(dpooled, want, 6, f, f).tobytes()
+        assert got.tobytes() == reference.roi_scatter(dpooled, want, 6, f, f).tobytes()
 
 
 def test_roi_pool_batch_nan_propagates(rng):
@@ -302,7 +208,7 @@ def test_roi_pool_batch_nan_propagates(rng):
     feats[1, 2, 4] = np.nan
     feats[1, 4, 1] = np.nan
     boxes = np.array([[0.0, 0.0, 6.0, 6.0], [3.0, 2.0, 5.0, 3.0], [0.0, 0.0, 1.5, 1.5]])
-    want, yy, xx = roi_pool_batch_reference(feats, boxes, 3)
+    want, want_cells, _ = reference.roi_pool(feats, boxes, 3)
     pooled, cells = D._roi_pool_batch(feats, boxes, 3, True)
     plain, _ = D._roi_pool_batch(feats, boxes, 3, need_indices=False)
     for got in (pooled, plain):
@@ -314,7 +220,7 @@ def test_roi_pool_batch_nan_propagates(rng):
         assert np.isnan(got[1]).sum() == 12
         assert not np.isnan(got[2]).any()
     assert cells[0, 1, 1, 0] == 2 * 6 + 3 and cells[0, 1, 2, 1] == 2 * 6 + 4
-    assert np.array_equal(cells, (yy * 6 + xx).transpose(1, 2, 3, 0))
+    assert np.array_equal(cells, want_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -547,28 +453,20 @@ def test_gradients_match_finite_differences_20_params(rng):
 # The training step as it was while it cached every pre-activation, gathered
 # the sampled RPN rows with per-image offset loops, spelled out the ROI
 # cls/delta backward, ran each ReLU before its pool and built the whole
-# gradient dict: the live step must give byte-equal results.
+# gradient dict, with the forward kernels and the ROI scatter of
+# reference.py (batch-wide conv unfold, out-of-place BN, argmax pooling and
+# the bin-by-bin ROI pool): the live step must give byte-equal results.
 
-def relu_reference(x):
-    """relu_forward before it wrote into its input."""
-    return np.maximum(x, 0)
-
-
-def conv2d_batched_reference(x, kernel, bias):
-    """conv2d_forward as one batch-wide _im2col and one batched matmul."""
-    n, _, h, w = x.shape
-    o = kernel.shape[0]
-    out = np.matmul(kernel.reshape(o, -1), _im2col(x, kernel.shape[2])).reshape(n, o, h, w)
-    out += bias.reshape(1, o, 1, 1)
-    return out
+def _bytes(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
 
 def rpn_forward_reference(model, feats):
     p = model.params
-    hidden_pre = conv2d_batched_reference(feats, p["rpn.conv.w"], p["rpn.conv.b"])
-    hidden = relu_reference(hidden_pre)
-    obj_map = conv2d_batched_reference(hidden, p["rpn.obj.w"], p["rpn.obj.b"])
-    delta_map = conv2d_batched_reference(hidden, p["rpn.delta.w"], p["rpn.delta.b"])
+    hidden_pre = reference.conv2d_batched(feats, p["rpn.conv.w"], p["rpn.conv.b"])
+    hidden = np.maximum(hidden_pre, 0)
+    obj_map = reference.conv2d_batched(hidden, p["rpn.obj.w"], p["rpn.obj.b"])
+    delta_map = reference.conv2d_batched(hidden, p["rpn.delta.w"], p["rpn.delta.b"])
     return obj_map, delta_map, hidden_pre, hidden
 
 
@@ -577,14 +475,14 @@ def roi_head_forward_reference(model, feats, proposals):
     pooled_parts, scatter = [], []
     for i, props in enumerate(proposals):
         boxes = np.asarray(props, np.float64).reshape(-1, 4) / arch.feature_stride
-        pooled, cells = D._roi_pool_batch(feats[i], boxes, arch.roi_pool_size, True)
+        pooled, cells, _ = reference.roi_pool(feats[i], boxes, arch.roi_pool_size)
         pooled_parts.append(pooled)
         scatter.append((cells, len(boxes)))
     flat = np.concatenate(pooled_parts).reshape(-1, p["roi.fc1.w"].shape[0])
     h1_pre = linear_forward(flat, p["roi.fc1.w"], p["roi.fc1.b"])
-    h1 = relu_reference(h1_pre)
+    h1 = np.maximum(h1_pre, 0)
     h2_pre = linear_forward(h1, p["roi.fc2.w"], p["roi.fc2.b"])
-    h2 = relu_reference(h2_pre)
+    h2 = np.maximum(h2_pre, 0)
     cls_logits = linear_forward(h2, p["roi.cls.w"], p["roi.cls.b"])
     deltas = linear_forward(h2, p["roi.delta.w"], p["roi.delta.b"])
     cache = {"flat": flat, "h1_pre": h1_pre, "h1": h1, "h2_pre": h2_pre,
@@ -693,7 +591,7 @@ def forward_train_reference(model, images, targets, rng, include_reg):
     c, fh, fw = feats.shape[1:]
     row = 0
     for i, (cells, count) in enumerate(roi_cache["scatter"]):
-        dfeats[i] += D._roi_scatter_batch(dpooled[row:row + count], cells, c, fh, fw)
+        dfeats[i] += reference.roi_scatter(dpooled[row:row + count], cells, c, fh, fw)
         row += count
 
     dh, grads["rpn.obj.w"], grads["rpn.obj.b"] = conv2d_backward(
@@ -736,55 +634,41 @@ def test_forward_train_matches_reference(arch, n, dtype):
         assert grads.keys() == ref_grads.keys()
         for name, g in grads.items():
             assert g.dtype == dtype, name
-            assert g.tobytes() == ref_grads[name].tobytes(), (include_reg, name)
+            assert _bytes(g) == _bytes(ref_grads[name]), (include_reg, name)
         for name, v in live.params.items():
-            assert v.tobytes() == want.params[name].tobytes(), name
-
-
-def bn_apply_reference(x, mean, var, gamma, beta):
-    """bn_apply before it normalized its input in place: xhat and the output
-    are new arrays and x is untouched."""
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = x - mean[None, :, None, None]
-    xhat *= inv_std[None, :, None, None]
-    out = gamma[None, :, None, None] * xhat
-    out += beta[None, :, None, None]
-    return out, xhat, inv_std
+            assert _bytes(v) == _bytes(want.params[name]), name
 
 
 def backbone_forward_reference(model, x, mode):
-    """_backbone_forward with the out-of-place BN and ReLU, the ReLU before
-    the pool, and a train-mode cache that masks the ReLU backward by the BN
-    output (relu_mask)."""
+    """_backbone_forward on the batch-wide conv unfold, the out-of-place BN
+    and ReLU and the argmax pool, with the ReLU before the pool and a
+    train-mode cache that masks the ReLU backward by the BN output
+    (relu_mask); the pooling indices are int8, as the former cache held
+    them."""
     p, arch = model.params, model.arch
     caches, stats, h = [], [], x
     for i in range(len(arch.channels)):
         pre = f"backbone.b{i}"
-        conv_out = conv2d_forward(h, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"])
+        conv_out = reference.conv2d_batched(h, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"])
         if mode == "eval":
             mean, var = p[f"{pre}.bn.running_mean"], p[f"{pre}.bn.running_var"]
         else:
             mean, var = batch_stats(conv_out)
             stats.append((mean, var))
         gamma = p[f"{pre}.bn.gamma"]
-        bn_out, xhat, inv_std = bn_apply_reference(conv_out, mean, var, gamma,
+        bn_out, xhat, inv_std = reference.bn_apply(conv_out, mean, var, gamma,
                                                    p[f"{pre}.bn.beta"])
-        relu_out = relu_reference(bn_out)
+        relu_out = np.maximum(bn_out, 0)
         conv_in, pool_idx = h, None
         if i >= arch.n_pools:
             h = relu_out
-        elif mode == "train":
-            h, pool_idx = D.maxpool2_with_indices(relu_out)
         else:
-            h = D.maxpool2_forward(relu_out)
+            h, pool_idx = reference.maxpool2(relu_out)
+            pool_idx = pool_idx.astype(np.int8) if mode == "train" else None
         if mode == "train":
             caches.append({"conv_in": conv_in, "bn_cache": (xhat, inv_std, gamma),
                            "relu_mask": bn_out > 0, "pool_idx": pool_idx})
     return h, caches, stats
-
-
-def _bytes(a):
-    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -841,44 +725,21 @@ def test_backbone_in_place_matches_reference(arch, dtype):
         assert np.isnan(D._backbone_forward(model, nan_x, "eval")[0]).any()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("arch", [small_arch(), D.ArchDescriptor()],
-                         ids=["small", "default"])
-def test_forward_train_in_place_matches_reference(arch, dtype, monkeypatch):
-    """Byte-equal loss terms, gradients and folded statistics when the
-    detector runs the out-of-place BN and ReLU instead."""
-    rng = np.random.default_rng(2)
-    model = D.init_model(arch, 9)
-    model.params = {k: v.astype(dtype) for k, v in model.params.items()}
-    imgs, _ = random_batch(rng, arch, n=4, dtype=dtype)
-    _, targets = random_batch(rng, small_arch(), n=4)
-    targets = [(b * np.float32(arch.input_size / 32), l) for b, l in targets]
-    live, want = model.copy(), model.copy()
-    loss, grads = forward_train_grads(live, imgs, targets, np.random.default_rng(5))
-    monkeypatch.setattr(D, "bn_apply", bn_apply_reference)
-    monkeypatch.setattr(D, "relu_forward", relu_reference)
-    ref_loss, ref_grads = forward_train_grads(want, imgs, targets, np.random.default_rng(5))
-    assert loss == ref_loss and loss.rpn_reg > 0 and loss.roi_reg > 0
-    assert grads.keys() == ref_grads.keys()
-    for name, g in grads.items():
-        assert _bytes(g) == _bytes(ref_grads[name]), name
-    for name, v in live.params.items():
-        assert _bytes(v) == _bytes(want.params[name]), name
+def softmax_reference(logits):
+    """Row-wise softmax as _propose and inference each computed it on their
+    own."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_softmax_objectness_matches_reference(rng):
     """_propose's foreground score: byte-equal to the two-column softmax it
     used to compute on its own."""
-    def objectness_reference(obj):
-        z = obj - obj.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e[:, 1] / e.sum(axis=1)
-
     for scale in (1.0, 30.0, 1e3):
         obj = rng.normal(size=(500, 2)) * scale
         got = D._softmax(obj)[:, 1]
         assert got.dtype == np.float64
-        assert got.tobytes() == objectness_reference(obj).tobytes(), scale
+        assert got.tobytes() == softmax_reference(obj)[:, 1].tobytes(), scale
 
 
 # ---------------------------------------------------------------------------
@@ -967,9 +828,7 @@ def inference_reference(model, images, score_floor=0.05, nms_iou=0.5, max_dets=5
                  for i in range(len(images))]
     cls_logits, roi_deltas, _ = D._roi_head_forward(model, feats, proposals,
                                                     need_indices=False)
-    z = cls_logits - cls_logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = softmax_reference(cls_logits)
     results, row = [], 0
     for props in proposals:
         n = len(props)

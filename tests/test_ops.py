@@ -1,11 +1,14 @@
-"""Kernel-level contracts: naive-loop conv oracle, finite-difference
-gradient checks on the 64-bit shadow path, and the optimizer step."""
+"""Kernel-level contracts: the convolutions and the 2x2 max pool against
+their oracles in reference.py, the former conv backward kernels kept here
+as byte references, finite-difference gradient checks on the 64-bit
+shadow path, and the optimizer step."""
 
 import numpy as np
 import pytest
 
 from sfodlab import ops
-from conftest import assert_grads_close, conv2d_naive, numerical_grad, well_separated
+import reference
+from conftest import assert_grads_close, numerical_grad, well_separated
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -36,7 +39,7 @@ def test_conv_matches_naive_reference(rng):
     for ksize in (1, 3, 5):
         k = rng.normal(size=(4, 3, ksize, ksize))
         got = ops.conv2d_forward(x, k, b)
-        want = conv2d_naive(x, k, b, 1, ksize // 2)
+        want = reference.conv2d_naive(x, k, b)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-5
 
@@ -57,18 +60,6 @@ def test_conv_shape_errors(rng):
         ops.conv2d_backward(np.zeros((1, 2, 9, 9)), x, rng.normal(size=(2, 3, 3, 3)))
 
 
-def conv2d_forward_batched(x, kernel, bias):
-    """conv2d_forward as it ran before the per-image loop: one unfold of
-    the whole batch and one batched matmul."""
-    k = kernel.shape[2]
-    n, _, h, w = x.shape
-    o = kernel.shape[0]
-    cols = ops._im2col(x, k)
-    out = np.matmul(kernel.reshape(o, -1), cols).reshape(n, o, h, w)
-    out += bias.reshape(1, o, 1, 1)
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 3, 4])
 def test_conv_forward_per_image_matches_batched_bytes(rng, n):
     """Unfolding one image at a time into the output array gives the
@@ -86,7 +77,7 @@ def test_conv_forward_per_image_matches_batched_bytes(rng, n):
         b[1] = -0.0
         with np.errstate(invalid="ignore"):
             got = ops.conv2d_forward(x, k, b)
-            want = conv2d_forward_batched(x, k, b)
+            want = reference.conv2d_batched(x, k, b)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -104,7 +95,7 @@ def test_conv_1x1_batched_matches_per_image_loop(rng):
         for n in range(1, 17):
             with np.errstate(invalid="ignore"):
                 got = ops.conv2d_forward(x[:n], k, b)
-                want = conv2d_forward_batched(x[:n], k, b)
+                want = reference.conv2d_batched(x[:n], k, b)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (o, n)
 
 
@@ -181,31 +172,17 @@ def test_conv_backward_without_dx_identical(rng):
 
 
 def test_conv_backward_cached_cols_identical(rng):
-    """dw from the per-image re-unfold equals dw from one batch-wide
-    _im2col patch matrix, summed over the batch as a batched matmul."""
+    """dw from the per-image re-unfold equals dw from one batch-wide patch
+    matrix, summed over the batch as a batched matmul, and _im2col's patch
+    matrix is the np.pad unfold's."""
     x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
     for ksize in (1, 3):
         k = rng.normal(size=(4, 3, ksize, ksize)).astype(np.float32)
-        cols = ops._im2col(x, ksize)
         dout = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
-        dmat = dout.reshape(len(x), 4, -1)
-        cached = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape)
         _, dw, _ = ops.conv2d_backward(dout, x, k)
-        assert dw.tobytes() == cached.tobytes()
-        assert cols.tobytes() == im2col_reference(x, ksize, ksize // 2).tobytes()
-
-
-def im2col_reference(x, k, pad):
-    """Batch-wide stride-1 unfold through np.pad, as the forward pass did it
-    before padding into a zero buffer."""
-    n, c = x.shape[:2]
-    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = x.shape[2] - k + 1
-    ow = x.shape[3] - k + 1
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x, shape=(n, c, k, k, oh, ow), strides=(s0, s1, s2, s3, s2, s3), writeable=False)
-    return np.ascontiguousarray(view).reshape(n, c * k * k, oh * ow)
+        assert dw.tobytes() == batched_conv_backward(dout, x, k)[1].tobytes()
+        assert ops._im2col(x, ksize).tobytes() == \
+            reference.im2col(x, ksize, ksize // 2).tobytes()
 
 
 def batched_conv_backward(dout, x, kernel):
@@ -218,7 +195,7 @@ def batched_conv_backward(dout, x, kernel):
     o, _, k, _ = kernel.shape
     pad = k // 2
     db = dout.sum(axis=(0, 2, 3))
-    cols = im2col_reference(x, k, pad)
+    cols = reference.im2col(x, k, pad)
     dmat = dout.reshape(n, o, h * w)
     dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
     buf = np.zeros((n, o, h + k - 1, w + k - 1), dtype=dout.dtype)
@@ -227,7 +204,7 @@ def batched_conv_backward(dout, x, kernel):
     kmat = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
     dx = np.empty_like(x)
     for i in range(n):
-        img_cols = im2col_reference(buf[i:i + 1], k, 0)
+        img_cols = reference.im2col(buf[i:i + 1], k, 0)
         dx[i] = np.matmul(kmat, img_cols[0]).reshape(c, h, w)
     return dx, dw, db
 
@@ -282,7 +259,7 @@ def full_correlation_dx(dout, x, kernel):
     n, c, h, w = x.shape
     k = kernel.shape[2]
     kmat = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, -1)
-    full = np.matmul(kmat, im2col_reference(dout, k, k - 1))
+    full = np.matmul(kmat, reference.im2col(dout, k, k - 1))
     full = full.reshape(n, c, h + k - 1, w + k - 1)
     pad = k // 2
     return np.ascontiguousarray(full[:, :, pad:pad + h, pad:pad + w])
@@ -359,17 +336,6 @@ def test_relu_matches_finite_differences():
                            what=f"relu seed {seed}")
 
 
-def maxpool2_reference(x):
-    """Reshape + argmax 2x2 max pool: values and first-occurrence window
-    indices (0..3, row-major). argmax picks the first NaN in a window."""
-    n, c, h, w = x.shape
-    win = (x.reshape(n, c, h // 2, 2, w // 2, 2)
-           .transpose(0, 1, 2, 4, 3, 5)
-           .reshape(n, c, h // 2, w // 2, 4))
-    idx = win.argmax(axis=-1)
-    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
-
-
 def maxpool2_scatter_reference(dout, idx, shape):
     n, c, h, w = shape
     dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
@@ -428,7 +394,7 @@ def test_maxpool_ties_match_reference(rng):
         ops.relu_forward(rng.integers(-2, 2, (3, 2, 4, 8)).astype(np.float64)),
     ]
     for x in inputs:
-        want, want_idx = maxpool2_reference(x)
+        want, want_idx = reference.maxpool2(x)
         out, idx = ops.maxpool2_with_indices(x)
         assert out.dtype == x.dtype
         assert np.array_equal(out, want) and np.array_equal(idx, want_idx)
@@ -461,7 +427,7 @@ def test_maxpool_nan_propagates(rng):
     x[0, 0, 1, 0] = np.nan          # window (0, 0), flat index 2
     x[0, 1, 2, 3] = np.nan          # window (1, 1), flat index 1
     x[0, 1, 3, 2] = np.nan          # same window, flat index 2
-    want, want_idx = maxpool2_reference(x)
+    want, want_idx = reference.maxpool2(x)
     out, idx = ops.maxpool2_with_indices(x)
     for pooled in (out, ops.maxpool2_forward(x)):
         assert np.isnan(pooled[0, 0, 0, 0]) and np.isnan(pooled[0, 1, 1, 1])
@@ -484,7 +450,7 @@ def test_relu_after_pool_matches_relu_before_pool(rng, dtype):
         assert pool_then_relu.tobytes() == relu_then_pool.tobytes()
         assert not np.signbit(pool_then_relu[~np.isnan(pool_then_relu)]).any()
         # signed input: the indices are those of the reference, NaN included
-        want, want_idx = maxpool2_reference(x)
+        want, want_idx = reference.maxpool2(x)
         out, idx = ops.maxpool2_with_indices(x)
         assert np.array_equal(out, want, equal_nan=True) and np.array_equal(idx, want_idx)
 

@@ -17,13 +17,7 @@ from sfodlab.adapt import strategy_presets
 from sfodlab.augment import weak_augment
 from sfodlab.data import DomainSpec, Scene, generate_split
 from sfodlab.ops import NumericsError
-from conftest import needs_argument_handover, read_back
-
-
-def small_arch():
-    return D.ArchDescriptor(input_size=32, channels=(4, 8), feature_stride=4,
-                            anchor_scales=(8.0, 16.0), anchor_aspects=(1.0,),
-                            rpn_channels=8, roi_pool_size=3, roi_hidden=16)
+from conftest import needs_argument_handover, read_back, small_arch
 
 
 def source_scenes(count=6):
